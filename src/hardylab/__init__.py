@@ -17,6 +17,7 @@ from .errors import (
     IndexOutOfRange,
     NearZeroConstantTerm,
     OutsideSpectralBall,
+    ResidualMismatch,
     TruncationTooShort,
 )
 from .projection import (
@@ -26,6 +27,7 @@ from .projection import (
     cyclicity_scan,
     difference_span_orthogonality,
     distance_to_span,
+    nested_distances,
     non_cyclicity_witness,
 )
 from .semigroup import (
@@ -57,8 +59,10 @@ from .series import (
 from .special import (
     dirichlet_energy_at_one,
     hk_closed_form,
+    hk_matrix,
     hk_oracle,
     hk_tail_norm_bound,
+    truncation_certificate,
 )
 from .spectral import (
     DiskScanPoint,
@@ -85,6 +89,7 @@ __all__ = [
     "IndexOutOfRange",
     "NearZeroConstantTerm",
     "OutsideSpectralBall",
+    "ResidualMismatch",
     "SpanProblem",
     "TruncationTooShort",
     "adjoint_eigenvector",
@@ -102,6 +107,7 @@ __all__ = [
     "formal_log",
     "from_coeffs",
     "hk_closed_form",
+    "hk_matrix",
     "hk_oracle",
     "hk_tail_norm_bound",
     "inner",
@@ -109,6 +115,7 @@ __all__ = [
     "kernel_vector",
     "level_for_degree",
     "monomial",
+    "nested_distances",
     "non_cyclicity_witness",
     "norm",
     "one",
@@ -119,6 +126,7 @@ __all__ = [
     "shift_up",
     "spectral_disk_scan",
     "truncate",
+    "truncation_certificate",
     "weighted_dilation",
     "weighted_dilation_adjoint",
     "zero",

@@ -11,7 +11,8 @@ All output files are deterministic for a fixed (flags, seed) apart from a
 single timestamp header line.  Floats are printed with 17 significant
 digits and a '.' decimal separator so values round-trip exactly.  Exit
 codes: 0 success, 1 assertion failure, 2 usage error.  The environment
-variable LAB_THREADS caps the worker count of parallelizable scans.
+variable LAB_THREADS caps the worker count of parallelizable scans; it
+must be a positive integer when set.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .projection import baez_duarte_sequence
-from .special import hk_closed_form
+from .special import hk_closed_form, truncation_certificate
 from .spectral import spectral_disk_scan
 from .verify import SUITES, run_suites
 
@@ -90,10 +91,15 @@ def _write_rows(path: Path, meta: list[str], header: list[str], rows) -> None:
 
 
 def _workers() -> int:
+    """Worker count from LAB_THREADS (default 1); ValueError unless a positive integer."""
+    raw = os.environ.get("LAB_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("LAB_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"LAB_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +136,16 @@ def cmd_baez_duarte(cfg: LabConfig, k_max: int, n_trunc: int,
             {
                 "k_max": k_max,
                 "truncation_degree": n_trunc,
-                "reports": [dict(K=k, **rep.to_json_dict()) for k, rep in sequence],
+                "reports": [
+                    dict(
+                        K=k,
+                        **rep.to_json_dict(),
+                        truncation_certificate=truncation_certificate(
+                            rep.coefficients, n_trunc
+                        ),
+                    )
+                    for k, rep in sequence
+                ],
             },
             fh,
             indent=1,
@@ -251,6 +266,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = _effective_config(parser, args)
+    try:
+        _workers()
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if args.command == "gen-hk":
         if args.k < 2:

@@ -25,5 +25,9 @@ class DegenerateBasis(HardyLabError):
     """Column orthogonalization detected numerical rank deficiency."""
 
 
+class ResidualMismatch(HardyLabError):
+    """A least-squares distance disagrees with its independently recomputed residual."""
+
+
 class HypothesisViolated(HardyLabError):
     """A checked precondition on the input series does not hold."""

@@ -6,12 +6,17 @@ Baez-Duarte style distance sequence in the disk model), orthogonality
 measurements for spans of h_k differences, and cyclicity experiments for
 the weighted dilation orbit of a given series.
 
-Least squares is solved by Householder QR with column pivoting rather than
-Gram normal equations: adjacent h_k are nearly dependent and normal
-equations would square the condition number.  Every report carries the
-optimal coefficients, an independently recomputed residual norm, and a
-conditioning estimate so a genuine distance plateau can be told apart from
-numerical rank collapse.
+Least squares is solved by Householder QR rather than Gram normal
+equations: adjacent h_k are nearly dependent and normal equations would
+square the condition number.  The d_K sequence, like any family of nested
+spans, comes from one QR of the augmented matrix [b_1 .. b_m | target]:
+the distance to span{b_1..b_j} is the norm of R's last column below row j
+(Golub & Van Loan, Matrix Computations, sec. 5.3).  Single problems and
+cyclicity scans use pivoted QR (:func:`distance_to_span`), which stays the
+oracle for that nested engine.  Every report carries the optimal
+coefficients, an independently recomputed residual norm (enforced to agree
+with the distance), and a conditioning estimate so a genuine distance
+plateau can be told apart from numerical rank collapse.
 """
 
 from __future__ import annotations
@@ -21,15 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateBasis, HypothesisViolated, IndexOutOfRange
+from .errors import DegenerateBasis, HypothesisViolated, IndexOutOfRange, ResidualMismatch
 from .semigroup import weighted_dilation
-from .series import CoeffSeries, axpy, fit_degree, from_coeffs, inner, norm, one
-from .special import hk_closed_form
+from .series import CoeffSeries, axpy, fit_degree, from_coeffs, inner, norm
+from .special import hk_closed_form, hk_matrix
 
 __all__ = [
     "SpanProblem",
     "DistanceReport",
     "distance_to_span",
+    "nested_distances",
     "baez_duarte_sequence",
     "difference_span_orthogonality",
     "cyclicity_scan",
@@ -37,6 +43,8 @@ __all__ = [
 ]
 
 RANK_TOLERANCE = 1e-10
+# |distance - residual_norm_check| may not exceed this times max(1, ||target||).
+RESIDUAL_AGREEMENT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -71,9 +79,10 @@ class DistanceReport:
 
     ``distance`` is the residual norm from the QR path;
     ``residual_norm_check`` recomputes it from the coefficients by direct
-    series arithmetic and must agree to 1e-10.  ``condition_estimate`` is
-    the diagonal ratio of the pivoted R factor, a cheap lower bound on the
-    basis matrix's true condition number.
+    arithmetic on the basis and agrees to 1e-10 * max(1, ||target||), or
+    the report is never made (:class:`ResidualMismatch`).
+    ``condition_estimate`` is the diagonal ratio of the pivoted R factor,
+    a cheap lower bound on the basis matrix's true condition number.
     """
 
     distance: float
@@ -107,23 +116,12 @@ def distance_to_span(problem: SpanProblem) -> DistanceReport:
     Raises:
         DegenerateBasis: when the pivoted R diagonal decays below
             RANK_TOLERANCE relative to its largest entry.
+        ResidualMismatch: when the residual re-check disagrees with the
+            QR distance.
     """
-    real_path = problem.target.is_real() and all(b.is_real() for b in problem.basis)
-    if real_path:
-        a = np.column_stack([b.coeffs.real for b in problem.basis])
-        rhs = problem.target.coeffs.real
-    else:
-        a = np.column_stack([b.coeffs for b in problem.basis])
-        rhs = problem.target.coeffs
-
+    a, rhs = _matrix(problem)
     q, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag[0] == 0.0 or diag[-1] < RANK_TOLERANCE * diag[0]:
-        raise DegenerateBasis(
-            f"basis is numerically rank deficient: pivoted diagonal ratio "
-            f"{diag[-1] / diag[0] if diag[0] else 0.0:.3e} below {RANK_TOLERANCE:.0e}"
-        )
-    condition_estimate = float(diag[0] / diag[-1])
+    condition_estimate = _condition_estimate(r)
 
     qtb = q.conj().T @ rhs
     c_piv = scipy.linalg.solve_triangular(r, qtb)
@@ -134,31 +132,107 @@ def distance_to_span(problem: SpanProblem) -> DistanceReport:
     residual = problem.target
     for c, b in zip(coeffs, problem.basis):
         residual = axpy(-complex(c), b, residual)
-    return DistanceReport(
-        distance=distance,
-        coefficients=[complex(c) for c in coeffs],
-        residual=residual,
-        residual_norm_check=norm(residual),
-        condition_estimate=condition_estimate,
-    )
+    return _checked_report(distance, coeffs, residual, np.linalg.norm(rhs), condition_estimate)
+
+
+def nested_distances(problem: SpanProblem) -> list[DistanceReport]:
+    """One report per prefix ``basis[:j]``, j = 1..len(basis), from one QR.
+
+    Each report agrees with ``distance_to_span`` on the same prefix: the
+    distance through R of the augmented matrix, the coefficients by
+    back-substitution in R's leading block, and the rank gate and condition
+    estimate from a pivoted QR of that j x j block, which has the same
+    pivoted diagonal as the N x j basis (they differ by an orthogonal
+    factor).
+
+    Raises:
+        DegenerateBasis: at the first prefix whose pivoted diagonal decays
+            below RANK_TOLERANCE relative to its largest entry.
+        ResidualMismatch: when a residual re-check disagrees with its
+            distance.
+    """
+    return _nested_reports(*_matrix(problem))
 
 
 def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceReport]]:
     """Distances d_K from the constant 1 to span{h_2, ..., h_K} for K = 2..k_max.
 
-    The spans are nested, so the sequence is nonincreasing; each entry
-    carries its full report so conditioning can be inspected alongside the
-    distance.
+    The spans are nested, so the sequence is nonincreasing and one QR of
+    [h_2 .. h_kmax | 1] gives all of it; each entry carries its full report
+    so conditioning can be inspected alongside the distance.
     """
     if k_max < 2:
         raise IndexOutOfRange(f"k_max must be >= 2, got {k_max}")
-    basis = [hk_closed_form(k, n_trunc) for k in range(2, k_max + 1)]
-    target = one(n_trunc)
-    out = []
-    for k in range(2, k_max + 1):
-        report = distance_to_span(SpanProblem(target, basis[: k - 1], n_trunc))
-        out.append((k, report))
-    return out
+    basis = hk_matrix(k_max, n_trunc)
+    target = np.zeros(n_trunc + 1)
+    target[0] = 1.0
+    return list(zip(range(2, k_max + 1), _nested_reports(basis, target)))
+
+
+def _matrix(problem: SpanProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Column-major basis matrix and target, real when every input is real."""
+    if problem.target.is_real() and all(b.is_real() for b in problem.basis):
+        return np.array([b.coeffs.real for b in problem.basis]).T, problem.target.coeffs.real
+    return np.array([b.coeffs for b in problem.basis]).T, problem.target.coeffs
+
+
+def _condition_estimate(r: np.ndarray) -> float:
+    """Diagonal ratio of a pivoted R factor, after the rank gate."""
+    diag = np.abs(np.diag(r))
+    if diag[0] == 0.0 or diag[-1] < RANK_TOLERANCE * diag[0]:
+        raise DegenerateBasis(
+            f"basis is numerically rank deficient: pivoted diagonal ratio "
+            f"{diag[-1] / diag[0] if diag[0] else 0.0:.3e} below {RANK_TOLERANCE:.0e}"
+        )
+    return float(diag[0] / diag[-1])
+
+
+def _nested_reports(a: np.ndarray, rhs: np.ndarray) -> list[DistanceReport]:
+    """Reports for the prefixes a[:, :j], j = 1..m, of an N x m basis matrix."""
+    rows, m = a.shape
+    (r_aug,) = scipy.linalg.qr(np.column_stack([a, rhs]), mode="r")
+    # With fewer than m + 1 rows, R is padded with zero rows, so every
+    # prefix longer than the row count fails the rank gate.
+    r = np.zeros((m + 1, m + 1), dtype=r_aug.dtype)
+    r[: min(rows, m + 1)] = r_aug[: m + 1]
+    distances = np.sqrt(np.cumsum(np.abs(r[::-1, m]) ** 2))[::-1]
+    target_norm = np.linalg.norm(rhs)
+
+    reports = []
+    for j in range(1, m + 1):
+        block = r[:j, :j]
+        pivoted_r, _ = scipy.linalg.qr(block, mode="r", pivoting=True)
+        condition_estimate = _condition_estimate(pivoted_r)
+        coeffs = scipy.linalg.solve_triangular(block, r[:j, m])
+        residual = CoeffSeries(rhs - a[:, :j] @ coeffs)
+        reports.append(
+            _checked_report(float(distances[j]), coeffs, residual, target_norm, condition_estimate)
+        )
+    return reports
+
+
+def _checked_report(
+    distance: float,
+    coeffs: np.ndarray,
+    residual: CoeffSeries,
+    target_norm: float,
+    condition_estimate: float,
+) -> DistanceReport:
+    """The report, once the residual re-check agrees with ``distance``."""
+    check = norm(residual)
+    bound = RESIDUAL_AGREEMENT * max(1.0, target_norm)
+    if not abs(distance - check) <= bound:
+        raise ResidualMismatch(
+            f"distance {distance:.17g} and residual re-check {check:.17g} "
+            f"differ by {abs(distance - check):.3e} > {bound:.3e}"
+        )
+    return DistanceReport(
+        distance=distance,
+        coefficients=[complex(c) for c in coeffs],
+        residual=residual,
+        residual_norm_check=check,
+        condition_estimate=condition_estimate,
+    )
 
 
 def difference_span_orthogonality(k_max: int) -> float:

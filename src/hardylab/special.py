@@ -16,8 +16,10 @@ from .series import CoeffSeries, cumsum, formal_log
 
 __all__ = [
     "hk_closed_form",
+    "hk_matrix",
     "hk_oracle",
     "hk_tail_norm_bound",
+    "truncation_certificate",
     "dirichlet_energy_at_one",
 ]
 
@@ -42,11 +44,31 @@ def hk_closed_form(k: int, n_trunc: int) -> CoeffSeries:
     2^16 the accumulated error stays below 1e-11.
     """
     _check_hk_args(k, n_trunc)
+    return CoeffSeries(_hk_coeffs(_harmonic_table(n_trunc), k))
+
+
+def hk_matrix(k_max: int, n_trunc: int) -> np.ndarray:
+    """Real (n_trunc + 1) x (k_max - 1) matrix whose column k - 2 is h_k, k = 2..k_max.
+
+    Every column comes from one shared harmonic table and is bit-identical
+    to the real part of ``hk_closed_form(k, n_trunc).coeffs``.  The matrix
+    is column-major, so every leading block of columns is contiguous.
+    """
+    _check_hk_args(k_max, n_trunc)
+    h = _harmonic_table(n_trunc)
+    return np.array([_hk_coeffs(h, k) for k in range(2, k_max + 1)]).T
+
+
+def _harmonic_table(n_trunc: int) -> np.ndarray:
+    """H_0 .. H_{n_trunc}, accumulated forward in double precision."""
     h = np.zeros(n_trunc + 1)
     if n_trunc >= 1:
         h[1:] = np.cumsum(1.0 / np.arange(1, n_trunc + 1))
-    j = np.arange(n_trunc + 1)
-    return CoeffSeries(h[j] - h[j // k] - np.log(k))
+    return h
+
+
+def _hk_coeffs(h: np.ndarray, k: int) -> np.ndarray:
+    return h - h[np.arange(len(h)) // k] - np.log(k)
 
 
 def hk_oracle(k: int, n_trunc: int) -> CoeffSeries:
@@ -71,6 +93,19 @@ def hk_tail_norm_bound(k: int, n_trunc: int) -> float:
     """
     _check_hk_args(k, n_trunc)
     return k / np.sqrt(n_trunc + 1)
+
+
+def truncation_certificate(coefficients, n_trunc: int) -> float:
+    """Upper bound on the norm of sum_k c_k h_k beyond degree ``n_trunc``.
+
+    ``coefficients[i]`` multiplies h_{i+2}, as in the reports of the d_K
+    sequence; the bound is sum_k |c_k| * hk_tail_norm_bound(k, n_trunc).
+    It certifies how far the truncation can move a distance d_K.
+    """
+    return float(sum(
+        abs(c) * hk_tail_norm_bound(k, n_trunc)
+        for k, c in enumerate(coefficients, start=2)
+    ))
 
 
 def dirichlet_energy_at_one(f: CoeffSeries) -> float:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,16 @@ class TestBaezDuarte:
             run(["bd", "--kmax", "1"])
         assert exc.value.code == 2
 
+    def test_json_reports_carry_truncation_certificate(self, tmp_path):
+        out = tmp_path / "bd.csv"
+        assert run(["bd", "--kmax", "4", "--n", "256", "--out", str(out)]) == 0
+        reports = json.loads(out.with_suffix(".json").read_text())["reports"]
+        assert [r["K"] for r in reports] == [2, 3, 4]
+        for r in reports:
+            coeffs = [complex(re, im) for re, im in zip(r["coefficients_re"], r["coefficients_im"])]
+            assert r["truncation_certificate"] == hl.truncation_certificate(coeffs, 256)
+            assert r["truncation_certificate"] > 0
+
     def test_deterministic_apart_from_timestamp(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -122,6 +134,16 @@ class TestSpectrum:
         out = tmp_path / "spec.csv"
         assert run(["spectrum", "--n", "2", "--r-steps", "2", "--theta-steps", "4",
                     "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_lab_threads_is_usage_error(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("LAB_THREADS", value)
+        out = tmp_path / "spec.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["spectrum", "--n", "2", "--r-steps", "2", "--theta-steps", "4",
+                 "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_deterministic_apart_from_timestamp(self, tmp_path):
         a = tmp_path / "a.csv"

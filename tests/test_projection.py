@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import hardylab as hl
-from hardylab.errors import DegenerateBasis, HypothesisViolated, IndexOutOfRange
+from hardylab.errors import (
+    DegenerateBasis,
+    HypothesisViolated,
+    IndexOutOfRange,
+    ResidualMismatch,
+)
 
 
 def one_vector_distance(target, b):
@@ -137,6 +142,89 @@ class TestBaezDuarteSequence:
     def test_rejects_small_kmax(self):
         with pytest.raises(IndexOutOfRange):
             hl.baez_duarte_sequence(1, 64)
+
+
+def assert_matches_pivoted_oracle(reports, target, basis, n_trunc):
+    """Each nested report agrees with distance_to_span on the same prefix."""
+    assert len(reports) == len(basis)
+    for j, rep in enumerate(reports, start=1):
+        oracle = hl.distance_to_span(hl.SpanProblem(target, basis[:j], n_trunc))
+        assert rep.distance == pytest.approx(oracle.distance, rel=1e-12)
+        np.testing.assert_allclose(rep.coefficients, oracle.coefficients, rtol=0, atol=1e-10)
+        assert rep.condition_estimate == pytest.approx(oracle.condition_estimate, rel=1e-10)
+
+
+class TestNestedDistances:
+    @pytest.mark.parametrize("n_trunc", [256, 2048])
+    def test_baez_duarte_matches_pivoted_oracle(self, n_trunc):
+        seq = hl.baez_duarte_sequence(12, n_trunc)
+        assert [k for k, _ in seq] == list(range(2, 13))
+        basis = [hl.hk_closed_form(k, n_trunc) for k in range(2, 13)]
+        assert_matches_pivoted_oracle([rep for _, rep in seq], hl.one(n_trunc), basis, n_trunc)
+
+    def test_random_complex_basis_matches_pivoted_oracle(self):
+        rng = np.random.default_rng(21)
+        n_trunc = 64
+
+        def random_series():
+            return hl.from_coeffs(
+                rng.standard_normal(n_trunc + 1) + 1j * rng.standard_normal(n_trunc + 1)
+            )
+
+        target = random_series()
+        basis = [random_series() for _ in range(7)]
+        reports = hl.nested_distances(hl.SpanProblem(target, basis, n_trunc))
+        assert_matches_pivoted_oracle(reports, target, basis, n_trunc)
+        assert any(c.imag != 0 for c in reports[-1].coefficients)
+
+    def test_duplicated_column_raises(self):
+        n_trunc = 128
+        h2, h3 = hl.hk_closed_form(2, n_trunc), hl.hk_closed_form(3, n_trunc)
+        with pytest.raises(DegenerateBasis):
+            hl.nested_distances(hl.SpanProblem(hl.one(n_trunc), [h2, h3, h2], n_trunc))
+
+    def test_more_columns_than_coefficients_raises(self):
+        with pytest.raises(DegenerateBasis):
+            hl.baez_duarte_sequence(10, 4)
+
+    def test_residual_is_target_minus_combination(self):
+        n_trunc = 256
+        basis = [hl.hk_closed_form(k, n_trunc) for k in (2, 3, 4)]
+        target = hl.one(n_trunc)
+        rep = hl.nested_distances(hl.SpanProblem(target, basis, n_trunc))[-1]
+        by_hand = target
+        for c, b in zip(rep.coefficients, basis):
+            by_hand = hl.axpy(-c, b, by_hand)
+        np.testing.assert_allclose(rep.residual.coeffs, by_hand.coeffs, rtol=0, atol=1e-14)
+
+
+class TestResidualAgreement:
+    @staticmethod
+    def skew_residual_norm(monkeypatch, amount):
+        true_norm = hl.norm
+        monkeypatch.setattr(
+            "hardylab.projection.norm", lambda f: true_norm(f) + amount
+        )
+
+    @pytest.mark.parametrize("engine", [hl.distance_to_span, hl.nested_distances])
+    def test_mismatch_raises(self, monkeypatch, engine):
+        n_trunc = 128
+        problem = hl.SpanProblem(hl.one(n_trunc), [hl.hk_closed_form(2, n_trunc)], n_trunc)
+        self.skew_residual_norm(monkeypatch, 1e-8)
+        with pytest.raises(ResidualMismatch):
+            engine(problem)
+
+    @pytest.mark.parametrize("engine", [hl.distance_to_span, hl.nested_distances])
+    def test_bound_scales_with_target_norm(self, monkeypatch, engine):
+        # ||target|| = 1e4: a 1e-8 gap is inside 1e-10 * 1e4 = 1e-6, a 1e-5 gap is not.
+        n_trunc = 128
+        target = hl.from_coeffs(1e4 * hl.one(n_trunc).coeffs)
+        problem = hl.SpanProblem(target, [hl.hk_closed_form(2, n_trunc)], n_trunc)
+        self.skew_residual_norm(monkeypatch, 1e-8)
+        engine(problem)
+        self.skew_residual_norm(monkeypatch, 1e-5)
+        with pytest.raises(ResidualMismatch):
+            engine(problem)
 
 
 class TestDifferenceSpanOrthogonality:

@@ -108,3 +108,27 @@ class TestDirichletEnergy:
         # 1 - z^3: tails are -1 at i = 0, 1, 2 and 0 afterwards
         f = hl.from_coeffs([1, 0, 0, -1])
         assert hl.dirichlet_energy_at_one(f) == pytest.approx(3.0, abs=1e-15)
+
+
+class TestHkMatrix:
+    @pytest.mark.parametrize("n_trunc", [0, 1, 257, 2048])
+    def test_columns_bit_identical_to_closed_form(self, n_trunc):
+        a = hl.hk_matrix(12, n_trunc)
+        assert a.shape == (n_trunc + 1, 11)
+        for k in range(2, 13):
+            assert np.array_equal(a[:, k - 2], hl.hk_closed_form(k, n_trunc).coeffs.real)
+
+    def test_rejects_small_kmax(self):
+        with pytest.raises(IndexOutOfRange):
+            hl.hk_matrix(1, 8)
+
+
+class TestTruncationCertificate:
+    def test_equals_inline_tail_sum(self):
+        n_trunc = 1024
+        for k, rep in hl.baez_duarte_sequence(8, n_trunc):
+            inline = sum(
+                abs(c) * hl.hk_tail_norm_bound(j, n_trunc)
+                for j, c in zip(range(2, k + 1), rep.coefficients)
+            )
+            assert hl.truncation_certificate(rep.coefficients, n_trunc) == inline
