@@ -11,8 +11,9 @@ All output files are deterministic for a fixed (flags, seed) apart from a
 single timestamp header line.  Floats are printed with 17 significant
 digits and a '.' decimal separator so values round-trip exactly.  Exit
 codes: 0 success, 1 assertion failure, 2 usage error.  The environment
-variable LAB_THREADS caps the worker count of parallelizable scans; it
-must be a positive integer when set.
+variable LAB_THREADS is still validated (it must be a positive integer
+when set) but no longer changes anything: the spectral scan is a batched
+array computation without worker threads.
 """
 
 from __future__ import annotations
@@ -172,9 +173,9 @@ def cmd_verify(cfg: LabConfig, suite: str, seed: int | None) -> int:
 
 
 def cmd_spectrum(cfg: LabConfig, n: int, r_steps: int, theta_steps: int,
-                 out: str | None) -> int:
+                 out: str | None, min_degree_count: int) -> int:
     radii = np.linspace(0.0, 0.95, r_steps)
-    report = spectral_disk_scan(n, radii, theta_steps, workers=_workers())
+    report = spectral_disk_scan(n, radii, theta_steps, min_degree_count, workers=_workers())
     path = Path(out) if out else Path(cfg.output_dir) / f"spectrum_n{n}.csv"
     rows = (
         [_fmt(p.lam.real), _fmt(p.lam.imag), _fmt(p.residual), _fmt(p.vector_norm)]
@@ -208,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--truncation", type=int, default=None,
-                        help="default truncation degree (default 16384)")
+                        help="default truncation degree (default 16384); for spectrum, "
+                        "the least number of eigenvector coefficients (default 4096)")
     parser.add_argument("--tolerance", type=float, default=None,
                         help="residual gate for spectrum (default 1e-10)")
     parser.add_argument("--output-dir", default=None,
@@ -241,7 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _effective_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> LabConfig:
+def _effective_config(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> tuple[LabConfig, set[str]]:
+    """The merged config and the names of the keys set by a flag or the config file."""
     values: dict = {}
     if args.config:
         try:
@@ -257,7 +262,7 @@ def _effective_config(parser: argparse.ArgumentParser, args: argparse.Namespace)
         if getattr(args, flag) is not None:
             values[key] = getattr(args, flag)
     try:
-        return LabConfig(**values)
+        return LabConfig(**values), set(values)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -265,7 +270,7 @@ def _effective_config(parser: argparse.ArgumentParser, args: argparse.Namespace)
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _effective_config(parser, args)
+    cfg, explicit = _effective_config(parser, args)
     try:
         _workers()
     except ValueError as exc:
@@ -297,7 +302,12 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("spectrum requires --n >= 2")
         if args.r_steps < 1 or args.theta_steps < 1:
             parser.error("spectrum requires positive --r-steps and --theta-steps")
-        return cmd_spectrum(cfg, args.n, args.r_steps, args.theta_steps, args.out)
+        # the degree floor stays 4096 unless a truncation was asked for
+        min_degree_count = (
+            cfg.truncation_degree if "truncation_degree" in explicit else 4096
+        )
+        return cmd_spectrum(cfg, args.n, args.r_steps, args.theta_steps, args.out,
+                            min_degree_count)
 
     parser.error(f"unknown command {args.command!r}")
     return 2

@@ -279,12 +279,21 @@ def write_csv(f: CoeffSeries, path) -> None:
 
 
 def read_csv(path) -> CoeffSeries:
+    """Read a file written by :func:`write_csv`.
+
+    Raises ValueError unless the index column reads exactly 0, 1, ..., N in
+    order, so a shuffled or gapped file is never loaded as a wrong series.
+    """
     rows = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r)
         if header[:1] != ["index"]:
             raise ValueError("expected header row starting with 'index'")
-        for row in r:
+        for expected, row in enumerate(r):
+            if row[0] != str(expected):
+                raise ValueError(
+                    f"data row {expected + 1}: expected index {expected}, got {row[0]!r}"
+                )
             rows.append(float(row[1]) + 1j * float(row[2]))
     return CoeffSeries(np.asarray(rows, dtype=np.complex128))

@@ -145,6 +145,42 @@ class TestSpectrum:
         assert exc.value.code == 2
         assert not out.exists()
 
+    def test_csv_matches_per_point_scan(self, tmp_path, monkeypatch):
+        def per_point_scan(n, radii, angles_count, min_degree_count=4096, workers=1):
+            level = hl.level_for_degree(n, min_degree_count)
+            sqrt_n = float(np.sqrt(n))
+            points = []
+            for r in radii:
+                for t in range(angles_count):
+                    lam = float(r) * sqrt_n * np.exp(2j * np.pi * t / angles_count)
+                    pair = hl.adjoint_eigenvector(n, lam, level)
+                    points.append(hl.DiskScanPoint(
+                        lam=lam,
+                        residual=pair.residual,
+                        vector_norm=hl.norm(pair.vector),
+                        norm_closed_form=float(np.sqrt(hl.eigenvector_norm_sq(n, lam, level))),
+                    ))
+            return hl.DiskScanReport(n=n, level=level, points=points)
+
+        argv = ["spectrum", "--n", "3", "--r-steps", "3", "--theta-steps", "5", "--out"]
+        batched = tmp_path / "batched.csv"
+        oracle = tmp_path / "oracle.csv"
+        assert run(argv + [str(batched)]) == 0
+        monkeypatch.setattr("hardylab.cli.spectral_disk_scan", per_point_scan)
+        assert run(argv + [str(oracle)]) == 0
+        a, b = batched.read_text().splitlines(), oracle.read_text().splitlines()
+        assert a[0].startswith("# generated=") and b[0].startswith("# generated=")
+        assert a[1:] == b[1:]
+
+    @pytest.mark.parametrize("source, level", [("default", 8), ("flag", 5), ("config", 5)])
+    def test_truncation_sets_level(self, tmp_path, source, level):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("truncation_degree = 100\n")
+        flags = {"default": [], "flag": ["--truncation", "100"], "config": ["--config", str(cfg)]}
+        out = tmp_path / "spec.csv"
+        assert run(flags[source] + ["spectrum", "--n", "3", "--out", str(out)]) == 0
+        assert f"level={level}" in out.read_text().splitlines()[1]
+
     def test_deterministic_apart_from_timestamp(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -242,6 +242,24 @@ class TestSerialization:
         back = hl.series.read_csv(path)
         assert np.array_equal(back.coeffs, f.coeffs)
 
+    def test_csv_swapped_rows_rejected(self, tmp_path):
+        path = tmp_path / "series.csv"
+        hl.series.write_csv(hl.from_coeffs(np.arange(4.0)), path)
+        lines = path.read_text().splitlines()
+        lines[2], lines[3] = lines[3], lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="expected index 1"):
+            hl.series.read_csv(path)
+
+    def test_csv_missing_row_rejected(self, tmp_path):
+        path = tmp_path / "series.csv"
+        hl.series.write_csv(hl.from_coeffs(np.arange(4.0)), path)
+        lines = path.read_text().splitlines()
+        del lines[3]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="expected index 2"):
+            hl.series.read_csv(path)
+
     def test_json_dict_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             hl.series.from_json_dict({"valid_degree": 2, "re": [1.0], "im": [0.0]})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hardylab as hl
+from hardylab import spectral
 from hardylab.errors import IndexOutOfRange, OutsideSpectralBall, TruncationTooShort
 
 
@@ -121,6 +122,34 @@ class TestDiskScan:
         assert [p.residual for p in serial.points] == [
             p.residual for p in threaded.points
         ]
+
+
+class TestBatchedScanOracle:
+    """The batched scan against the per-point construction it replaces."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
+    def test_points_match_per_point_oracle(self, n):
+        radii, angles = [0.0, 0.5, 0.9], 8
+        report = hl.spectral_disk_scan(n, radii, angles)
+        level = report.level
+        # the grid spans more than one row block
+        assert len(radii) * angles > spectral._BLOCK_BYTES // (16 * n**level)
+        sqrt_n = float(np.sqrt(n))
+        expected_lams = [
+            r * sqrt_n * np.exp(2j * np.pi * t / angles) for r in radii for t in range(angles)
+        ]
+        assert [p.lam for p in report.points] == expected_lams
+        for p in report.points:
+            pair = hl.adjoint_eigenvector(n, p.lam, level)
+            assert p.vector_norm == hl.norm(pair.vector)
+            assert p.norm_closed_form == float(
+                np.sqrt(hl.eigenvector_norm_sq(n, p.lam, level))
+            )
+            if n <= 3:
+                assert p.residual == pair.residual
+            else:
+                # only the summation order of the block sums differs
+                assert abs(p.residual - pair.residual) <= 1e-15 * p.vector_norm
 
 
 class TestShiftDecay:
