@@ -278,19 +278,19 @@ def non_cyclicity_witness(f: CoeffSeries, n_max: int) -> float:
     """max over 1 <= n <= n_max of |<weighted_dilation(n, f), 1 - z>|.
 
     Requires the first two coefficients of f to coincide (checked to
-    1e-14).  Under that hypothesis every orbit member is orthogonal to
-    1 - z: for n >= 2 the first two output coefficients are both f_0, and
-    for n = 1 the hypothesis itself applies.  The returned maximum is
+    1e-14 * max(1, |f_0|)).  Under that hypothesis every orbit member is
+    orthogonal to 1 - z: for n >= 2 the first two output coefficients are
+    both f_0, and for n = 1 the hypothesis itself applies.  The returned maximum is
     bounded by ~1e-13 times ||f||.
     """
     if n_max < 1:
         raise IndexOutOfRange(f"n_max must be >= 1, got {n_max}")
     if f.valid_degree < 1:
         raise HypothesisViolated("need at least coefficients 0 and 1")
-    if abs(f.coeffs[0] - f.coeffs[1]) > 1e-14:
-        raise HypothesisViolated(
-            f"first two coefficients differ by {abs(f.coeffs[0] - f.coeffs[1]):.3e} > 1e-14"
-        )
+    gap = abs(f.coeffs[0] - f.coeffs[1])
+    tol = 1e-14 * max(1.0, abs(f.coeffs[0]))
+    if gap > tol:
+        raise HypothesisViolated(f"first two coefficients differ by {gap:.3e} > {tol:.3e}")
     one_minus_z = from_coeffs([1.0, -1.0])
     return max(
         abs(inner(weighted_dilation(n, f), one_minus_z)) for n in range(1, n_max + 1)

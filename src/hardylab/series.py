@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular, toeplitz
 
 from .errors import NearZeroConstantTerm
 
@@ -45,6 +46,10 @@ __all__ = [
     "write_csv",
     "read_csv",
 ]
+
+# Degrees solved per triangular block in formal_log; its complex block
+# matrix takes 256 KiB.
+_LOG_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -192,10 +197,17 @@ def formal_log(f: CoeffSeries, min_constant: float = 1e-300) -> CoeffSeries:
 
         g_j = f_j/f_0 - (1/j) * sum_{i=1}^{j-1} i * g_i * f_{j-i} / f_0.
 
-    O(N^2), no composition-radius issues.  Valid degree preserved.
+    With fn = f/f_0 and a_j = j*g_j this is the unit lower-triangular
+    Toeplitz system sum_{i=1}^{j} fn_{j-i} a_i = j*fn_j.  It is solved by
+    forward substitution in blocks of ``_LOG_BLOCK`` degrees: one
+    triangular solve per block, then one convolution pushes the block into
+    the later right-hand sides.  Only fn_0 .. fn_d enter, d being the last
+    nonzero coefficient, so the cost is O(N*(d+B)) with B = ``_LOG_BLOCK``
+    instead of O(N^2).  No composition-radius issues.  Valid degree preserved.
 
     Raises:
-        NearZeroConstantTerm: if |f_0| <= min_constant.
+        NearZeroConstantTerm: if |f_0| <= min_constant, or if f/f_0 or the
+            logarithm overflows double precision.
     """
     f0 = complex(f.coeffs[0])
     if abs(f0) <= min_constant:
@@ -203,13 +215,31 @@ def formal_log(f: CoeffSeries, min_constant: float = 1e-300) -> CoeffSeries:
             f"formal_log needs |constant term| > {min_constant}, got {abs(f0)!r}"
         )
     n = f.valid_degree
-    fn = f.coeffs / f0
-    g = np.zeros(n + 1, dtype=np.complex128)
-    g[0] = np.log(f0)
-    idx = np.arange(n + 1)
-    for j in range(1, n + 1):
-        s = np.dot(idx[1:j] * g[1:j], fn[j - 1:0:-1]) if j >= 2 else 0.0
-        g[j] = fn[j] - s / j
+    with np.errstate(all="ignore"):
+        fn = np.trim_zeros(f.coeffs / f0, "b")
+        d = len(fn) - 1
+        # a holds the right-hand sides j*fn_j and is overwritten by the solution.
+        a = np.zeros(n + 1, dtype=np.complex128)
+        a[1 : d + 1] = np.arange(1, d + 1) * fn[1:]
+        m = min(_LOG_BLOCK, max(n, 1))
+        col = np.zeros(m, dtype=np.complex128)
+        col[: min(m, d + 1)] = fn[:m]
+        lower = toeplitz(col, np.zeros(m))
+        for s in range(1, n + 1, m):
+            e = min(s + m, n + 1)
+            a[s:e] = solve_triangular(
+                lower[: e - s, : e - s], a[s:e], lower=True,
+                unit_diagonal=True, check_finite=False,
+            )
+            push = np.convolve(a[s:e], fn[: n + 1 - s])[e - s : n + 1 - s]
+            a[e : e + len(push)] -= push
+        g = a / np.maximum(np.arange(n + 1), 1)
+        g[0] = np.log(f0)
+    if not np.all(np.isfinite(g)):
+        raise NearZeroConstantTerm(
+            f"formal_log overflows double precision: |f_0| = {abs(f0):.3e}, "
+            f"max|f_j| = {np.max(np.abs(f.coeffs)):.3e}"
+        )
     return CoeffSeries(g)
 
 

@@ -294,3 +294,11 @@ class TestNonCyclicityWitness:
     def test_constant_rejected_for_missing_degree(self):
         with pytest.raises(HypothesisViolated):
             hl.non_cyclicity_witness(hl.one(), 10)
+
+    def test_tolerance_scales_with_constant_term(self):
+        f = hl.from_coeffs([1e6, 1e6 + 1e-9])
+        assert hl.non_cyclicity_witness(f, 10) <= 1e-13 * hl.norm(f)
+
+    def test_small_gap_at_unit_scale_rejected(self):
+        with pytest.raises(HypothesisViolated):
+            hl.non_cyclicity_witness(hl.from_coeffs([1.0, 1.0 + 1e-10]), 10)

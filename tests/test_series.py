@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import hardylab as hl
 from hardylab.errors import NearZeroConstantTerm
+from hardylab.series import _LOG_BLOCK
 
 
 def series_from(re, im=None):
@@ -147,6 +149,73 @@ def formal_exp(g):
         i = np.arange(1, j + 1)
         e[j] = np.dot(i * g[1 : j + 1], e[j - 1 :: -1]) / j
     return e
+
+
+def formal_log_reference(c):
+    """The formal-log recurrence one coefficient at a time, O(N^2) in Python."""
+    f0 = complex(c[0])
+    n = len(c) - 1
+    fn = np.asarray(c, dtype=complex) / f0
+    g = np.zeros(n + 1, dtype=complex)
+    g[0] = np.log(f0)
+    idx = np.arange(n + 1)
+    for j in range(1, n + 1):
+        s = np.dot(idx[1:j] * g[1:j], fn[j - 1:0:-1]) if j >= 2 else 0.0
+        g[j] = fn[j] - s / j
+    return g
+
+
+def zero_free_polynomial(rng, valid_degree, degree):
+    """Coefficients 0..valid_degree of 1 + p(z), deg p <= degree, sum |p_j| < 1."""
+    c = np.zeros(valid_degree + 1, dtype=complex)
+    m = min(degree, valid_degree) + 1
+    c[:m] = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
+    c[0] = 1.0
+    tail = np.sum(np.abs(c[1:]))
+    if tail > 0:
+        c[1:] *= 0.9 * rng.uniform() / tail
+    return c
+
+
+def assert_matches_reference(c):
+    got = hl.formal_log(hl.from_coeffs(c)).coeffs
+    want = formal_log_reference(c)
+    assert len(got) == len(c)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+class TestBlockedFormalLog:
+    @pytest.mark.parametrize("degree", [2, 29, None], ids=["d2", "d29", "dense"])
+    @pytest.mark.parametrize(
+        "valid_degree",
+        [0, 1, _LOG_BLOCK - 1, _LOG_BLOCK, _LOG_BLOCK + 1, 3 * _LOG_BLOCK + 5],
+    )
+    def test_matches_reference(self, valid_degree, degree):
+        rng = np.random.default_rng(valid_degree)
+        d = valid_degree if degree is None else degree
+        assert_matches_reference(zero_free_polynomial(rng, valid_degree, d))
+
+    @given(
+        valid_degree=st.integers(0, 3 * _LOG_BLOCK + 5),
+        degree=st.integers(0, 3 * _LOG_BLOCK + 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_zero_free_polynomials(self, valid_degree, degree, seed):
+        rng = np.random.default_rng(seed)
+        assert_matches_reference(zero_free_polynomial(rng, valid_degree, degree))
+
+    @pytest.mark.parametrize(
+        "coeffs", [[1e-290, 1e30], [1e-200, 1e120, 1.0]], ids=["f1", "f1-f2"]
+    )
+    def test_overflow_is_typed_and_silent(self, coeffs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NearZeroConstantTerm, match=r"\|f_0\| = .*max\|f_j\| = "):
+                hl.formal_log(hl.from_coeffs(coeffs))
+
+    def test_min_constant_still_guards(self):
+        with pytest.raises(NearZeroConstantTerm, match="constant term"):
+            hl.formal_log(series_from([1e-3, 1.0]), min_constant=1e-2)
 
 
 class TestFormalLog:
