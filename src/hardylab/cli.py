@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .projection import baez_duarte_sequence
+from .series import write_columns
 from .special import hk_closed_form, truncation_certificate
 from .spectral import spectral_disk_scan
 from .verify import SUITES, run_suites
@@ -80,15 +81,20 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_rows(path: Path, meta: list[str], header: list[str], rows) -> None:
+def _write_rows(path: Path, meta: list[str], header: list[str], columns) -> None:
+    """Write the timestamp line, ``# `` meta lines, the header and the data rows.
+
+    ``columns`` holds one ``(fmt, values)`` pair per CSV column (``"%d"``
+    for indices, ``"%.17g"`` for floats); :func:`series.write_columns`
+    formats them a block of rows at a time.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# generated={_timestamp()}\n")
         for line in meta:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        write_columns(fh, columns)
 
 
 def _workers() -> int:
@@ -111,8 +117,8 @@ def _workers() -> int:
 def cmd_gen_hk(cfg: LabConfig, k: int, n_trunc: int, out: str | None) -> int:
     series = hk_closed_form(k, n_trunc)
     path = Path(out) if out else Path(cfg.output_dir) / f"hk_{k}_n{n_trunc}.csv"
-    rows = ([str(j), _fmt(c.real)] for j, c in enumerate(series.coeffs))
-    _write_rows(path, [f"command=gen-hk k={k} n={n_trunc}"], ["j", "value"], rows)
+    columns = [("%d", np.arange(n_trunc + 1)), ("%.17g", series.coeffs.real)]
+    _write_rows(path, [f"command=gen-hk k={k} n={n_trunc}"], ["j", "value"], columns)
     print(f"wrote {path} ({n_trunc + 1} coefficients, c_0 = {_fmt(series.coeffs[0].real)})")
     return 0
 
@@ -121,15 +127,16 @@ def cmd_baez_duarte(cfg: LabConfig, k_max: int, n_trunc: int,
                     out: str | None, json_out: str | None) -> int:
     sequence = baez_duarte_sequence(k_max, n_trunc)
     path = Path(out) if out else Path(cfg.output_dir) / f"bd_k{k_max}_n{n_trunc}.csv"
-    rows = (
-        [str(k), _fmt(rep.distance), _fmt(rep.condition_estimate)]
-        for k, rep in sequence
-    )
+    columns = [
+        ("%d", [k for k, _ in sequence]),
+        ("%.17g", [rep.distance for _, rep in sequence]),
+        ("%.17g", [rep.condition_estimate for _, rep in sequence]),
+    ]
     _write_rows(
         path,
         [f"command=bd kmax={k_max} n={n_trunc}"],
         ["K", "d_K", "condition_estimate"],
-        rows,
+        columns,
     )
     json_path = Path(json_out) if json_out else path.with_suffix(".json")
     with open(json_path, "w") as fh:
@@ -177,15 +184,18 @@ def cmd_spectrum(cfg: LabConfig, n: int, r_steps: int, theta_steps: int,
     radii = np.linspace(0.0, 0.95, r_steps)
     report = spectral_disk_scan(n, radii, theta_steps, min_degree_count, workers=_workers())
     path = Path(out) if out else Path(cfg.output_dir) / f"spectrum_n{n}.csv"
-    rows = (
-        [_fmt(p.lam.real), _fmt(p.lam.imag), _fmt(p.residual), _fmt(p.vector_norm)]
-        for p in report.points
-    )
+    lam = np.array([p.lam for p in report.points], dtype=np.complex128)
+    columns = [
+        ("%.17g", lam.real),
+        ("%.17g", lam.imag),
+        ("%.17g", [p.residual for p in report.points]),
+        ("%.17g", [p.vector_norm for p in report.points]),
+    ]
     _write_rows(
         path,
         [f"command=spectrum n={n} r-steps={r_steps} theta-steps={theta_steps} level={report.level}"],
         ["re_lambda", "im_lambda", "residual", "vector_norm"],
-        rows,
+        columns,
     )
     print(f"wrote {path} ({len(report.points)} grid points, level {report.level})")
     print(f"max residual = {_fmt(report.max_residual)}")

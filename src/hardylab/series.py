@@ -43,6 +43,7 @@ __all__ = [
     "from_json_dict",
     "dumps",
     "loads",
+    "write_columns",
     "write_csv",
     "read_csv",
 ]
@@ -50,6 +51,10 @@ __all__ = [
 # Degrees solved per triangular block in formal_log; its complex block
 # matrix takes 256 KiB.
 _LOG_BLOCK = 128
+
+# Rows formatted per `%` call in write_columns; bounds the formatted
+# block to a few hundred KiB however long the table is.
+_CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -300,12 +305,37 @@ def loads(s: str) -> CoeffSeries:
     return from_json_dict(json.loads(s))
 
 
+def write_columns(fh, columns, line_end: str = "\n") -> None:
+    """Write equal-length ``columns`` to ``fh`` as comma-separated rows.
+
+    ``columns`` is a list of ``(fmt, values)`` pairs: ``"%d"`` for integer
+    columns and ``"%.17g"`` for floats, whose output is the same as
+    ``format(x, ".17g")``.  Each block of at most ``_CSV_BLOCK_ROWS`` rows
+    is formatted by one ``%`` call on a flat tuple and sent in one write.
+    """
+    ncols = len(columns)
+    row_fmt = ",".join(fmt for fmt, _ in columns) + line_end
+    values = [np.asarray(v) for _, v in columns]
+    nrows = len(values[0])
+    for start in range(0, nrows, _CSV_BLOCK_ROWS):
+        block = [v[start:start + _CSV_BLOCK_ROWS].tolist() for v in values]
+        rows = len(block[0])
+        flat = [None] * (rows * ncols)
+        for i, col in enumerate(block):
+            flat[i::ncols] = col
+        fh.write(row_fmt * rows % tuple(flat))
+
+
 def write_csv(f: CoeffSeries, path) -> None:
+    """Write ``f`` as CSV rows ``index,re,im`` with CRLF line ends, as ``csv.writer`` does."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "re", "im"])
-        for j, c in enumerate(f.coeffs):
-            w.writerow([j, format(c.real, ".17g"), format(c.imag, ".17g")])
+        fh.write("index,re,im\r\n")
+        write_columns(
+            fh,
+            [("%d", np.arange(len(f.coeffs))), ("%.17g", f.coeffs.real),
+             ("%.17g", f.coeffs.imag)],
+            line_end="\r\n",
+        )
 
 
 def read_csv(path) -> CoeffSeries:

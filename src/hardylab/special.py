@@ -102,10 +102,9 @@ def truncation_certificate(coefficients, n_trunc: int) -> float:
     sequence; the bound is sum_k |c_k| * hk_tail_norm_bound(k, n_trunc).
     It certifies how far the truncation can move a distance d_K.
     """
-    return float(sum(
-        abs(c) * hk_tail_norm_bound(k, n_trunc)
-        for k, c in enumerate(coefficients, start=2)
-    ))
+    _check_hk_args(2, n_trunc)
+    root = np.sqrt(n_trunc + 1)
+    return float(sum(abs(c) * (k / root) for k, c in enumerate(coefficients, start=2)))
 
 
 def dirichlet_energy_at_one(f: CoeffSeries) -> float:

@@ -1,10 +1,12 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
 import hardylab as hl
-from hardylab.cli import LabConfig, load_config_file, main
+from hardylab.cli import LabConfig, _fmt, load_config_file, main
+from hardylab.series import write_columns
 
 
 def run(args):
@@ -13,6 +15,70 @@ def run(args):
 
 def data_lines(path):
     return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+def reference_write_rows(path, meta, header, rows):
+    """The per-row CSV writer that the block writer replaced, kept as its reference."""
+    with open(path, "w", newline="") as fh:
+        fh.write("# generated=reference\n")
+        for line in meta:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def assert_same_after_line_one(path, ref):
+    head, body = path.read_bytes().split(b"\n", 1)
+    assert head.startswith(b"# generated=")
+    assert body == ref.read_bytes().split(b"\n", 1)[1]
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("n", [0, 4094, 4095, 4096, 8192])
+    def test_gen_hk_matches_per_row_writer(self, tmp_path, n):
+        out, ref = tmp_path / "hk.csv", tmp_path / "ref.csv"
+        assert run(["gen-hk", "--k", "7", "--n", str(n), "--out", str(out)]) == 0
+        series = hl.hk_closed_form(7, n)
+        rows = ([str(j), _fmt(c.real)] for j, c in enumerate(series.coeffs))
+        reference_write_rows(ref, [f"command=gen-hk k=7 n={n}"], ["j", "value"], rows)
+        assert_same_after_line_one(out, ref)
+        assert len(data_lines(out)) == n + 2
+
+    def test_bd_matches_per_row_writer(self, tmp_path):
+        out, ref = tmp_path / "bd.csv", tmp_path / "ref.csv"
+        assert run(["bd", "--kmax", "6", "--n", "300", "--out", str(out)]) == 0
+        rows = (
+            [str(k), _fmt(rep.distance), _fmt(rep.condition_estimate)]
+            for k, rep in hl.baez_duarte_sequence(6, 300)
+        )
+        reference_write_rows(ref, ["command=bd kmax=6 n=300"],
+                             ["K", "d_K", "condition_estimate"], rows)
+        assert_same_after_line_one(out, ref)
+
+    def test_spectrum_matches_per_row_writer(self, tmp_path):
+        out, ref = tmp_path / "spec.csv", tmp_path / "ref.csv"
+        assert run(["spectrum", "--n", "5", "--r-steps", "3", "--theta-steps", "5",
+                    "--out", str(out)]) == 0
+        report = hl.spectral_disk_scan(5, np.linspace(0.0, 0.95, 3), 5, 4096)
+        rows = (
+            [_fmt(p.lam.real), _fmt(p.lam.imag), _fmt(p.residual), _fmt(p.vector_norm)]
+            for p in report.points
+        )
+        reference_write_rows(
+            ref,
+            [f"command=spectrum n=5 r-steps=3 theta-steps=5 level={report.level}"],
+            ["re_lambda", "im_lambda", "residual", "vector_norm"],
+            rows,
+        )
+        assert_same_after_line_one(out, ref)
+
+    def test_formatter_matches_format_17g(self):
+        values = [-0.0, 5e-324, 1e-300, 1e308, -1.5, 0.1]
+        fh = io.StringIO()
+        write_columns(fh, [("%d", np.arange(len(values))), ("%.17g", values)])
+        expected = "".join(f"{j},{format(x, '.17g')}\n" for j, x in enumerate(values))
+        assert fh.getvalue() == expected
 
 
 class TestGenHk:

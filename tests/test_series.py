@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import hardylab as hl
 from hardylab.errors import NearZeroConstantTerm
-from hardylab.series import _LOG_BLOCK
+from hardylab.series import _CSV_BLOCK_ROWS, _LOG_BLOCK
 
 
 def series_from(re, im=None):
@@ -310,6 +311,25 @@ class TestSerialization:
         hl.series.write_csv(f, path)
         back = hl.series.read_csv(path)
         assert np.array_equal(back.coeffs, f.coeffs)
+
+    def test_csv_bytes_match_csv_writer_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        size = _CSV_BLOCK_ROWS + 905
+        f = hl.from_coeffs(
+            rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+            + 1j * rng.standard_normal(size)
+        )
+        path = tmp_path / "series.csv"
+        ref = tmp_path / "reference.csv"
+        hl.series.write_csv(f, path)
+        with open(ref, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["index", "re", "im"])
+            for j, c in enumerate(f.coeffs):
+                w.writerow([j, format(c.real, ".17g"), format(c.imag, ".17g")])
+        assert path.read_bytes() == ref.read_bytes()
+        assert path.read_bytes().count(b"\r\n") == size + 1
+        assert np.array_equal(hl.series.read_csv(path).coeffs, f.coeffs)
 
     def test_csv_swapped_rows_rejected(self, tmp_path):
         path = tmp_path / "series.csv"
