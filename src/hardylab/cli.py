@@ -10,17 +10,15 @@ spectrum  eigenvector residual scan over a polar grid in the spectral ball
 All output files are deterministic for a fixed (flags, seed) apart from a
 single timestamp header line.  Floats are printed with 17 significant
 digits and a '.' decimal separator so values round-trip exactly.  Exit
-codes: 0 success, 1 assertion failure, 2 usage error.  The environment
-variable LAB_THREADS is still validated (it must be a positive integer
-when set) but no longer changes anything: the spectral scan is a batched
-array computation without worker threads.
+codes: 0 success, 1 assertion failure, 2 usage error (a bad flag or
+config value, a negative seed, or an output path that cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -47,8 +45,10 @@ class LabConfig:
     def __post_init__(self) -> None:
         if self.truncation_degree < 1:
             raise ValueError("truncation_degree must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def load_config_file(path: str) -> dict:
@@ -95,18 +95,6 @@ def _write_rows(path: Path, meta: list[str], header: list[str], columns) -> None
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
         write_columns(fh, columns)
-
-
-def _workers() -> int:
-    """Worker count from LAB_THREADS (default 1); ValueError unless a positive integer."""
-    raw = os.environ.get("LAB_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"LAB_THREADS must be a positive integer, got {raw!r}")
-    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +170,7 @@ def cmd_verify(cfg: LabConfig, suite: str, seed: int | None) -> int:
 def cmd_spectrum(cfg: LabConfig, n: int, r_steps: int, theta_steps: int,
                  out: str | None, min_degree_count: int) -> int:
     radii = np.linspace(0.0, 0.95, r_steps)
-    report = spectral_disk_scan(n, radii, theta_steps, min_degree_count, workers=_workers())
+    report = spectral_disk_scan(n, radii, theta_steps, min_degree_count)
     path = Path(out) if out else Path(cfg.output_dir) / f"spectrum_n{n}.csv"
     lam = np.array([p.lam for p in report.points], dtype=np.complex128)
     columns = [
@@ -277,15 +265,8 @@ def _effective_config(
         parser.error(str(exc))
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg, explicit = _effective_config(parser, args)
-    try:
-        _workers()
-    except ValueError as exc:
-        parser.error(str(exc))
-
+def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace,
+              cfg: LabConfig, explicit: set[str]) -> int:
     if args.command == "gen-hk":
         if args.k < 2:
             parser.error("gen-hk requires --k >= 2")
@@ -305,6 +286,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         if args.suite != "all" and args.suite not in SUITES:
             parser.error(f"unknown suite {args.suite!r}; choose from all, {', '.join(SUITES)}")
+        if args.suite_seed is not None and args.suite_seed < 0:
+            parser.error(f"verify requires --seed >= 0, got {args.suite_seed}")
         return cmd_verify(cfg, args.suite, args.suite_seed)
 
     if args.command == "spectrum":
@@ -321,6 +304,16 @@ def main(argv: list[str] | None = None) -> int:
 
     parser.error(f"unknown command {args.command!r}")
     return 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    cfg, explicit = _effective_config(parser, args)
+    try:
+        return _dispatch(parser, args, cfg, explicit)
+    except OSError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -91,9 +91,9 @@ class CoeffSeries:
         head = np.array2string(self.coeffs[:4], precision=6, separator=", ")
         return f"CoeffSeries(valid_degree={self.valid_degree}, coeffs={head}...)"
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        """True when every imaginary part is bounded by ``tol`` in modulus."""
-        return bool(np.max(np.abs(self.coeffs.imag), initial=0.0) <= tol)
+    def is_real(self) -> bool:
+        """True when every imaginary part is exactly zero."""
+        return not np.any(self.coeffs.imag)
 
 
 # ---------------------------------------------------------------------------

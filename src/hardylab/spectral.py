@@ -159,7 +159,6 @@ def spectral_disk_scan(
     radii,
     angles_count: int,
     min_degree_count: int = 4096,
-    workers: int = 1,
 ) -> DiskScanReport:
     """Construct eigenvectors on the polar grid lam = r*sqrt(n)*e^{i theta}.
 
@@ -175,7 +174,6 @@ def spectral_disk_scan(
     and each point's residual and norm are its own ``np.linalg.norm`` calls,
     so the points equal the per-point construction (bit for bit for n <= 3;
     for larger n the block sums may differ in summation order).
-    ``workers`` is accepted for compatibility and has no effect.
     """
     if n < 2:
         raise IndexOutOfRange(f"spectral scan needs index >= 2, got {n}")

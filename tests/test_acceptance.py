@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 import hardylab as hl
-from hardylab.verify import adjoint_duality_gap, random_series
+from hardylab.verify import (
+    random_series,
+    suite_adjoint,
+    suite_dirichlet,
+    suite_hk,
+    suite_isometry,
+    suite_semiconjugacy,
+    suite_spectral,
+)
 
 SEED = 20240817
 
@@ -20,32 +28,29 @@ def report(number, name, detail, ok):
     return line
 
 
+def assert_checks(number, name, detail, checks, extra_ok=True):
+    """Report the criterion and assert ``extra_ok`` and that every suite check passed."""
+    ok = extra_ok and all(c.passed for c in checks)
+    line = report(number, name, detail, ok)
+    assert ok, "\n".join([line] + [c.line() for c in checks])
+
+
+@pytest.fixture(scope="module")
+def spectral_checks():
+    return suite_spectral(seed=SEED + 9)
+
+
 def test_c01_adjoint_duality():
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    for _ in range(200):
-        f = random_series(rng, 512)
-        g = random_series(rng, 512)
-        scale = hl.norm(f) * hl.norm(g)
-        for n in (2, 3, 5, 7):
-            worst = max(worst, adjoint_duality_gap(n, f, g) / scale)
-    ok = worst <= 1e-10
-    line = report(1, "adjoint duality", f"max normalized gap {worst:.3e} vs 1e-10", ok)
-    assert ok, line
+    checks = suite_adjoint(seed=SEED)
+    assert_checks(1, "adjoint duality",
+                  f"max normalized gap {checks[0].max_err:.3e} vs 1e-10", checks)
 
 
 def test_c02_isometry():
-    rng = np.random.default_rng(SEED + 1)
-    worst = 0.0
-    for _ in range(100):
-        f = random_series(rng, 256)
-        nf = hl.norm(f)
-        for n in range(1, 11):
-            w = hl.weighted_dilation(n, f)
-            worst = max(worst, abs(hl.norm(w) - np.sqrt(n) * nf) / (np.sqrt(n) * nf))
-    ok = worst <= 1e-12
-    line = report(2, "isometry scaling sqrt(n)", f"max rel err {worst:.3e} vs 1e-12", ok)
-    assert ok, line
+    # the suite starts at n = 2; the n = 1 term of the criterion is exactly 0
+    checks = suite_isometry(seed=SEED + 1)
+    assert_checks(2, "isometry scaling sqrt(n)",
+                  f"max rel err {checks[0].max_err:.3e} vs 1e-12", checks)
 
 
 def test_c03_semigroup_law():
@@ -80,27 +85,15 @@ def test_c04_adjoint_inverts_dilation():
 
 
 def test_c05_semiconjugacy():
-    rng = np.random.default_rng(SEED + 4)
-    worst = 0.0
-    for _ in range(100):
-        f = random_series(rng, 150)
-        for n in (2, 3, 5):
-            worst = max(worst, hl.semiconjugacy_residual(n, f) / hl.norm(f))
-    ok = worst <= 1e-12
-    line = report(5, "semiconjugacy residual", f"max {worst:.3e} vs 1e-12*||f||", ok)
-    assert ok, line
+    checks = suite_semiconjugacy(seed=SEED + 4, n_trunc=150)
+    assert_checks(5, "semiconjugacy residual",
+                  f"max {checks[0].max_err:.3e} vs 1e-12*||f||", checks)
 
 
 def test_c06_hk_mutual_oracle():
-    worst = 0.0
-    for k in (2, 3, 5, 10, 30):
-        a = hl.hk_closed_form(k, 4096)
-        b = hl.hk_oracle(k, 4096)
-        worst = max(worst, float(np.max(np.abs(a.coeffs - b.coeffs))))
-    ok = worst <= 1e-12
-    line = report(6, "h_k closed form vs formal-log oracle",
-                  f"max coeff diff {worst:.3e} vs 1e-12", ok)
-    assert ok, line
+    checks = suite_hk(seed=SEED + 5)
+    assert_checks(6, "h_k closed form vs formal-log oracle",
+                  f"max coeff diff {checks[0].max_err:.3e} vs 1e-12", checks)
 
 
 def test_c07_hk_dilation_identity():
@@ -147,42 +140,13 @@ def test_c08_kernel_facts():
 
 
 def test_c09_dirichlet_bound():
-    rng = np.random.default_rng(SEED + 8)
-    worst_ratio = 0.0
-    for n in (2, 3, 4):
-        vecs = [hl.kernel_vector(n, k) for k in range(21)]
-        top = max(len(v.coeffs) for v in vecs)
-        for _ in range(50):
-            c = rng.standard_normal(21) + 1j * rng.standard_normal(21)
-            acc = np.zeros(top, dtype=complex)
-            for ck, v in zip(c, vecs):
-                acc[: len(v.coeffs)] += ck * v.coeffs
-            f = hl.from_coeffs(acc)
-            worst_ratio = max(
-                worst_ratio, hl.dirichlet_energy_at_one(f) / (2**n * n * hl.norm(f) ** 2)
-            )
-    exact_one = hl.dirichlet_energy_at_one(hl.from_coeffs([1, -1])) == 1.0
-    exact_zero = hl.dirichlet_energy_at_one(hl.one(4)) == 0.0
-    ok = worst_ratio <= 1.0 and exact_one and exact_zero
-    line = report(9, "tail-sum energy bound 2^n n ||f||^2",
-                  f"max ratio {worst_ratio:.4f} vs 1; D(1-z)=1: {exact_one}; "
-                  f"D(1)=0: {exact_zero}", ok)
-    assert ok, line
+    ratio, energy_one, energy_zero = checks = suite_dirichlet(seed=SEED + 8)
+    assert_checks(9, "tail-sum energy bound 2^n n ||f||^2",
+                  f"max ratio {ratio.max_err:.4f} vs 1; D(1-z)=1: {energy_one.passed}; "
+                  f"D(1)=0: {energy_zero.passed}", checks)
 
 
-def test_c10_eigenvector_residual():
-    rng = np.random.default_rng(SEED + 9)
-    worst = 0.0
-    for n in (2, 3):
-        level = hl.level_for_degree(n, 4096)
-        for _ in range(100):
-            lam = (
-                0.95 * np.sqrt(n) * np.sqrt(rng.uniform())
-                * np.exp(2j * np.pi * rng.uniform())
-            )
-            pair = hl.adjoint_eigenvector(n, lam, level)
-            worst = max(worst, pair.residual / hl.norm(pair.vector))
-
+def test_c10_eigenvector_residual(spectral_checks):
     const_pair = hl.adjoint_eigenvector(2, 1.0, 4)
     expected = np.zeros(16)
     expected[0] = 1.0
@@ -193,21 +157,16 @@ def test_c10_eigenvector_residual():
     zero_exact = bool(
         np.array_equal(zero_pair.vector.coeffs, [1, -1]) and zero_pair.residual == 0
     )
-    ok = worst <= 1e-10 and const_exact and zero_exact
-    line = report(10, "adjoint eigenvector residual",
-                  f"max normalized residual {worst:.3e} vs 1e-10; lam=1 exact: "
-                  f"{const_exact}; lam=0 gives 1-z: {zero_exact}", ok)
-    assert ok, line
+    assert_checks(10, "adjoint eigenvector residual",
+                  f"max normalized residual {spectral_checks[0].max_err:.3e} vs 1e-10; "
+                  f"lam=1 exact: {const_exact}; lam=0 gives 1-z: {zero_exact}",
+                  spectral_checks, const_exact and zero_exact)
 
 
-def test_c11_shift_decay():
-    d = hl.shift_decay(2, hl.one(2**10 - 1), 10)
-    expected = [2 ** (-m / 2) for m in range(1, 11)]
-    worst = float(np.max(np.abs(np.array(d) - expected)))
-    ok = worst <= 1e-14
-    line = report(11, "rescaled adjoint decay on the constant",
-                  f"max |d_m - 2^(-m/2)| = {worst:.3e} vs 1e-14", ok)
-    assert ok, line
+def test_c11_shift_decay(spectral_checks):
+    decay = spectral_checks[2]
+    assert_checks(11, "rescaled adjoint decay on the constant",
+                  f"max |d_m - 2^(-m/2)| = {decay.max_err:.3e} vs 1e-14", [decay])
 
 
 def test_c12_baez_duarte_sequence():

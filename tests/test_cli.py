@@ -195,24 +195,8 @@ class TestSpectrum:
             run(["spectrum", "--n", "1"])
         assert exc.value.code == 2
 
-    def test_lab_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LAB_THREADS", "4")
-        out = tmp_path / "spec.csv"
-        assert run(["spectrum", "--n", "2", "--r-steps", "2", "--theta-steps", "4",
-                    "--out", str(out)]) == 0
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    def test_bad_lab_threads_is_usage_error(self, tmp_path, monkeypatch, value):
-        monkeypatch.setenv("LAB_THREADS", value)
-        out = tmp_path / "spec.csv"
-        with pytest.raises(SystemExit) as exc:
-            run(["spectrum", "--n", "2", "--r-steps", "2", "--theta-steps", "4",
-                 "--out", str(out)])
-        assert exc.value.code == 2
-        assert not out.exists()
-
     def test_csv_matches_per_point_scan(self, tmp_path, monkeypatch):
-        def per_point_scan(n, radii, angles_count, min_degree_count=4096, workers=1):
+        def per_point_scan(n, radii, angles_count, min_degree_count=4096):
             level = hl.level_for_degree(n, min_degree_count)
             sqrt_n = float(np.sqrt(n))
             points = []
@@ -296,3 +280,41 @@ class TestConfig:
             LabConfig(truncation_degree=0)
         with pytest.raises(ValueError):
             LabConfig(tolerance=0.0)
+
+    @pytest.mark.parametrize("source", ["global-flag", "verify-flag", "config"])
+    def test_negative_seed_is_usage_error(self, tmp_path, source):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("seed = -1\n")
+        argv = {
+            "global-flag": ["--seed", "-1", "verify", "--suite", "kernel"],
+            "verify-flag": ["verify", "--suite", "kernel", "--seed", "-1"],
+            "config": ["--config", str(cfg), "verify", "--suite", "kernel"],
+        }[source]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_is_usage_error(self, tmp_path, source, value):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(f"tolerance = {value}\n")
+        flags = {"flag": ["--tolerance", value], "config": ["--config", str(cfg)]}[source]
+        out = tmp_path / "spec.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(flags + ["spectrum", "--n", "2", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-hk", "--k", "2", "--n", "8"],
+        ["bd", "--kmax", "3", "--n", "64"],
+        ["spectrum", "--n", "2", "--r-steps", "2", "--theta-steps", "2"],
+    ], ids=["gen-hk", "bd", "spectrum"])
+    def test_output_dir_below_a_file_is_usage_error(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            run(["--output-dir", str(blocker / "sub")] + argv)
+        assert exc.value.code == 2
+        assert str(blocker) in capsys.readouterr().err

@@ -115,14 +115,6 @@ class TestDiskScan:
         with pytest.raises(IndexOutOfRange):
             hl.spectral_disk_scan(1, [0.5], 4)
 
-    def test_threaded_scan_matches_serial(self):
-        serial = hl.spectral_disk_scan(3, [0.3, 0.8], 4, workers=1)
-        threaded = hl.spectral_disk_scan(3, [0.3, 0.8], 4, workers=4)
-        assert [p.lam for p in serial.points] == [p.lam for p in threaded.points]
-        assert [p.residual for p in serial.points] == [
-            p.residual for p in threaded.points
-        ]
-
 
 class TestBatchedScanOracle:
     """The batched scan against the per-point construction it replaces."""
