@@ -11,7 +11,8 @@ All output files are deterministic for a fixed (flags, seed) apart from a
 single timestamp header line.  Floats are printed with 17 significant
 digits and a '.' decimal separator so values round-trip exactly.  Exit
 codes: 0 success, 1 assertion failure, 2 usage error (a bad flag or
-config value, a negative seed, or an output path that cannot be written).
+config value, a negative seed, an output path that cannot be written, or
+a typed laboratory error such as a degenerate basis).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import HardyLabError
 from .projection import baez_duarte_sequence
 from .series import write_columns
 from .special import hk_closed_form, truncation_certificate
@@ -115,37 +117,38 @@ def cmd_baez_duarte(cfg: LabConfig, k_max: int, n_trunc: int,
                     out: str | None, json_out: str | None) -> int:
     sequence = baez_duarte_sequence(k_max, n_trunc)
     path = Path(out) if out else Path(cfg.output_dir) / f"bd_k{k_max}_n{n_trunc}.csv"
+    json_path = Path(json_out) if json_out else path.with_suffix(".json")
+    report = {
+        "k_max": k_max,
+        "truncation_degree": n_trunc,
+        "reports": [
+            dict(
+                K=k,
+                **rep.to_json_dict(),
+                truncation_certificate=truncation_certificate(rep.coefficients, n_trunc),
+            )
+            for k, rep in sequence
+        ],
+    }
+    # The JSON goes first and is removed again if the CSV cannot be
+    # written, so a failed command leaves neither file.
+    json_path.parent.mkdir(parents=True, exist_ok=True)
+    json_path.write_text(json.dumps(report))
     columns = [
         ("%d", [k for k, _ in sequence]),
         ("%.17g", [rep.distance for _, rep in sequence]),
         ("%.17g", [rep.condition_estimate for _, rep in sequence]),
     ]
-    _write_rows(
-        path,
-        [f"command=bd kmax={k_max} n={n_trunc}"],
-        ["K", "d_K", "condition_estimate"],
-        columns,
-    )
-    json_path = Path(json_out) if json_out else path.with_suffix(".json")
-    with open(json_path, "w") as fh:
-        json.dump(
-            {
-                "k_max": k_max,
-                "truncation_degree": n_trunc,
-                "reports": [
-                    dict(
-                        K=k,
-                        **rep.to_json_dict(),
-                        truncation_certificate=truncation_certificate(
-                            rep.coefficients, n_trunc
-                        ),
-                    )
-                    for k, rep in sequence
-                ],
-            },
-            fh,
-            indent=1,
+    try:
+        _write_rows(
+            path,
+            [f"command=bd kmax={k_max} n={n_trunc}"],
+            ["K", "d_K", "condition_estimate"],
+            columns,
         )
+    except OSError:
+        json_path.unlink(missing_ok=True)
+        raise
     distances = np.array([rep.distance for _, rep in sequence])
     print(f"wrote {path} and {json_path}")
     print(f"d_{k_max} = {_fmt(distances[-1])} (condition {_fmt(sequence[-1][1].condition_estimate)})")
@@ -314,6 +317,8 @@ def main(argv: list[str] | None = None) -> int:
         return _dispatch(parser, args, cfg, explicit)
     except OSError as exc:
         parser.error(str(exc))
+    except HardyLabError as exc:
+        parser.error(f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -9,14 +9,18 @@ the weighted dilation orbit of a given series.
 Least squares is solved by Householder QR rather than Gram normal
 equations: adjacent h_k are nearly dependent and normal equations would
 square the condition number.  The d_K sequence, like any family of nested
-spans, comes from one QR of the augmented matrix [b_1 .. b_m | target]:
-the distance to span{b_1..b_j} is the norm of R's last column below row j
-(Golub & Van Loan, Matrix Computations, sec. 5.3).  Single problems and
-cyclicity scans use pivoted QR (:func:`distance_to_span`), which stays the
-oracle for that nested engine.  Every report carries the optimal
-coefficients, an independently recomputed residual norm (enforced to agree
-with the distance), and a conditioning estimate so a genuine distance
-plateau can be told apart from numerical rank collapse.
+spans, comes from one QR of the augmented matrix [b_1 .. b_m | target],
+built once in column-major order with the basis and the target as views
+of it: the distance to span{b_1..b_j} is the norm of R's last column below
+row j (Golub & Van Loan, Matrix Computations, sec. 5.3).  The residual
+norms of all m prefixes are then re-checked in one pass over row blocks of
+the basis, from the coefficients and the basis alone, never from Q or R.
+Single problems and cyclicity scans use pivoted QR
+(:func:`distance_to_span`), which stays the oracle for that nested engine.
+Every report carries the optimal coefficients, an independently recomputed
+residual norm (enforced to agree with the distance), and a conditioning
+estimate so a genuine distance plateau can be told apart from numerical
+rank collapse.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import scipy.linalg
 from .errors import DegenerateBasis, HypothesisViolated, IndexOutOfRange, ResidualMismatch
 from .semigroup import weighted_dilation
 from .series import CoeffSeries, axpy, fit_degree, from_coeffs, inner, norm
-from .special import hk_closed_form, hk_matrix
+from .special import _check_hk_args, _fill_hk_columns, hk_closed_form
 
 __all__ = [
     "SpanProblem",
@@ -45,6 +49,9 @@ __all__ = [
 RANK_TOLERANCE = 1e-10
 # |distance - residual_norm_check| may not exceed this times max(1, ||target||).
 RESIDUAL_AGREEMENT = 1e-10
+# Rows per block of the nested residual re-check: a 2048 x 50 real block
+# of temporaries is about 0.8 MiB.
+_RESIDUAL_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -83,11 +90,15 @@ class DistanceReport:
     the report is never made (:class:`ResidualMismatch`).
     ``condition_estimate`` is the diagonal ratio of the pivoted R factor,
     a cheap lower bound on the basis matrix's true condition number.
+    ``residual`` is target - sum_i c_i basis_i as a series.  Of the reports
+    of :func:`nested_distances` only the last (the full basis) keeps it; the
+    others hold ``None``, and their ``residual_norm_check`` is still the
+    norm of that series.
     """
 
     distance: float
     coefficients: list[complex]
-    residual: CoeffSeries = field(repr=False)
+    residual: CoeffSeries | None = field(repr=False)
     residual_norm_check: float
     condition_estimate: float
 
@@ -102,7 +113,7 @@ class DistanceReport:
         if include_residual:
             from .series import to_json_dict as series_json
 
-            d["residual"] = series_json(self.residual)
+            d["residual"] = None if self.residual is None else series_json(self.residual)
         return d
 
 
@@ -119,7 +130,8 @@ def distance_to_span(problem: SpanProblem) -> DistanceReport:
         ResidualMismatch: when the residual re-check disagrees with the
             QR distance.
     """
-    a, rhs = _matrix(problem)
+    aug = _augmented(problem)
+    a, rhs = aug[:, :-1], aug[:, -1]
     q, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
     condition_estimate = _condition_estimate(r)
 
@@ -132,7 +144,9 @@ def distance_to_span(problem: SpanProblem) -> DistanceReport:
     residual = problem.target
     for c, b in zip(coeffs, problem.basis):
         residual = axpy(-complex(c), b, residual)
-    return _checked_report(distance, coeffs, residual, np.linalg.norm(rhs), condition_estimate)
+    return _checked_report(
+        distance, coeffs, residual, norm(residual), np.linalg.norm(rhs), condition_estimate
+    )
 
 
 def nested_distances(problem: SpanProblem) -> list[DistanceReport]:
@@ -143,7 +157,11 @@ def nested_distances(problem: SpanProblem) -> list[DistanceReport]:
     back-substitution in R's leading block, and the rank gate and condition
     estimate from a pivoted QR of that j x j block, which has the same
     pivoted diagonal as the N x j basis (they differ by an orthogonal
-    factor).
+    factor).  The residual norms of every prefix are re-checked together,
+    as ``target - basis @ C`` over row blocks of the basis, where column
+    j - 1 of the upper-triangular m x m matrix C holds the coefficients of
+    prefix j.  Only the last report keeps its residual series; the others
+    carry ``residual=None``.
 
     Raises:
         DegenerateBasis: at the first prefix whose pivoted diagonal decays
@@ -151,7 +169,7 @@ def nested_distances(problem: SpanProblem) -> list[DistanceReport]:
         ResidualMismatch: when a residual re-check disagrees with its
             distance.
     """
-    return _nested_reports(*_matrix(problem))
+    return _nested_reports(_augmented(problem))
 
 
 def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceReport]]:
@@ -163,17 +181,23 @@ def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceRe
     """
     if k_max < 2:
         raise IndexOutOfRange(f"k_max must be >= 2, got {k_max}")
-    basis = hk_matrix(k_max, n_trunc)
-    target = np.zeros(n_trunc + 1)
-    target[0] = 1.0
-    return list(zip(range(2, k_max + 1), _nested_reports(basis, target)))
+    _check_hk_args(k_max, n_trunc)
+    aug = np.zeros((n_trunc + 1, k_max), order="F")
+    _fill_hk_columns(aug[:, :-1])
+    aug[0, -1] = 1.0
+    return list(zip(range(2, k_max + 1), _nested_reports(aug)))
 
 
-def _matrix(problem: SpanProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Column-major basis matrix and target, real when every input is real."""
-    if problem.target.is_real() and all(b.is_real() for b in problem.basis):
-        return np.array([b.coeffs.real for b in problem.basis]).T, problem.target.coeffs.real
-    return np.array([b.coeffs for b in problem.basis]).T, problem.target.coeffs
+def _augmented(problem: SpanProblem) -> np.ndarray:
+    """Column-major [b_1 .. b_m | target], real when every input is real."""
+    columns = problem.basis + [problem.target]
+    real = all(c.is_real() for c in columns)
+    aug = np.empty(
+        (problem.n_trunc + 1, len(columns)), dtype=float if real else complex, order="F"
+    )
+    for i, c in enumerate(columns):
+        aug[:, i] = c.coeffs.real if real else c.coeffs
+    return aug
 
 
 def _condition_estimate(r: np.ndarray) -> float:
@@ -187,39 +211,60 @@ def _condition_estimate(r: np.ndarray) -> float:
     return float(diag[0] / diag[-1])
 
 
-def _nested_reports(a: np.ndarray, rhs: np.ndarray) -> list[DistanceReport]:
-    """Reports for the prefixes a[:, :j], j = 1..m, of an N x m basis matrix."""
-    rows, m = a.shape
-    (r_aug,) = scipy.linalg.qr(np.column_stack([a, rhs]), mode="r")
+def _nested_reports(aug: np.ndarray) -> list[DistanceReport]:
+    """One report per prefix b_1..b_j, j = 1..m, of ``aug`` = [b_1 .. b_m | target]."""
+    rows, m = aug.shape[0], aug.shape[1] - 1
+    a, rhs = aug[:, :m], aug[:, m]
+    (r_aug,) = scipy.linalg.qr(aug, mode="r")
     # With fewer than m + 1 rows, R is padded with zero rows, so every
     # prefix longer than the row count fails the rank gate.
     r = np.zeros((m + 1, m + 1), dtype=r_aug.dtype)
     r[: min(rows, m + 1)] = r_aug[: m + 1]
     distances = np.sqrt(np.cumsum(np.abs(r[::-1, m]) ** 2))[::-1]
-    target_norm = np.linalg.norm(rhs)
 
-    reports = []
+    coeffs = np.zeros((m, m), dtype=r.dtype)
+    condition_estimates = []
     for j in range(1, m + 1):
         block = r[:j, :j]
         pivoted_r, _ = scipy.linalg.qr(block, mode="r", pivoting=True)
-        condition_estimate = _condition_estimate(pivoted_r)
-        coeffs = scipy.linalg.solve_triangular(block, r[:j, m])
-        residual = CoeffSeries(rhs - a[:, :j] @ coeffs)
-        reports.append(
-            _checked_report(float(distances[j]), coeffs, residual, target_norm, condition_estimate)
+        condition_estimates.append(_condition_estimate(pivoted_r))
+        coeffs[:j, j - 1] = scipy.linalg.solve_triangular(block, r[:j, m])
+    checks = _residual_norms(a, rhs, coeffs)
+
+    target_norm = np.linalg.norm(rhs)
+    last_residual = CoeffSeries(rhs - a @ coeffs[:, m - 1])
+    return [
+        _checked_report(
+            float(distances[j]),
+            coeffs[:j, j - 1],
+            last_residual if j == m else None,
+            float(checks[j - 1]),
+            target_norm,
+            condition_estimates[j - 1],
         )
-    return reports
+        for j in range(1, m + 1)
+    ]
+
+
+def _residual_norms(a: np.ndarray, rhs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """||rhs - a @ coeffs[:, j]|| for every column j, one GEMM per block of rows of ``a``."""
+    sum_sq = np.zeros(coeffs.shape[1])
+    for lo in range(0, len(rhs), _RESIDUAL_BLOCK_ROWS):
+        hi = lo + _RESIDUAL_BLOCK_ROWS
+        block = rhs[lo:hi, None] - a[lo:hi] @ coeffs
+        sum_sq += np.sum(np.abs(block) ** 2, axis=0)
+    return np.sqrt(sum_sq)
 
 
 def _checked_report(
     distance: float,
     coeffs: np.ndarray,
-    residual: CoeffSeries,
+    residual: CoeffSeries | None,
+    check: float,
     target_norm: float,
     condition_estimate: float,
 ) -> DistanceReport:
-    """The report, once the residual re-check agrees with ``distance``."""
-    check = norm(residual)
+    """The report, once the residual re-check ``check`` agrees with ``distance``."""
     bound = RESIDUAL_AGREEMENT * max(1.0, target_norm)
     if not abs(distance - check) <= bound:
         raise ResidualMismatch(

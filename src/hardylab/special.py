@@ -52,11 +52,19 @@ def hk_matrix(k_max: int, n_trunc: int) -> np.ndarray:
 
     Every column comes from one shared harmonic table and is bit-identical
     to the real part of ``hk_closed_form(k, n_trunc).coeffs``.  The matrix
-    is column-major, so every leading block of columns is contiguous.
+    is allocated in Fortran (column-major) order and filled one column at a
+    time, so each column and every leading block of columns is contiguous.
     """
     _check_hk_args(k_max, n_trunc)
-    h = _harmonic_table(n_trunc)
-    return np.array([_hk_coeffs(h, k) for k in range(2, k_max + 1)]).T
+    return _fill_hk_columns(np.empty((n_trunc + 1, k_max - 1), order="F"))
+
+
+def _fill_hk_columns(out: np.ndarray) -> np.ndarray:
+    """Write h_{i+2} through degree ``len(out) - 1`` into column i of ``out``."""
+    h = _harmonic_table(out.shape[0] - 1)
+    for i in range(out.shape[1]):
+        out[:, i] = _hk_coeffs(h, i + 2)
+    return out
 
 
 def _harmonic_table(n_trunc: int) -> np.ndarray:
@@ -68,7 +76,9 @@ def _harmonic_table(n_trunc: int) -> np.ndarray:
 
 
 def _hk_coeffs(h: np.ndarray, k: int) -> np.ndarray:
-    return h - h[np.arange(len(h)) // k] - np.log(k)
+    """H_j - H_{floor(j/k)} - log k for j < len(h); each H_{floor(j/k)} is a run of k copies."""
+    n = len(h)
+    return h - np.repeat(h[: (n - 1) // k + 1], k)[:n] - np.log(k)
 
 
 def hk_oracle(k: int, n_trunc: int) -> CoeffSeries:

@@ -149,6 +149,32 @@ class TestBaezDuarte:
             assert r["truncation_certificate"] == hl.truncation_certificate(coeffs, 256)
             assert r["truncation_certificate"] > 0
 
+    def test_json_report_is_one_line(self, tmp_path):
+        out = tmp_path / "bd.csv"
+        assert run(["bd", "--kmax", "4", "--n", "256", "--out", str(out)]) == 0
+        text = out.with_suffix(".json").read_text()
+        assert "\n" not in text
+        assert json.loads(text)["k_max"] == 4
+
+    @pytest.mark.parametrize("bad", ["json", "csv"])
+    def test_unwritable_output_leaves_neither_file(self, tmp_path, bad):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        paths = {"csv": tmp_path / "ok.csv", "json": tmp_path / "ok.json"}
+        paths[bad] = blocker / f"x.{bad}"
+        with pytest.raises(SystemExit) as exc:
+            run(["bd", "--kmax", "3", "--n", "64",
+                 "--out", str(paths["csv"]), "--json", str(paths["json"])])
+        assert exc.value.code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_degenerate_basis_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--output-dir", str(tmp_path), "bd", "--kmax", "60", "--n", "30"])
+        assert exc.value.code == 2
+        assert "DegenerateBasis: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_apart_from_timestamp(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

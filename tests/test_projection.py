@@ -8,6 +8,7 @@ from hardylab.errors import (
     IndexOutOfRange,
     ResidualMismatch,
 )
+from hardylab.projection import _residual_norms
 
 
 def one_vector_distance(target, b):
@@ -197,20 +198,65 @@ class TestNestedDistances:
             by_hand = hl.axpy(-c, b, by_hand)
         np.testing.assert_allclose(rep.residual.coeffs, by_hand.coeffs, rtol=0, atol=1e-14)
 
+    def test_only_last_report_keeps_residual(self):
+        n_trunc = 256
+        basis = [hl.hk_closed_form(k, n_trunc) for k in (2, 3, 4)]
+        reports = hl.nested_distances(hl.SpanProblem(hl.one(n_trunc), basis, n_trunc))
+        assert [rep.residual for rep in reports[:-1]] == [None, None]
+        assert reports[-1].residual.valid_degree == n_trunc
+
+
+def assert_residual_checks_match_direct_norm(reports, target, basis):
+    """Every residual_norm_check is ||target - sum_k c_k b_k||, summed by axpy."""
+    bound = 1e-14 * max(1.0, hl.norm(target))
+    for rep in reports:
+        by_hand = target
+        for c, b in zip(rep.coefficients, basis):
+            by_hand = hl.axpy(-c, b, by_hand)
+        assert abs(rep.residual_norm_check - hl.norm(by_hand)) <= bound
+
+
+class TestBlockedResidualCheck:
+    # 2047..4097 coefficients straddle the 2048-row blocks of the re-check.
+    @pytest.mark.parametrize("n_trunc", [2046, 2047, 2048, 4096])
+    def test_baez_duarte_checks_match_direct_norm(self, n_trunc):
+        seq = hl.baez_duarte_sequence(12, n_trunc)
+        basis = [hl.hk_closed_form(k, n_trunc) for k in range(2, 13)]
+        assert_residual_checks_match_direct_norm([rep for _, rep in seq], hl.one(n_trunc), basis)
+
+    def test_complex_basis_checks_match_direct_norm(self):
+        rng = np.random.default_rng(33)
+        n_trunc = 2100
+
+        def random_series():
+            return hl.from_coeffs(
+                rng.standard_normal(n_trunc + 1) + 1j * rng.standard_normal(n_trunc + 1)
+            )
+
+        target = random_series()
+        basis = [random_series() for _ in range(6)]
+        reports = hl.nested_distances(hl.SpanProblem(target, basis, n_trunc))
+        assert_residual_checks_match_direct_norm(reports, target, basis)
+
 
 class TestResidualAgreement:
-    @staticmethod
-    def skew_residual_norm(monkeypatch, amount):
-        true_norm = hl.norm
+    # distance_to_span re-checks its residual with series.norm; the nested
+    # engine re-checks every prefix at once in _residual_norms.
+    CHECKS = {hl.distance_to_span: ("norm", hl.norm),
+              hl.nested_distances: ("_residual_norms", _residual_norms)}
+
+    @classmethod
+    def skew_residual_norm(cls, monkeypatch, engine, amount):
+        name, true_check = cls.CHECKS[engine]
         monkeypatch.setattr(
-            "hardylab.projection.norm", lambda f: true_norm(f) + amount
+            f"hardylab.projection.{name}", lambda *args: true_check(*args) + amount
         )
 
     @pytest.mark.parametrize("engine", [hl.distance_to_span, hl.nested_distances])
     def test_mismatch_raises(self, monkeypatch, engine):
         n_trunc = 128
         problem = hl.SpanProblem(hl.one(n_trunc), [hl.hk_closed_form(2, n_trunc)], n_trunc)
-        self.skew_residual_norm(monkeypatch, 1e-8)
+        self.skew_residual_norm(monkeypatch, engine, 1e-8)
         with pytest.raises(ResidualMismatch):
             engine(problem)
 
@@ -220,9 +266,9 @@ class TestResidualAgreement:
         n_trunc = 128
         target = hl.from_coeffs(1e4 * hl.one(n_trunc).coeffs)
         problem = hl.SpanProblem(target, [hl.hk_closed_form(2, n_trunc)], n_trunc)
-        self.skew_residual_norm(monkeypatch, 1e-8)
+        self.skew_residual_norm(monkeypatch, engine, 1e-8)
         engine(problem)
-        self.skew_residual_norm(monkeypatch, 1e-5)
+        self.skew_residual_norm(monkeypatch, engine, 1e-5)
         with pytest.raises(ResidualMismatch):
             engine(problem)
 

@@ -3,6 +3,7 @@ import pytest
 
 import hardylab as hl
 from hardylab.errors import IndexOutOfRange
+from hardylab.special import _harmonic_table, _hk_coeffs
 
 
 class TestHkValues:
@@ -121,6 +122,16 @@ class TestHkMatrix:
     def test_rejects_small_kmax(self):
         with pytest.raises(IndexOutOfRange):
             hl.hk_matrix(1, 8)
+
+    def test_is_column_major(self):
+        assert hl.hk_matrix(12, 257).flags.f_contiguous
+
+    @pytest.mark.parametrize("n_trunc", [0, 1, 4095, 4096, 16384])
+    def test_repeat_gather_bit_identical_to_floor_index(self, n_trunc):
+        h = _harmonic_table(n_trunc)
+        for k in (2, 3, 64, n_trunc + 1, n_trunc + 5):
+            by_index = h - h[np.arange(len(h)) // k] - np.log(k)
+            assert np.array_equal(_hk_coeffs(h, k), by_index)
 
 
 class TestTruncationCertificate:
