@@ -8,15 +8,15 @@ the weighted dilation orbit of a given series.
 
 Least squares is solved by Householder QR rather than Gram normal
 equations: adjacent h_k are nearly dependent and normal equations would
-square the condition number.  The d_K sequence, like any family of nested
-spans, comes from one QR of the augmented matrix [b_1 .. b_m | target],
-built once in column-major order with the basis and the target as views
-of it: the distance to span{b_1..b_j} is the norm of R's last column below
-row j (Golub & Van Loan, Matrix Computations, sec. 5.3).  The residual
-norms of all m prefixes are then re-checked in one pass over row blocks of
-the basis, from the coefficients and the basis alone, never from Q or R.
-Single problems and cyclicity scans use pivoted QR
-(:func:`distance_to_span`), which stays the oracle for that nested engine.
+square the condition number.  The d_K sequence and the cyclicity scans,
+like any family of nested spans, come from one engine: one QR of the
+augmented matrix [b_1 .. b_m | target], built once in column-major order
+with the basis and the target as views of it.  The distance to
+span{b_1..b_j} is the norm of R's last column below row j (Golub & Van
+Loan, Matrix Computations, sec. 5.3).  The residual norms of all m
+prefixes are then re-checked in one pass over row blocks of the basis,
+from the coefficients and the basis alone, never from Q or R.  Pivoted QR
+(:func:`distance_to_span`) is kept only as the oracle of that engine.
 Every report carries the optimal coefficients, an independently recomputed
 residual norm (enforced to agree with the distance), and a conditioning
 estimate so a genuine distance plateau can be told apart from numerical
@@ -25,7 +25,7 @@ rank collapse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -90,48 +90,44 @@ class DistanceReport:
     the report is never made (:class:`ResidualMismatch`).
     ``condition_estimate`` is the diagonal ratio of the pivoted R factor,
     a cheap lower bound on the basis matrix's true condition number.
-    ``residual`` is target - sum_i c_i basis_i as a series.  Of the reports
-    of :func:`nested_distances` only the last (the full basis) keeps it; the
-    others hold ``None``, and their ``residual_norm_check`` is still the
-    norm of that series.
+    Reports come from :func:`nested_distances` or its oracle
+    :func:`distance_to_span`.
     """
 
     distance: float
     coefficients: list[complex]
-    residual: CoeffSeries | None = field(repr=False)
     residual_norm_check: float
     condition_estimate: float
 
-    def to_json_dict(self, include_residual: bool = False) -> dict:
-        d = {
+    def to_json_dict(self) -> dict:
+        return {
             "distance": self.distance,
             "coefficients_re": [c.real for c in self.coefficients],
             "coefficients_im": [c.imag for c in self.coefficients],
             "residual_norm_check": self.residual_norm_check,
             "condition_estimate": self.condition_estimate,
         }
-        if include_residual:
-            from .series import to_json_dict as series_json
-
-            d["residual"] = None if self.residual is None else series_json(self.residual)
-        return d
 
 
 def distance_to_span(problem: SpanProblem) -> DistanceReport:
     """Distance from the target to the span of the basis at the fixed truncation.
 
-    Solves min_c ||target - sum_i c_i basis_i|| over coefficients
-    0..n_trunc via pivoted Householder QR.  Real inputs take a real
-    arithmetic path (half the memory of the complex one).
+    The oracle of :func:`nested_distances`: solves min_c ||target - sum_i
+    c_i basis_i|| over coefficients 0..n_trunc via pivoted Householder QR
+    and re-checks the residual summed by :func:`axpy`.  Real inputs take a
+    real arithmetic path (half the memory of the complex one).
 
     Raises:
-        DegenerateBasis: when the pivoted R diagonal decays below
-            RANK_TOLERANCE relative to its largest entry.
+        DegenerateBasis: when the basis has more members than coefficients,
+            or the pivoted R diagonal decays below RANK_TOLERANCE relative
+            to its largest entry.
         ResidualMismatch: when the residual re-check disagrees with the
             QR distance.
     """
     aug = _augmented(problem)
     a, rhs = aug[:, :-1], aug[:, -1]
+    if a.shape[1] > a.shape[0]:
+        raise DegenerateBasis(f"{a.shape[1]} basis members exceed {a.shape[0]} coefficients")
     q, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
     condition_estimate = _condition_estimate(r)
 
@@ -144,9 +140,7 @@ def distance_to_span(problem: SpanProblem) -> DistanceReport:
     residual = problem.target
     for c, b in zip(coeffs, problem.basis):
         residual = axpy(-complex(c), b, residual)
-    return _checked_report(
-        distance, coeffs, residual, norm(residual), np.linalg.norm(rhs), condition_estimate
-    )
+    return _checked_report(distance, coeffs, norm(residual), np.linalg.norm(rhs), condition_estimate)
 
 
 def nested_distances(problem: SpanProblem) -> list[DistanceReport]:
@@ -160,8 +154,7 @@ def nested_distances(problem: SpanProblem) -> list[DistanceReport]:
     factor).  The residual norms of every prefix are re-checked together,
     as ``target - basis @ C`` over row blocks of the basis, where column
     j - 1 of the upper-triangular m x m matrix C holds the coefficients of
-    prefix j.  Only the last report keeps its residual series; the others
-    carry ``residual=None``.
+    prefix j.  This is the laboratory's one least-squares engine.
 
     Raises:
         DegenerateBasis: at the first prefix whose pivoted diagonal decays
@@ -232,12 +225,10 @@ def _nested_reports(aug: np.ndarray) -> list[DistanceReport]:
     checks = _residual_norms(a, rhs, coeffs)
 
     target_norm = np.linalg.norm(rhs)
-    last_residual = CoeffSeries(rhs - a @ coeffs[:, m - 1])
     return [
         _checked_report(
             float(distances[j]),
             coeffs[:j, j - 1],
-            last_residual if j == m else None,
             float(checks[j - 1]),
             target_norm,
             condition_estimates[j - 1],
@@ -259,7 +250,6 @@ def _residual_norms(a: np.ndarray, rhs: np.ndarray, coeffs: np.ndarray) -> np.nd
 def _checked_report(
     distance: float,
     coeffs: np.ndarray,
-    residual: CoeffSeries | None,
     check: float,
     target_norm: float,
     condition_estimate: float,
@@ -274,7 +264,6 @@ def _checked_report(
     return DistanceReport(
         distance=distance,
         coefficients=[complex(c) for c in coeffs],
-        residual=residual,
         residual_norm_check=check,
         condition_estimate=condition_estimate,
     )
@@ -309,14 +298,14 @@ def cyclicity_scan(
 
     The basis is the orbit [weighted_dilation(n, f) for n = 1..n_max],
     refitted to the common truncation degree.  Padding the orbit members
-    is exact when f is a polynomial, the intended use.
+    is exact when f is a polynomial, the intended use.  Each report is the
+    last of :func:`nested_distances`, so every orbit prefix passes its rank
+    gate or :class:`DegenerateBasis` is raised.
     """
     if n_max < 2:
         raise IndexOutOfRange(f"n_max must be >= 2, got {n_max}")
-    basis = [fit_degree(weighted_dilation(n, f), n_trunc) for n in range(1, n_max + 1)]
-    return [
-        distance_to_span(SpanProblem(t, basis, n_trunc)) for t in targets
-    ]
+    orbit = [weighted_dilation(n, f) for n in range(1, n_max + 1)]
+    return [nested_distances(SpanProblem(t, orbit, n_trunc))[-1] for t in targets]
 
 
 def non_cyclicity_witness(f: CoeffSeries, n_max: int) -> float:

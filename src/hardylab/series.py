@@ -52,6 +52,9 @@ __all__ = [
 # matrix takes 256 KiB.
 _LOG_BLOCK = 128
 
+# formal_log refuses a constant term of at most this modulus.
+_MIN_CONSTANT = 1e-300
+
 # Rows formatted per `%` call in write_columns; bounds the formatted
 # block to a few hundred KiB however long the table is.
 _CSV_BLOCK_ROWS = 4096
@@ -118,15 +121,15 @@ def one(valid_degree: int = 0) -> CoeffSeries:
     return CoeffSeries(c)
 
 
-def monomial(degree: int, coeff: complex = 1.0, valid_degree: int | None = None) -> CoeffSeries:
-    """coeff * z^degree, exact through ``valid_degree`` (default: ``degree``)."""
+def monomial(degree: int, valid_degree: int | None = None) -> CoeffSeries:
+    """z^degree, exact through ``valid_degree`` (default: ``degree``)."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     n = degree if valid_degree is None else valid_degree
     if n < degree:
         raise ValueError("valid_degree must cover the monomial degree")
     c = np.zeros(n + 1, dtype=np.complex128)
-    c[degree] = coeff
+    c[degree] = 1.0
     return CoeffSeries(c)
 
 
@@ -195,7 +198,7 @@ def cauchy_product(f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
     return CoeffSeries(np.convolve(f.coeffs, g.coeffs)[: m + 1])
 
 
-def formal_log(f: CoeffSeries, min_constant: float = 1e-300) -> CoeffSeries:
+def formal_log(f: CoeffSeries) -> CoeffSeries:
     """Formal logarithm g = log f with g determined by g'*f = f'.
 
     g_0 = log f_0 (principal branch) and for j >= 1
@@ -211,13 +214,13 @@ def formal_log(f: CoeffSeries, min_constant: float = 1e-300) -> CoeffSeries:
     instead of O(N^2).  No composition-radius issues.  Valid degree preserved.
 
     Raises:
-        NearZeroConstantTerm: if |f_0| <= min_constant, or if f/f_0 or the
+        NearZeroConstantTerm: if |f_0| <= ``_MIN_CONSTANT``, or if f/f_0 or the
             logarithm overflows double precision.
     """
     f0 = complex(f.coeffs[0])
-    if abs(f0) <= min_constant:
+    if abs(f0) <= _MIN_CONSTANT:
         raise NearZeroConstantTerm(
-            f"formal_log needs |constant term| > {min_constant}, got {abs(f0)!r}"
+            f"formal_log needs |constant term| > {_MIN_CONSTANT}, got {abs(f0)!r}"
         )
     n = f.valid_degree
     with np.errstate(all="ignore"):
@@ -341,8 +344,9 @@ def write_csv(f: CoeffSeries, path) -> None:
 def read_csv(path) -> CoeffSeries:
     """Read a file written by :func:`write_csv`.
 
-    Raises ValueError unless the index column reads exactly 0, 1, ..., N in
-    order, so a shuffled or gapped file is never loaded as a wrong series.
+    Raises ValueError unless every data row has the three fields index, re,
+    im and the indices read exactly 0, 1, ..., N in order, so a malformed,
+    shuffled or gapped file is never loaded as a wrong series.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -351,6 +355,8 @@ def read_csv(path) -> CoeffSeries:
         if header[:1] != ["index"]:
             raise ValueError("expected header row starting with 'index'")
         for expected, row in enumerate(r):
+            if len(row) != 3:
+                raise ValueError(f"data row {expected + 1}: expected 3 fields, got {len(row)}")
             if row[0] != str(expected):
                 raise ValueError(
                     f"data row {expected + 1}: expected index {expected}, got {row[0]!r}"

@@ -180,6 +180,8 @@ def spectral_disk_scan(
     if angles_count < 1:
         raise IndexOutOfRange(f"angles_count must be >= 1, got {angles_count}")
     radii = [float(r) for r in radii]
+    if not radii:
+        raise IndexOutOfRange("radii must be nonempty")
     for r in radii:
         if not 0.0 <= r < 1.0:
             raise OutsideSpectralBall(f"relative radius {r} is outside [0, 1)")

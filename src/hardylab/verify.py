@@ -68,11 +68,9 @@ class CheckResult:
         return f"{status}  {self.name}: max_err={self.max_err:.3e} tol={self.tol:.1e}{extra}"
 
 
-def random_series(rng: np.random.Generator, valid_degree: int, real: bool = False) -> CoeffSeries:
-    """Standard-normal random coefficients, complex unless ``real``."""
+def random_series(rng: np.random.Generator, valid_degree: int) -> CoeffSeries:
+    """Complex coefficients with standard-normal real and imaginary parts."""
     re = rng.standard_normal(valid_degree + 1)
-    if real:
-        return from_coeffs(re)
     return from_coeffs(re + 1j * rng.standard_normal(valid_degree + 1))
 
 

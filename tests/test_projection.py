@@ -44,6 +44,11 @@ class TestDistanceToSpan:
         report = hl.distance_to_span(hl.SpanProblem(target, basis, n_trunc))
         assert report.distance == pytest.approx(np.sqrt(2), abs=1e-10)
 
+    def test_more_members_than_coefficients_raises(self):
+        basis = [hl.hk_closed_form(k, 2) for k in range(2, 6)]
+        with pytest.raises(DegenerateBasis, match="exceed"):
+            hl.distance_to_span(hl.SpanProblem(hl.one(2), basis, 2))
+
     def test_degenerate_basis_raises(self):
         f = hl.hk_closed_form(2, 128)
         with pytest.raises(DegenerateBasis):
@@ -86,7 +91,9 @@ class TestDistanceToSpan:
         basis = [hl.hk_closed_form(k, n_trunc) for k in (2, 3, 4)]
         target = hl.one(n_trunc)
         report = hl.distance_to_span(hl.SpanProblem(target, basis, n_trunc))
-        projection = hl.axpy(-1.0, report.residual, target)
+        projection = hl.zero(n_trunc)
+        for c, b in zip(report.coefficients, basis):
+            projection = hl.axpy(c, b, projection)
         again = hl.distance_to_span(hl.SpanProblem(projection, basis, n_trunc))
         assert again.distance <= 1e-10
 
@@ -106,10 +113,9 @@ class TestDistanceToSpan:
         report = hl.distance_to_span(
             hl.SpanProblem(hl.one(n_trunc), [hl.hk_closed_form(2, n_trunc)], n_trunc)
         )
-        d = report.to_json_dict(include_residual=True)
+        d = report.to_json_dict()
         assert d["distance"] == report.distance
         assert len(d["coefficients_re"]) == 1
-        assert d["residual"]["valid_degree"] == n_trunc
 
 
 class TestBaezDuarteSequence:
@@ -145,14 +151,19 @@ class TestBaezDuarteSequence:
             hl.baez_duarte_sequence(1, 64)
 
 
+def assert_matches_oracle(rep, target, basis, n_trunc):
+    """The report agrees with distance_to_span on the same span."""
+    oracle = hl.distance_to_span(hl.SpanProblem(target, basis, n_trunc))
+    assert rep.distance == pytest.approx(oracle.distance, rel=1e-12)
+    np.testing.assert_allclose(rep.coefficients, oracle.coefficients, rtol=0, atol=1e-10)
+    assert rep.condition_estimate == pytest.approx(oracle.condition_estimate, rel=1e-10)
+
+
 def assert_matches_pivoted_oracle(reports, target, basis, n_trunc):
     """Each nested report agrees with distance_to_span on the same prefix."""
     assert len(reports) == len(basis)
     for j, rep in enumerate(reports, start=1):
-        oracle = hl.distance_to_span(hl.SpanProblem(target, basis[:j], n_trunc))
-        assert rep.distance == pytest.approx(oracle.distance, rel=1e-12)
-        np.testing.assert_allclose(rep.coefficients, oracle.coefficients, rtol=0, atol=1e-10)
-        assert rep.condition_estimate == pytest.approx(oracle.condition_estimate, rel=1e-10)
+        assert_matches_oracle(rep, target, basis[:j], n_trunc)
 
 
 class TestNestedDistances:
@@ -187,23 +198,6 @@ class TestNestedDistances:
     def test_more_columns_than_coefficients_raises(self):
         with pytest.raises(DegenerateBasis):
             hl.baez_duarte_sequence(10, 4)
-
-    def test_residual_is_target_minus_combination(self):
-        n_trunc = 256
-        basis = [hl.hk_closed_form(k, n_trunc) for k in (2, 3, 4)]
-        target = hl.one(n_trunc)
-        rep = hl.nested_distances(hl.SpanProblem(target, basis, n_trunc))[-1]
-        by_hand = target
-        for c, b in zip(rep.coefficients, basis):
-            by_hand = hl.axpy(-c, b, by_hand)
-        np.testing.assert_allclose(rep.residual.coeffs, by_hand.coeffs, rtol=0, atol=1e-14)
-
-    def test_only_last_report_keeps_residual(self):
-        n_trunc = 256
-        basis = [hl.hk_closed_form(k, n_trunc) for k in (2, 3, 4)]
-        reports = hl.nested_distances(hl.SpanProblem(hl.one(n_trunc), basis, n_trunc))
-        assert [rep.residual for rep in reports[:-1]] == [None, None]
-        assert reports[-1].residual.valid_degree == n_trunc
 
 
 def assert_residual_checks_match_direct_norm(reports, target, basis):
@@ -323,6 +317,37 @@ class TestCyclicityScan:
     def test_rejects_small_n_max(self):
         with pytest.raises(IndexOutOfRange):
             hl.cyclicity_scan(hl.one(), 1, [hl.one()], 8)
+
+    def test_longer_orbit_than_coefficients_raises(self):
+        with pytest.raises(DegenerateBasis):
+            hl.cyclicity_scan(hl.from_coeffs([1.0, 2.0]), 5, [hl.one(2)], 2)
+
+    @staticmethod
+    def assert_reports_match_pivoted_oracle(f, n_max, targets, n_trunc):
+        orbit = [hl.weighted_dilation(n, f) for n in range(1, n_max + 1)]
+        reports = hl.cyclicity_scan(f, n_max, targets, n_trunc)
+        assert len(reports) == len(targets)
+        for rep, target in zip(reports, targets):
+            assert_matches_oracle(rep, target, orbit, n_trunc)
+
+    def test_several_targets_match_pivoted_oracle(self):
+        n_trunc = 256
+        targets = [
+            hl.one(n_trunc),
+            hl.pad(hl.from_coeffs([1.0, -1.0]), n_trunc),
+            hl.hk_closed_form(3, n_trunc),
+        ]
+        self.assert_reports_match_pivoted_oracle(hl.from_coeffs([-2.0, 1.0]), 16, targets, n_trunc)
+
+    def test_complex_f_matches_pivoted_oracle(self):
+        rng = np.random.default_rng(40)
+        n_trunc = 300
+        f = hl.from_coeffs(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        targets = [
+            hl.one(n_trunc),
+            hl.from_coeffs(rng.standard_normal(n_trunc + 1) + 1j * rng.standard_normal(n_trunc + 1)),
+        ]
+        self.assert_reports_match_pivoted_oracle(f, 40, targets, n_trunc)
 
 
 class TestNonCyclicityWitness:

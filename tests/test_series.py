@@ -216,7 +216,7 @@ class TestBlockedFormalLog:
 
     def test_min_constant_still_guards(self):
         with pytest.raises(NearZeroConstantTerm, match="constant term"):
-            hl.formal_log(series_from([1e-3, 1.0]), min_constant=1e-2)
+            hl.formal_log(series_from([1e-301, 1.0]))
 
 
 class TestFormalLog:
@@ -347,6 +347,13 @@ class TestSerialization:
         del lines[3]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="expected index 2"):
+            hl.series.read_csv(path)
+
+    @pytest.mark.parametrize("row", ["0,1.0", "0,1.0,0,7"])
+    def test_csv_row_without_three_fields_rejected(self, tmp_path, row):
+        path = tmp_path / "series.csv"
+        path.write_text(f"index,re,im\n{row}\n")
+        with pytest.raises(ValueError, match="data row 1: expected 3 fields"):
             hl.series.read_csv(path)
 
     def test_json_dict_length_mismatch_rejected(self):

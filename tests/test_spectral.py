@@ -115,6 +115,10 @@ class TestDiskScan:
         with pytest.raises(IndexOutOfRange):
             hl.spectral_disk_scan(1, [0.5], 4)
 
+    def test_empty_radii_rejected(self):
+        with pytest.raises(IndexOutOfRange, match="radii"):
+            hl.spectral_disk_scan(2, [], 4)
+
 
 class TestBatchedScanOracle:
     """The batched scan against the per-point construction it replaces."""
