@@ -107,9 +107,9 @@ def _write_rows(path: Path, meta: list[str], header: list[str], columns) -> None
 def cmd_gen_hk(cfg: LabConfig, k: int, n_trunc: int, out: str | None) -> int:
     series = hk_closed_form(k, n_trunc)
     path = Path(out) if out else Path(cfg.output_dir) / f"hk_{k}_n{n_trunc}.csv"
-    columns = [("%d", np.arange(n_trunc + 1)), ("%.17g", series.coeffs.real)]
+    columns = [("%d", np.arange(n_trunc + 1)), ("%.17g", series.coeffs)]
     _write_rows(path, [f"command=gen-hk k={k} n={n_trunc}"], ["j", "value"], columns)
-    print(f"wrote {path} ({n_trunc + 1} coefficients, c_0 = {_fmt(series.coeffs[0].real)})")
+    print(f"wrote {path} ({n_trunc + 1} coefficients, c_0 = {_fmt(series.coeffs[0])})")
     return 0
 
 

@@ -90,20 +90,22 @@ class DistanceReport:
     the report is never made (:class:`ResidualMismatch`).
     ``condition_estimate`` is the diagonal ratio of the pivoted R factor,
     a cheap lower bound on the basis matrix's true condition number.
+    ``coefficients`` is the engine's read-only coefficient vector, float64
+    when the target and the basis are real and complex128 otherwise.
     Reports come from :func:`nested_distances` or its oracle
     :func:`distance_to_span`.
     """
 
     distance: float
-    coefficients: list[complex]
+    coefficients: np.ndarray
     residual_norm_check: float
     condition_estimate: float
 
     def to_json_dict(self) -> dict:
         return {
             "distance": self.distance,
-            "coefficients_re": [c.real for c in self.coefficients],
-            "coefficients_im": [c.imag for c in self.coefficients],
+            "coefficients_re": self.coefficients.real.tolist(),
+            "coefficients_im": self.coefficients.imag.tolist(),
             "residual_norm_check": self.residual_norm_check,
             "condition_estimate": self.condition_estimate,
         }
@@ -114,8 +116,8 @@ def distance_to_span(problem: SpanProblem) -> DistanceReport:
 
     The oracle of :func:`nested_distances`: solves min_c ||target - sum_i
     c_i basis_i|| over coefficients 0..n_trunc via pivoted Householder QR
-    and re-checks the residual summed by :func:`axpy`.  Real inputs take a
-    real arithmetic path (half the memory of the complex one).
+    and re-checks the residual summed by :func:`axpy`.  The matrix is real
+    when the target and every basis member are real, complex otherwise.
 
     Raises:
         DegenerateBasis: when the basis has more members than coefficients,
@@ -139,7 +141,7 @@ def distance_to_span(problem: SpanProblem) -> DistanceReport:
 
     residual = problem.target
     for c, b in zip(coeffs, problem.basis):
-        residual = axpy(-complex(c), b, residual)
+        residual = axpy(-c, b, residual)
     return _checked_report(distance, coeffs, norm(residual), np.linalg.norm(rhs), condition_estimate)
 
 
@@ -182,14 +184,12 @@ def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceRe
 
 
 def _augmented(problem: SpanProblem) -> np.ndarray:
-    """Column-major [b_1 .. b_m | target], real when every input is real."""
+    """Column-major [b_1 .. b_m | target], complex when any input is complex."""
     columns = problem.basis + [problem.target]
-    real = all(c.is_real() for c in columns)
-    aug = np.empty(
-        (problem.n_trunc + 1, len(columns)), dtype=float if real else complex, order="F"
-    )
+    dtype = complex if any(np.iscomplexobj(c.coeffs) for c in columns) else float
+    aug = np.empty((problem.n_trunc + 1, len(columns)), dtype=dtype, order="F")
     for i, c in enumerate(columns):
-        aug[:, i] = c.coeffs.real if real else c.coeffs
+        aug[:, i] = c.coeffs
     return aug
 
 
@@ -254,16 +254,17 @@ def _checked_report(
     target_norm: float,
     condition_estimate: float,
 ) -> DistanceReport:
-    """The report, once the residual re-check ``check`` agrees with ``distance``."""
+    """The report, once ``check`` agrees with ``distance``; ``coeffs`` is made read-only."""
     bound = RESIDUAL_AGREEMENT * max(1.0, target_norm)
     if not abs(distance - check) <= bound:
         raise ResidualMismatch(
             f"distance {distance:.17g} and residual re-check {check:.17g} "
             f"differ by {abs(distance - check):.3e} > {bound:.3e}"
         )
+    coeffs.setflags(write=False)
     return DistanceReport(
         distance=distance,
-        coefficients=[complex(c) for c in coeffs],
+        coefficients=coeffs,
         residual_norm_check=check,
         condition_estimate=condition_estimate,
     )

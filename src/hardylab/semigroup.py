@@ -83,7 +83,7 @@ def dilation(n: int, f: CoeffSeries) -> CoeffSeries:
     _check_index(n)
     if n == 1:
         return f
-    c = np.zeros(n * f.valid_degree + 1, dtype=np.complex128)
+    c = np.zeros(n * f.valid_degree + 1, dtype=f.coeffs.dtype)
     c[::n] = f.coeffs
     return CoeffSeries(c)
 
@@ -116,7 +116,7 @@ def kernel_vector(n: int, k: int) -> CoeffSeries:
     _check_index(n, lower=2)
     if k < 0:
         raise IndexOutOfRange(f"block index must be >= 0, got {k}")
-    c = np.zeros(n * k + n, dtype=np.complex128)
+    c = np.zeros(n * k + n)
     c[n * k : n * k + n - 1] = 1.0
     c[n * k + n - 1] = -(n - 1)
     return CoeffSeries(c)
@@ -134,7 +134,7 @@ def kernel_intersection_basis(k: int) -> list[CoeffSeries]:
         raise IndexOutOfRange(f"basis size must be >= 1, got {k}")
     out = []
     for j in range(1, k + 1):
-        c = np.zeros(k + 1, dtype=np.complex128)
+        c = np.zeros(k + 1)
         c[0] = 1.0
         c[j] = -1.0
         out.append(CoeffSeries(c))

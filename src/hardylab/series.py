@@ -7,7 +7,10 @@ nothing past it may be read.  Every operation below documents the valid
 degree of its output, which is the one piece of bookkeeping that keeps
 truncation errors out of the downstream operator identities.
 
-All scalars are complex double precision; real inputs are embedded.
+Coefficients are float64 for real (bool, int or float) input and
+complex128 for complex input, and operations keep real data real.  Values
+that can be complex stay complex: :func:`formal_log` (principal branch) and
+series read back from JSON or CSV, whose formats carry an imaginary part.
 Series values are immutable after construction and safe to share.
 """
 
@@ -64,19 +67,22 @@ _CSV_BLOCK_ROWS = 4096
 class CoeffSeries:
     """Coefficient vector c_0 .. c_N with N = ``valid_degree``.
 
-    Entry j is the coefficient of z^j.  All entries are finite complex
-    doubles and the backing array is read-only.
+    Entry j is the coefficient of z^j.  All entries are finite; the
+    backing array is a read-only float64 copy of real input and a
+    complex128 copy of complex input, and anything else is refused.
     """
 
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=np.complex128)
+        c = np.asarray(self.coeffs)
+        if c.dtype.kind not in "biufc":
+            raise ValueError(f"coefficients must be numeric, got dtype {c.dtype}")
+        c = np.array(c, dtype=np.complex128 if c.dtype.kind == "c" else np.float64)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d array")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -94,29 +100,32 @@ class CoeffSeries:
         head = np.array2string(self.coeffs[:4], precision=6, separator=", ")
         return f"CoeffSeries(valid_degree={self.valid_degree}, coeffs={head}...)"
 
-    def is_real(self) -> bool:
-        """True when every imaginary part is exactly zero."""
-        return not np.any(self.coeffs.imag)
-
 
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
 
 
+def _check_valid_degree(valid_degree: int) -> None:
+    if valid_degree < 0:
+        raise ValueError(f"valid degree must be >= 0, got {valid_degree}")
+
+
 def from_coeffs(values) -> CoeffSeries:
     """Series with the given coefficients; valid degree is len(values) - 1."""
-    return CoeffSeries(np.asarray(values, dtype=np.complex128))
+    return CoeffSeries(values)
 
 
 def zero(valid_degree: int = 0) -> CoeffSeries:
     """The zero series, exact through ``valid_degree``."""
-    return CoeffSeries(np.zeros(valid_degree + 1, dtype=np.complex128))
+    _check_valid_degree(valid_degree)
+    return CoeffSeries(np.zeros(valid_degree + 1))
 
 
 def one(valid_degree: int = 0) -> CoeffSeries:
     """The constant function 1, exact through ``valid_degree``."""
-    c = np.zeros(valid_degree + 1, dtype=np.complex128)
+    _check_valid_degree(valid_degree)
+    c = np.zeros(valid_degree + 1)
     c[0] = 1.0
     return CoeffSeries(c)
 
@@ -128,13 +137,14 @@ def monomial(degree: int, valid_degree: int | None = None) -> CoeffSeries:
     n = degree if valid_degree is None else valid_degree
     if n < degree:
         raise ValueError("valid_degree must cover the monomial degree")
-    c = np.zeros(n + 1, dtype=np.complex128)
+    c = np.zeros(n + 1)
     c[degree] = 1.0
     return CoeffSeries(c)
 
 
 def truncate(f: CoeffSeries, valid_degree: int) -> CoeffSeries:
     """Restrict ``f`` to degrees 0..valid_degree (must shrink or keep)."""
+    _check_valid_degree(valid_degree)
     if valid_degree > f.valid_degree:
         raise ValueError(
             f"cannot truncate to degree {valid_degree}: only {f.valid_degree} is valid"
@@ -150,7 +160,7 @@ def pad(f: CoeffSeries, valid_degree: int) -> CoeffSeries:
     """
     if valid_degree < f.valid_degree:
         raise ValueError("pad target below current valid degree; use truncate")
-    c = np.zeros(valid_degree + 1, dtype=np.complex128)
+    c = np.zeros(valid_degree + 1, dtype=f.coeffs.dtype)
     c[: len(f.coeffs)] = f.coeffs
     return CoeffSeries(c)
 
@@ -258,7 +268,7 @@ def cumsum(f: CoeffSeries) -> CoeffSeries:
 
 def shift_up(f: CoeffSeries) -> CoeffSeries:
     """Multiplication by z (the unilateral shift); valid degree grows by one."""
-    c = np.empty(len(f.coeffs) + 1, dtype=np.complex128)
+    c = np.empty(len(f.coeffs) + 1, dtype=f.coeffs.dtype)
     c[0] = 0.0
     c[1:] = f.coeffs
     return CoeffSeries(c)
@@ -286,8 +296,8 @@ def one_minus_shift(f: CoeffSeries) -> CoeffSeries:
 def to_json_dict(f: CoeffSeries) -> dict:
     return {
         "valid_degree": f.valid_degree,
-        "re": [float(x) for x in f.coeffs.real],
-        "im": [float(x) for x in f.coeffs.imag],
+        "re": f.coeffs.real.tolist(),
+        "im": f.coeffs.imag.tolist(),
     }
 
 
@@ -351,7 +361,7 @@ def read_csv(path) -> CoeffSeries:
     rows = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, [])
         if header[:1] != ["index"]:
             raise ValueError("expected header row starting with 'index'")
         for expected, row in enumerate(r):

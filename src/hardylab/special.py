@@ -51,7 +51,7 @@ def hk_matrix(k_max: int, n_trunc: int) -> np.ndarray:
     """Real (n_trunc + 1) x (k_max - 1) matrix whose column k - 2 is h_k, k = 2..k_max.
 
     Every column comes from one shared harmonic table and is bit-identical
-    to the real part of ``hk_closed_form(k, n_trunc).coeffs``.  The matrix
+    to ``hk_closed_form(k, n_trunc).coeffs``.  The matrix
     is allocated in Fortran (column-major) order and filled one column at a
     time, so each column and every leading block of columns is contiguous.
     """
@@ -89,7 +89,7 @@ def hk_oracle(k: int, n_trunc: int) -> CoeffSeries:
     :func:`hk_closed_form`; the two must agree to ~1e-12.
     """
     _check_hk_args(k, n_trunc)
-    p = np.zeros(n_trunc + 1, dtype=np.complex128)
+    p = np.zeros(n_trunc + 1)
     p[: min(k, n_trunc + 1)] = 1.0 / k
     return cumsum(formal_log(CoeffSeries(p)))
 

@@ -60,6 +60,11 @@ class EigenPair:
     tail_mass: float
 
 
+def _check_level(level: int) -> None:
+    if level < 1:
+        raise IndexOutOfRange(f"truncation level must be >= 1, got {level}")
+
+
 def _check_ball(n: int, lam: complex) -> None:
     if n < 2:
         raise IndexOutOfRange(f"adjoint eigenvectors exist for index >= 2, got {n}")
@@ -78,8 +83,7 @@ def adjoint_eigenvector(n: int, lam: complex, level: int) -> EigenPair:
     the adjoint's window is at machine-precision scale.
     """
     _check_ball(n, lam)
-    if level < 1:
-        raise IndexOutOfRange(f"truncation level must be >= 1, got {level}")
+    _check_level(level)
     lam = complex(lam)
     v = np.zeros(n**level, dtype=np.complex128)
     v[0] = 1.0
@@ -108,13 +112,16 @@ def eigenvector_norm_sq(n: int, lam: complex, level: int) -> float:
     ratios lose nothing to cancellation.
     """
     _check_ball(n, lam)
+    _check_level(level)
     q = abs(lam) ** 2 / n
     powers = q ** np.arange(level)
     return float(1.0 + abs(lam - 1) ** 2 / (n - 1) * powers.sum())
 
 
 def level_for_degree(n: int, min_degree_count: int = 4096) -> int:
-    """Smallest level L with n^L >= min_degree_count coefficients."""
+    """Smallest level L with n^L >= min_degree_count coefficients; needs n >= 2."""
+    if n < 2:
+        raise IndexOutOfRange(f"level_for_degree needs index >= 2, got {n}")
     level = 1
     while n**level < min_degree_count:
         level += 1

@@ -189,6 +189,25 @@ class TestNestedDistances:
         assert_matches_pivoted_oracle(reports, target, basis, n_trunc)
         assert any(c.imag != 0 for c in reports[-1].coefficients)
 
+    def test_real_basis_with_complex_target_matches_pivoted_oracle(self):
+        n_trunc = 200
+        basis = [hl.hk_closed_form(k, n_trunc) for k in range(2, 8)]
+        target = hl.from_coeffs(np.exp(0.4j) * hl.one(n_trunc).coeffs + 0.1j * basis[0].coeffs)
+        reports = hl.nested_distances(hl.SpanProblem(target, basis, n_trunc))
+        assert_matches_pivoted_oracle(reports, target, basis, n_trunc)
+        assert all(rep.coefficients.dtype == np.complex128 for rep in reports)
+
+    def test_real_problem_gives_read_only_real_coefficients(self):
+        for _, rep in hl.baez_duarte_sequence(6, 128):
+            assert rep.coefficients.dtype == np.float64
+            with pytest.raises(ValueError):
+                rep.coefficients[0] = 0.0
+        oracle = hl.distance_to_span(
+            hl.SpanProblem(hl.one(64), [hl.hk_closed_form(2, 64)], 64)
+        )
+        with pytest.raises(ValueError):
+            oracle.coefficients[0] = 0.0
+
     def test_duplicated_column_raises(self):
         n_trunc = 128
         h2, h3 = hl.hk_closed_form(2, n_trunc), hl.hk_closed_form(3, n_trunc)

@@ -52,6 +52,77 @@ class TestConstruction:
         with pytest.raises(ValueError):
             hl.pad(f, 1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f: hl.truncate(f, -5),
+            lambda f: hl.truncate(f, -1),
+            lambda f: hl.fit_degree(f, -3),
+            lambda f: hl.one(-1),
+            lambda f: hl.zero(-1),
+            lambda f: hl.zero(-3),
+        ],
+        ids=["truncate-5", "truncate-1", "fit_degree-3", "one-1", "zero-1", "zero-3"],
+    )
+    def test_negative_valid_degree_rejected(self, call):
+        with pytest.raises(ValueError, match="valid degree must be >= 0"):
+            call(series_from(np.arange(10.0)))
+
+
+REAL = [1.0, -2.0, 0.5, 3.0]
+COMPLEX = [1.0, -2.0j, 0.5 + 1j, 3.0]
+# Every constructor and transform that passes real data through; each
+# takes the input coefficients as a list.
+DTYPE_PRESERVING = {
+    "from_coeffs": hl.from_coeffs,
+    "pad": lambda c: hl.pad(hl.from_coeffs(c), 7),
+    "truncate": lambda c: hl.truncate(hl.from_coeffs(c), 2),
+    "shift_up": lambda c: hl.shift_up(hl.from_coeffs(c)),
+    "cumsum": lambda c: hl.cumsum(hl.from_coeffs(c)),
+    "weighted_dilation": lambda c: hl.weighted_dilation(3, hl.from_coeffs(c)),
+    "weighted_dilation_adjoint": lambda c: hl.weighted_dilation_adjoint(2, hl.from_coeffs(c)),
+    "dilation": lambda c: hl.dilation(3, hl.from_coeffs(c)),
+}
+REAL_ONLY = {
+    "one": lambda: hl.one(5),
+    "zero": lambda: hl.zero(5),
+    "monomial": lambda: hl.monomial(2, 5),
+    "kernel_vector": lambda: hl.kernel_vector(3, 2),
+    "hk_closed_form": lambda: hl.hk_closed_form(3, 50),
+}
+
+
+class TestDtypeRule:
+    @pytest.mark.parametrize("name", sorted(DTYPE_PRESERVING))
+    def test_real_stays_real_and_complex_stays_complex(self, name):
+        assert DTYPE_PRESERVING[name](REAL).coeffs.dtype == np.float64
+        assert DTYPE_PRESERVING[name](COMPLEX).coeffs.dtype == np.complex128
+
+    @pytest.mark.parametrize("name", sorted(REAL_ONLY))
+    def test_real_constructors_are_float64(self, name):
+        assert REAL_ONLY[name]().coeffs.dtype == np.float64
+
+    @pytest.mark.parametrize("values", [[True, False], [1, 2, 3], np.arange(3, dtype=np.float32)])
+    def test_bool_int_and_narrow_floats_widen_to_float64(self, values):
+        assert hl.from_coeffs(values).coeffs.dtype == np.float64
+
+    @pytest.mark.parametrize("values", [REAL, COMPLEX])
+    def test_formal_log_is_always_complex(self, values):
+        assert hl.formal_log(hl.from_coeffs(values)).coeffs.dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "values", [["1", "2"], np.array([1.0, None], dtype=object), [b"1"]]
+    )
+    def test_non_numeric_rejected(self, values):
+        with pytest.raises(ValueError, match="numeric"):
+            hl.from_coeffs(values)
+
+    def test_serialized_forms_read_back_complex(self, tmp_path):
+        f = hl.from_coeffs(REAL)
+        hl.series.write_csv(f, tmp_path / "f.csv")
+        assert hl.series.read_csv(tmp_path / "f.csv").coeffs.dtype == np.complex128
+        assert hl.series.loads(hl.series.dumps(f)).coeffs.dtype == np.complex128
+
 
 class TestInnerAndNorm:
     def test_inner_one_plus_z_one_minus_z(self):
@@ -347,6 +418,12 @@ class TestSerialization:
         del lines[3]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="expected index 2"):
+            hl.series.read_csv(path)
+
+    def test_csv_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="expected header row"):
             hl.series.read_csv(path)
 
     @pytest.mark.parametrize("row", ["0,1.0", "0,1.0,0,7"])

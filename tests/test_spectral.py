@@ -90,6 +90,12 @@ class TestNormClosedForm:
         smaller = hl.norm(hl.adjoint_eigenvector(2, 0.5 * np.sqrt(2), 12).vector)
         assert hl.norm(pair.vector) > smaller
 
+    @pytest.mark.parametrize("level", [0, -1])
+    def test_level_below_one_rejected(self, level):
+        # the same level gate as adjoint_eigenvector
+        with pytest.raises(IndexOutOfRange, match="truncation level"):
+            hl.eigenvector_norm_sq(2, 0.5, level)
+
 
 class TestLevelForDegree:
     def test_powers(self):
@@ -97,6 +103,12 @@ class TestLevelForDegree:
         assert hl.level_for_degree(3, 4096) == 8
         assert hl.level_for_degree(70, 4096) == 2
         assert hl.level_for_degree(5000, 4096) == 1
+
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    def test_index_below_two_rejected(self, n):
+        # n^L never reaches the count for n < 2, so this must raise, not loop
+        with pytest.raises(IndexOutOfRange):
+            hl.level_for_degree(n, 4096)
 
 
 class TestDiskScan:
