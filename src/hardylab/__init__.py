@@ -65,7 +65,6 @@ from .special import (
     truncation_certificate,
 )
 from .spectral import (
-    DiskScanPoint,
     DiskScanReport,
     EigenPair,
     adjoint_eigenvector,
@@ -80,7 +79,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoeffSeries",
     "DegenerateBasis",
-    "DiskScanPoint",
     "DiskScanReport",
     "DistanceReport",
     "EigenPair",

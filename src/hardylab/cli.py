@@ -175,12 +175,11 @@ def cmd_spectrum(cfg: LabConfig, n: int, r_steps: int, theta_steps: int,
     radii = np.linspace(0.0, 0.95, r_steps)
     report = spectral_disk_scan(n, radii, theta_steps, min_degree_count)
     path = Path(out) if out else Path(cfg.output_dir) / f"spectrum_n{n}.csv"
-    lam = np.array([p.lam for p in report.points], dtype=np.complex128)
     columns = [
-        ("%.17g", lam.real),
-        ("%.17g", lam.imag),
-        ("%.17g", [p.residual for p in report.points]),
-        ("%.17g", [p.vector_norm for p in report.points]),
+        ("%.17g", report.lam.real),
+        ("%.17g", report.lam.imag),
+        ("%.17g", report.residual),
+        ("%.17g", report.vector_norm),
     ]
     _write_rows(
         path,
@@ -188,7 +187,7 @@ def cmd_spectrum(cfg: LabConfig, n: int, r_steps: int, theta_steps: int,
         ["re_lambda", "im_lambda", "residual", "vector_norm"],
         columns,
     )
-    print(f"wrote {path} ({len(report.points)} grid points, level {report.level})")
+    print(f"wrote {path} ({len(report.lam)} grid points, level {report.level})")
     print(f"max residual = {_fmt(report.max_residual)}")
     print(f"max norm mismatch vs closed form = {_fmt(report.max_norm_mismatch)}")
     if not report.all_norms_finite or report.max_residual > cfg.tolerance:

@@ -302,6 +302,11 @@ def to_json_dict(f: CoeffSeries) -> dict:
 
 
 def from_json_dict(d: dict) -> CoeffSeries:
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+    missing = [key for key in ("valid_degree", "re", "im") if key not in d]
+    if missing:
+        raise ValueError(f"JSON object lacks {', '.join(missing)}")
     n = int(d["valid_degree"])
     re = np.asarray(d["re"], dtype=np.float64)
     im = np.asarray(d["im"], dtype=np.float64)

@@ -8,11 +8,11 @@ ends on a power of n, which is why truncation levels are specified as the
 exponent L (series built through degree n^L - 1): a ragged cut would break
 the outermost block identity.
 
-:func:`spectral_disk_scan` builds its eigenvectors in batches: rows of one
-complex array, in blocks of at most 1 MiB, with the adjoint block sums of a
-whole block taken as the sum of n strided slices.  The per-point functions
-:func:`adjoint_eigenvector` and :func:`~hardylab.semigroup.weighted_dilation_adjoint`
-are kept as its independent oracle.
+One builder, ``_eigen_rows``, makes these vectors as rows of a complex
+array.  :func:`spectral_disk_scan` calls it per row block of at most 1 MiB
+and returns a columnar :class:`DiskScanReport`.  Its oracle
+:func:`adjoint_eigenvector` takes one row but keeps its own adjoint
+(:func:`~hardylab.semigroup.weighted_dilation_adjoint`) and its own norms.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "adjoint_eigenvector",
     "eigenvector_norm_sq",
     "level_for_degree",
-    "DiskScanPoint",
     "DiskScanReport",
     "spectral_disk_scan",
     "shift_decay",
@@ -68,10 +67,28 @@ def _check_level(level: int) -> None:
 def _check_ball(n: int, lam: complex) -> None:
     if n < 2:
         raise IndexOutOfRange(f"adjoint eigenvectors exist for index >= 2, got {n}")
-    if abs(lam) >= np.sqrt(n):
+    if not abs(lam) < np.sqrt(n):
         raise OutsideSpectralBall(
             f"|lam| = {abs(lam):.6g} is not inside the open ball of radius sqrt({n})"
         )
+
+
+def _eigen_rows(n: int, lams, level: int) -> np.ndarray:
+    """The eigenvectors at ``lams`` as the rows of a complex (len(lams), n^level) array."""
+    for lam in lams:
+        _check_ball(n, lam)
+    _check_level(level)
+    bands = np.empty((len(lams), level), dtype=np.complex128)
+    for i, lam in enumerate(map(complex, lams)):
+        band_value = (lam - 1) / (n - 1)
+        for ell in range(level):
+            bands[i, ell] = band_value
+            band_value *= lam / n
+    rows = np.empty((len(lams), n**level), dtype=np.complex128)
+    rows[:, 0] = 1.0
+    for ell in range(level):
+        rows[:, n**ell : n ** (ell + 1)] = bands[:, ell : ell + 1]
+    return rows
 
 
 def adjoint_eigenvector(n: int, lam: complex, level: int) -> EigenPair:
@@ -82,20 +99,13 @@ def adjoint_eigenvector(n: int, lam: complex, level: int) -> EigenPair:
     sums to lam times the coefficient it reports to, so the residual over
     the adjoint's window is at machine-precision scale.
     """
-    _check_ball(n, lam)
-    _check_level(level)
+    v = _eigen_rows(n, [lam], level)[0]
     lam = complex(lam)
-    v = np.zeros(n**level, dtype=np.complex128)
-    v[0] = 1.0
-    band_value = (lam - 1) / (n - 1)
-    for ell in range(level):
-        v[n**ell : n ** (ell + 1)] = band_value
-        band_value *= lam / n
     vec = CoeffSeries(v)
     adj = weighted_dilation_adjoint(n, vec)
     window = n ** (level - 1)
     residual = float(np.linalg.norm(adj.coeffs - lam * v[:window]))
-    tail_mass = float(np.linalg.norm(v[n ** (level - 1) :]))
+    tail_mass = float(np.linalg.norm(v[window:]))
     return EigenPair(n=n, lam=lam, level=level, vector=vec, residual=residual, tail_mass=tail_mass)
 
 
@@ -129,36 +139,34 @@ def level_for_degree(n: int, min_degree_count: int = 4096) -> int:
 
 
 @dataclass(frozen=True)
-class DiskScanPoint:
-    lam: complex
-    residual: float
-    vector_norm: float
-    norm_closed_form: float
-
-
-@dataclass(frozen=True)
 class DiskScanReport:
-    """Residuals and norm diagnostics for a polar grid inside the spectral ball."""
+    """Residuals and norm diagnostics for a polar grid inside the spectral ball.
+
+    ``lam``, ``residual``, ``vector_norm`` and ``norm_closed_form`` are 1-d
+    arrays with one entry per grid point, in grid order.
+    """
 
     n: int
     level: int
-    points: list[DiskScanPoint]
+    lam: np.ndarray
+    residual: np.ndarray
+    vector_norm: np.ndarray
+    norm_closed_form: np.ndarray
 
     @property
     def max_residual(self) -> float:
-        return max(p.residual for p in self.points)
+        return float(self.residual.max())
 
     @property
     def max_norm_mismatch(self) -> float:
         """Worst relative gap between summed and closed-form squared norms."""
-        return max(
-            abs(p.vector_norm**2 - p.norm_closed_form**2) / p.norm_closed_form**2
-            for p in self.points
-        )
+        # Python-float powers: numpy's squares differ in the last bit at some points
+        pairs = zip(self.vector_norm.tolist(), self.norm_closed_form.tolist())
+        return max(abs(v**2 - c**2) / c**2 for v, c in pairs)
 
     @property
     def all_norms_finite(self) -> bool:
-        return all(np.isfinite(p.vector_norm) for p in self.points)
+        return bool(np.isfinite(self.vector_norm).all())
 
 
 def spectral_disk_scan(
@@ -175,12 +183,14 @@ def spectral_disk_scan(
     carries at least ``min_degree_count`` coefficients.
 
     The grid is walked in blocks of rows, each block a complex
-    (rows x n^level) array of at most 1 MiB.  Every row is filled exactly as
-    :func:`adjoint_eigenvector` fills its vector, the adjoint block sums of
-    the whole block are the sum of the n strided slices ``block[:, j::n]``,
-    and each point's residual and norm are its own ``np.linalg.norm`` calls,
-    so the points equal the per-point construction (bit for bit for n <= 3;
-    for larger n the block sums may differ in summation order).
+    (rows x n^level) array of at most 1 MiB from one ``_eigen_rows`` call.
+    The adjoint block sums of the whole block are the sum of the n strided
+    slices ``block[:, j::n]``, and each point's residual and vector norm are
+    their own ``np.linalg.norm`` calls on its row, so the report columns
+    equal the per-point :func:`adjoint_eigenvector` construction (bit for
+    bit for n <= 3; for larger n the block sums may differ in summation
+    order).  ``norm_closed_form`` is :func:`eigenvector_norm_sq` at each
+    point.
     """
     if n < 2:
         raise IndexOutOfRange(f"spectral scan needs index >= 2, got {n}")
@@ -194,45 +204,28 @@ def spectral_disk_scan(
             raise OutsideSpectralBall(f"relative radius {r} is outside [0, 1)")
     level = level_for_degree(n, min_degree_count)
     sqrt_n = float(np.sqrt(n))
-    lams = [
+    lams = np.array([
         r * sqrt_n * np.exp(2j * np.pi * t / angles_count)
         for r in radii
         for t in range(angles_count)
-    ]
+    ])
 
     width = n**level
     window = n ** (level - 1)
     rows_per_block = max(1, _BLOCK_BYTES // (16 * width))
-    points = []
+    residual, vector_norm = [], []
     for start in range(0, len(lams), rows_per_block):
         chunk = lams[start : start + rows_per_block]
-        bands = np.empty((len(chunk), level), dtype=np.complex128)
-        for i, lam in enumerate(chunk):
-            _check_ball(n, lam)
-            lam = complex(lam)
-            band_value = (lam - 1) / (n - 1)
-            for ell in range(level):
-                bands[i, ell] = band_value
-                band_value *= lam / n
-        block = np.empty((len(chunk), width), dtype=np.complex128)
-        block[:, 0] = 1.0
-        for ell in range(level):
-            block[:, n**ell : n ** (ell + 1)] = bands[:, ell : ell + 1]
+        block = _eigen_rows(n, chunk, level)
         # adjoint block sums, one strided slice per position inside a block
         adj = block[:, 0:width:n].copy()
         for j in range(1, n):
             adj += block[:, j:width:n]
-        adj -= np.array(chunk)[:, None] * block[:, :window]  # now the residual vectors
-        points.extend(
-            DiskScanPoint(
-                lam=lam,
-                residual=float(np.linalg.norm(adj[i])),
-                vector_norm=float(np.linalg.norm(block[i])),
-                norm_closed_form=float(np.sqrt(eigenvector_norm_sq(n, lam, level))),
-            )
-            for i, lam in enumerate(chunk)
-        )
-    return DiskScanReport(n=n, level=level, points=points)
+        adj -= chunk[:, None] * block[:, :window]  # now the residual vectors
+        residual += map(np.linalg.norm, adj)
+        vector_norm += map(np.linalg.norm, block)
+    closed = np.sqrt([eigenvector_norm_sq(n, lam, level) for lam in lams])
+    return DiskScanReport(n, level, lams, np.array(residual), np.array(vector_norm), closed)
 
 
 def shift_decay(n: int, f: CoeffSeries, m_max: int) -> list[float]:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -62,8 +63,8 @@ class TestBlockWriter:
                     "--out", str(out)]) == 0
         report = hl.spectral_disk_scan(5, np.linspace(0.0, 0.95, 3), 5, 4096)
         rows = (
-            [_fmt(p.lam.real), _fmt(p.lam.imag), _fmt(p.residual), _fmt(p.vector_norm)]
-            for p in report.points
+            [_fmt(lam.real), _fmt(lam.imag), _fmt(res), _fmt(vn)]
+            for lam, res, vn in zip(report.lam, report.residual, report.vector_norm)
         )
         reference_write_rows(
             ref,
@@ -225,18 +226,22 @@ class TestSpectrum:
         def per_point_scan(n, radii, angles_count, min_degree_count=4096):
             level = hl.level_for_degree(n, min_degree_count)
             sqrt_n = float(np.sqrt(n))
-            points = []
-            for r in radii:
-                for t in range(angles_count):
-                    lam = float(r) * sqrt_n * np.exp(2j * np.pi * t / angles_count)
-                    pair = hl.adjoint_eigenvector(n, lam, level)
-                    points.append(hl.DiskScanPoint(
-                        lam=lam,
-                        residual=pair.residual,
-                        vector_norm=hl.norm(pair.vector),
-                        norm_closed_form=float(np.sqrt(hl.eigenvector_norm_sq(n, lam, level))),
-                    ))
-            return hl.DiskScanReport(n=n, level=level, points=points)
+            lams = np.array([
+                float(r) * sqrt_n * np.exp(2j * np.pi * t / angles_count)
+                for r in radii
+                for t in range(angles_count)
+            ])
+            pairs = [hl.adjoint_eigenvector(n, lam, level) for lam in lams]
+            return hl.DiskScanReport(
+                n=n,
+                level=level,
+                lam=lams,
+                residual=np.array([pair.residual for pair in pairs]),
+                vector_norm=np.array([hl.norm(pair.vector) for pair in pairs]),
+                norm_closed_form=np.sqrt(
+                    [hl.eigenvector_norm_sq(n, lam, level) for lam in lams]
+                ),
+            )
 
         argv = ["spectrum", "--n", "3", "--r-steps", "3", "--theta-steps", "5", "--out"]
         batched = tmp_path / "batched.csv"
@@ -247,6 +252,28 @@ class TestSpectrum:
         a, b = batched.read_text().splitlines(), oracle.read_text().splitlines()
         assert a[0].startswith("# generated=") and b[0].startswith("# generated=")
         assert a[1:] == b[1:]
+
+    def test_residual_above_tolerance_fails_but_writes_csv(self, tmp_path, capsys):
+        out = tmp_path / "spec.csv"
+        assert run(["--tolerance", "1e-300", "spectrum", "--n", "2", "--out", str(out)]) == 1
+        assert "FAIL: max residual above tolerance" in capsys.readouterr().err
+        assert len(data_lines(out)) == 1 + 5 * 8
+
+    def test_non_finite_vector_norm_fails(self, tmp_path, monkeypatch, capsys):
+        scan = hl.spectral_disk_scan
+
+        def overflowing_scan(*args, **kwargs):
+            report = scan(*args, **kwargs)
+            vector_norm = report.vector_norm.copy()
+            vector_norm[-1] = np.inf
+            return dataclasses.replace(report, vector_norm=vector_norm)
+
+        monkeypatch.setattr("hardylab.cli.spectral_disk_scan", overflowing_scan)
+        out = tmp_path / "spec.csv"
+        assert run(["spectrum", "--n", "2", "--r-steps", "2", "--theta-steps", "3",
+                    "--out", str(out)]) == 1
+        assert "FAIL" in capsys.readouterr().err
+        assert data_lines(out)[-1].endswith(",inf")
 
     @pytest.mark.parametrize("source, level", [("default", 8), ("flag", 5), ("config", 5)])
     def test_truncation_sets_level(self, tmp_path, source, level):

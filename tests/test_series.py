@@ -436,3 +436,12 @@ class TestSerialization:
     def test_json_dict_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             hl.series.from_json_dict({"valid_degree": 2, "re": [1.0], "im": [0.0]})
+
+    @pytest.mark.parametrize(
+        "text, missing",
+        [("{}", "valid_degree, re, im"), ("[]", "JSON object")],
+        ids=["empty-object", "array"],
+    )
+    def test_json_without_fields_rejected(self, text, missing):
+        with pytest.raises(ValueError, match=missing):
+            hl.series.loads(text)

@@ -49,6 +49,15 @@ class TestEigenvectorConstruction:
         with pytest.raises(OutsideSpectralBall):
             hl.adjoint_eigenvector(3, 2.0, 3)
 
+    @pytest.mark.parametrize("lam", [np.nan, complex(0, np.nan)])
+    def test_nan_eigenvalue_rejected(self, lam):
+        with pytest.raises(OutsideSpectralBall):
+            hl.adjoint_eigenvector(2, lam, 3)
+        with pytest.raises(OutsideSpectralBall):
+            hl.eigenvector_norm_sq(2, lam, 3)
+        with pytest.raises(OutsideSpectralBall):
+            spectral._eigen_rows(2, [0.5, lam], 3)
+
     def test_bad_index_or_level(self):
         with pytest.raises(IndexOutOfRange):
             hl.adjoint_eigenvector(1, 0.0, 3)
@@ -114,7 +123,8 @@ class TestLevelForDegree:
 class TestDiskScan:
     def test_small_grid_residuals(self):
         report = hl.spectral_disk_scan(2, [0.0, 0.5, 0.9], 8)
-        assert len(report.points) == 24
+        assert report.lam.shape == report.residual.shape == (24,)
+        assert report.vector_norm.shape == report.norm_closed_form.shape == (24,)
         assert report.max_residual <= 1e-10
         assert report.all_norms_finite
         assert report.max_norm_mismatch <= 1e-12
@@ -146,18 +156,18 @@ class TestBatchedScanOracle:
         expected_lams = [
             r * sqrt_n * np.exp(2j * np.pi * t / angles) for r in radii for t in range(angles)
         ]
-        assert [p.lam for p in report.points] == expected_lams
-        for p in report.points:
-            pair = hl.adjoint_eigenvector(n, p.lam, level)
-            assert p.vector_norm == hl.norm(pair.vector)
-            assert p.norm_closed_form == float(
-                np.sqrt(hl.eigenvector_norm_sq(n, p.lam, level))
+        assert report.lam.tolist() == expected_lams
+        for i, lam in enumerate(report.lam):
+            pair = hl.adjoint_eigenvector(n, lam, level)
+            assert report.vector_norm[i] == hl.norm(pair.vector)
+            assert report.norm_closed_form[i] == float(
+                np.sqrt(hl.eigenvector_norm_sq(n, lam, level))
             )
             if n <= 3:
-                assert p.residual == pair.residual
+                assert report.residual[i] == pair.residual
             else:
                 # only the summation order of the block sums differs
-                assert abs(p.residual - pair.residual) <= 1e-15 * p.vector_norm
+                assert abs(report.residual[i] - pair.residual) <= 1e-15 * report.vector_norm[i]
 
 
 class TestShiftDecay:
