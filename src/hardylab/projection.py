@@ -13,14 +13,17 @@ like any family of nested spans, come from one engine: one QR of the
 augmented matrix [b_1 .. b_m | target], built once in column-major order
 with the basis and the target as views of it.  The distance to
 span{b_1..b_j} is the norm of R's last column below row j (Golub & Van
-Loan, Matrix Computations, sec. 5.3).  The residual norms of all m
-prefixes are then re-checked in one pass over row blocks of the basis,
-from the coefficients and the basis alone, never from Q or R.  Pivoted QR
-(:func:`distance_to_span`) is kept only as the oracle of that engine.
-Every report carries the optimal coefficients, an independently recomputed
-residual norm (enforced to agree with the distance), and a conditioning
-estimate so a genuine distance plateau can be told apart from numerical
-rank collapse.
+Loan, Matrix Computations, sec. 5.3).  The same R serves every prefix:
+the leading blocks of R^-1 are the inverses of the leading blocks of R,
+so one triangular inversion gives the coefficients of all m prefixes and
+the exact 1-norm condition number of every R[:j,:j], with no per-prefix
+factorization.  The residual norms of all m prefixes are then re-checked
+in one pass over row blocks of the basis, from the coefficients and the
+basis alone, never from Q or R.  Pivoted QR (:func:`distance_to_span`) is
+kept only as the oracle of that engine.  Every report carries the optimal
+coefficients, an independently recomputed residual norm (enforced to agree
+with the distance), and a condition figure so a genuine distance plateau
+can be told apart from numerical rank collapse.
 """
 
 from __future__ import annotations
@@ -88,8 +91,12 @@ class DistanceReport:
     ``residual_norm_check`` recomputes it from the coefficients by direct
     arithmetic on the basis and agrees to 1e-10 * max(1, ||target||), or
     the report is never made (:class:`ResidualMismatch`).
-    ``condition_estimate`` is the diagonal ratio of the pivoted R factor,
-    a cheap lower bound on the basis matrix's true condition number.
+    ``condition_estimate`` is, in the reports of :func:`nested_distances`,
+    the exact 1-norm condition number of the basis' triangular factor,
+    which lies within a factor j (the number of basis members) of the
+    2-norm condition number of the basis; in the reports of the oracle
+    :func:`distance_to_span` it is the diagonal ratio of the pivoted R
+    factor, a cheap lower bound on the 2-norm condition number.
     ``coefficients`` is the engine's read-only coefficient vector, float64
     when the target and the basis are real and complex128 otherwise.
     Reports come from :func:`nested_distances` or its oracle
@@ -148,19 +155,21 @@ def distance_to_span(problem: SpanProblem) -> DistanceReport:
 def nested_distances(problem: SpanProblem) -> list[DistanceReport]:
     """One report per prefix ``basis[:j]``, j = 1..len(basis), from one QR.
 
-    Each report agrees with ``distance_to_span`` on the same prefix: the
-    distance through R of the augmented matrix, the coefficients by
-    back-substitution in R's leading block, and the rank gate and condition
-    estimate from a pivoted QR of that j x j block, which has the same
-    pivoted diagonal as the N x j basis (they differ by an orthogonal
-    factor).  The residual norms of every prefix are re-checked together,
-    as ``target - basis @ C`` over row blocks of the basis, where column
+    Each report agrees with ``distance_to_span`` on the same prefix in its
+    distance and coefficients: the distance through R of the augmented
+    matrix, and the coefficients ``R[:j,:j]^-1 R[:j,m]`` from one inverse
+    of R's leading m x m block.  The condition estimate of prefix j is the
+    exact 1-norm condition number of ``R[:j,:j]``, which is nondecreasing
+    in j, so the rank gate runs once, on the whole basis.  The residual
+    norms of every prefix are re-checked together, as
+    ``target - basis @ C`` over row blocks of the basis, where column
     j - 1 of the upper-triangular m x m matrix C holds the coefficients of
     prefix j.  This is the laboratory's one least-squares engine.
 
     Raises:
-        DegenerateBasis: at the first prefix whose pivoted diagonal decays
-            below RANK_TOLERANCE relative to its largest entry.
+        DegenerateBasis: when R has an exact zero on its diagonal (a zero
+            member, or more members than coefficients), or when the
+            reciprocal condition of the whole basis is below RANK_TOLERANCE.
         ResidualMismatch: when a residual re-check disagrees with its
             distance.
     """
@@ -209,19 +218,31 @@ def _nested_reports(aug: np.ndarray) -> list[DistanceReport]:
     rows, m = aug.shape[0], aug.shape[1] - 1
     a, rhs = aug[:, :m], aug[:, m]
     (r_aug,) = scipy.linalg.qr(aug, mode="r")
-    # With fewer than m + 1 rows, R is padded with zero rows, so every
-    # prefix longer than the row count fails the rank gate.
+    # With fewer than m + 1 rows, R is padded with zero rows, so its
+    # diagonal holds zeros and the rank gate refuses it.
     r = np.zeros((m + 1, m + 1), dtype=r_aug.dtype)
     r[: min(rows, m + 1)] = r_aug[: m + 1]
     distances = np.sqrt(np.cumsum(np.abs(r[::-1, m]) ** 2))[::-1]
 
-    coeffs = np.zeros((m, m), dtype=r.dtype)
-    condition_estimates = []
-    for j in range(1, m + 1):
-        block = r[:j, :j]
-        pivoted_r, _ = scipy.linalg.qr(block, mode="r", pivoting=True)
-        condition_estimates.append(_condition_estimate(pivoted_r))
-        coeffs[:j, j - 1] = scipy.linalg.solve_triangular(block, r[:j, m])
+    block = r[:m, :m]
+    if not np.all(np.diag(block)):
+        raise DegenerateBasis("basis is rank deficient: R has an exact zero on its diagonal")
+    # The leading blocks of R^-1 are the inverses of the leading blocks of
+    # R, and both are upper triangular, so column sums over the first j
+    # columns give the 1-norms of every R[:j,:j] and its inverse at once.
+    rinv = scipy.linalg.solve_triangular(block, np.eye(m))
+    condition = (np.maximum.accumulate(np.abs(block).sum(axis=0))
+                 * np.maximum.accumulate(np.abs(rinv).sum(axis=0)))
+    # The figure is nondecreasing in j: if any prefix fails the gate, the
+    # whole basis does.
+    if not condition[-1] * RANK_TOLERANCE <= 1.0:
+        raise DegenerateBasis(
+            f"basis is numerically rank deficient: reciprocal condition "
+            f"{1.0 / condition[-1]:.3e} below {RANK_TOLERANCE:.0e}"
+        )
+    # Column j - 1 is R[:j,:j]^-1 R[:j,m]: the first j columns of R^-1,
+    # weighted by R[:j,m] and summed.
+    coeffs = np.cumsum(rinv * r[:m, m], axis=1)
     checks = _residual_norms(a, rhs, coeffs)
 
     target_norm = np.linalg.norm(rhs)
@@ -231,7 +252,7 @@ def _nested_reports(aug: np.ndarray) -> list[DistanceReport]:
             coeffs[:j, j - 1],
             float(checks[j - 1]),
             target_norm,
-            condition_estimates[j - 1],
+            float(condition[j - 1]),
         )
         for j in range(1, m + 1)
     ]
@@ -300,7 +321,7 @@ def cyclicity_scan(
     The basis is the orbit [weighted_dilation(n, f) for n = 1..n_max],
     refitted to the common truncation degree.  Padding the orbit members
     is exact when f is a polynomial, the intended use.  Each report is the
-    last of :func:`nested_distances`, so every orbit prefix passes its rank
+    last of :func:`nested_distances`, so the whole orbit passes its rank
     gate or :class:`DegenerateBasis` is raised.
     """
     if n_max < 2:

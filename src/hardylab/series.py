@@ -8,16 +8,14 @@ degree of its output, which is the one piece of bookkeeping that keeps
 truncation errors out of the downstream operator identities.
 
 Coefficients are float64 for real (bool, int or float) input and
-complex128 for complex input, and operations keep real data real.  Values
-that can be complex stay complex: :func:`formal_log` (principal branch) and
-series read back from JSON or CSV, whose formats carry an imaginary part.
-Series values are immutable after construction and safe to share.
+complex128 for complex input, and operations keep real data real.  Only
+:func:`formal_log`, whose value can be complex (principal branch), always
+returns complex coefficients.  Series values are immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,13 +40,7 @@ __all__ = [
     "cumsum",
     "shift_up",
     "one_minus_shift",
-    "to_json_dict",
-    "from_json_dict",
-    "dumps",
-    "loads",
     "write_columns",
-    "write_csv",
-    "read_csv",
 ]
 
 # Degrees solved per triangular block in formal_log; its complex block
@@ -287,43 +279,11 @@ def one_minus_shift(f: CoeffSeries) -> CoeffSeries:
 
 
 # ---------------------------------------------------------------------------
-# serialization: JSON object {"valid_degree": N, "re": [...], "im": [...]}
-# and CSV rows (index, re, im).  Floats carry 17 significant digits so the
-# textual forms round-trip exactly in double precision.
+# CSV output
 # ---------------------------------------------------------------------------
 
 
-def to_json_dict(f: CoeffSeries) -> dict:
-    return {
-        "valid_degree": f.valid_degree,
-        "re": f.coeffs.real.tolist(),
-        "im": f.coeffs.imag.tolist(),
-    }
-
-
-def from_json_dict(d: dict) -> CoeffSeries:
-    if not isinstance(d, dict):
-        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
-    missing = [key for key in ("valid_degree", "re", "im") if key not in d]
-    if missing:
-        raise ValueError(f"JSON object lacks {', '.join(missing)}")
-    n = int(d["valid_degree"])
-    re = np.asarray(d["re"], dtype=np.float64)
-    im = np.asarray(d["im"], dtype=np.float64)
-    if len(re) != n + 1 or len(im) != n + 1:
-        raise ValueError("coefficient arrays must have length valid_degree + 1")
-    return CoeffSeries(re + 1j * im)
-
-
-def dumps(f: CoeffSeries) -> str:
-    return json.dumps(to_json_dict(f))
-
-
-def loads(s: str) -> CoeffSeries:
-    return from_json_dict(json.loads(s))
-
-
-def write_columns(fh, columns, line_end: str = "\n") -> None:
+def write_columns(fh, columns) -> None:
     """Write equal-length ``columns`` to ``fh`` as comma-separated rows.
 
     ``columns`` is a list of ``(fmt, values)`` pairs: ``"%d"`` for integer
@@ -332,7 +292,7 @@ def write_columns(fh, columns, line_end: str = "\n") -> None:
     is formatted by one ``%`` call on a flat tuple and sent in one write.
     """
     ncols = len(columns)
-    row_fmt = ",".join(fmt for fmt, _ in columns) + line_end
+    row_fmt = ",".join(fmt for fmt, _ in columns) + "\n"
     values = [np.asarray(v) for _, v in columns]
     nrows = len(values[0])
     for start in range(0, nrows, _CSV_BLOCK_ROWS):
@@ -342,39 +302,3 @@ def write_columns(fh, columns, line_end: str = "\n") -> None:
         for i, col in enumerate(block):
             flat[i::ncols] = col
         fh.write(row_fmt * rows % tuple(flat))
-
-
-def write_csv(f: CoeffSeries, path) -> None:
-    """Write ``f`` as CSV rows ``index,re,im`` with CRLF line ends, as ``csv.writer`` does."""
-    with open(path, "w", newline="") as fh:
-        fh.write("index,re,im\r\n")
-        write_columns(
-            fh,
-            [("%d", np.arange(len(f.coeffs))), ("%.17g", f.coeffs.real),
-             ("%.17g", f.coeffs.imag)],
-            line_end="\r\n",
-        )
-
-
-def read_csv(path) -> CoeffSeries:
-    """Read a file written by :func:`write_csv`.
-
-    Raises ValueError unless every data row has the three fields index, re,
-    im and the indices read exactly 0, 1, ..., N in order, so a malformed,
-    shuffled or gapped file is never loaded as a wrong series.
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, [])
-        if header[:1] != ["index"]:
-            raise ValueError("expected header row starting with 'index'")
-        for expected, row in enumerate(r):
-            if len(row) != 3:
-                raise ValueError(f"data row {expected + 1}: expected 3 fields, got {len(row)}")
-            if row[0] != str(expected):
-                raise ValueError(
-                    f"data row {expected + 1}: expected index {expected}, got {row[0]!r}"
-                )
-            rows.append(float(row[1]) + 1j * float(row[2]))
-    return CoeffSeries(np.asarray(rows, dtype=np.complex128))

@@ -151,12 +151,23 @@ class TestBaezDuarteSequence:
             hl.baez_duarte_sequence(1, 64)
 
 
+def basis_matrix(problem):
+    """The N x j matrix of the problem's refitted basis."""
+    return np.column_stack([b.coeffs for b in problem.basis])
+
+
 def assert_matches_oracle(rep, target, basis, n_trunc):
-    """The report agrees with distance_to_span on the same span."""
-    oracle = hl.distance_to_span(hl.SpanProblem(target, basis, n_trunc))
+    """The report agrees with distance_to_span on the same span.
+
+    The condition figure is the 1-norm condition number of the basis'
+    triangular factor, taken here from numpy's QR of the basis alone.
+    """
+    problem = hl.SpanProblem(target, basis, n_trunc)
+    oracle = hl.distance_to_span(problem)
     assert rep.distance == pytest.approx(oracle.distance, rel=1e-12)
     np.testing.assert_allclose(rep.coefficients, oracle.coefficients, rtol=0, atol=1e-10)
-    assert rep.condition_estimate == pytest.approx(oracle.condition_estimate, rel=1e-10)
+    r = np.linalg.qr(basis_matrix(problem), mode="r")
+    assert rep.condition_estimate == pytest.approx(np.linalg.cond(r, 1), rel=1e-10)
 
 
 def assert_matches_pivoted_oracle(reports, target, basis, n_trunc):
@@ -217,6 +228,51 @@ class TestNestedDistances:
     def test_more_columns_than_coefficients_raises(self):
         with pytest.raises(DegenerateBasis):
             hl.baez_duarte_sequence(10, 4)
+
+    def test_zero_member_mid_basis_raises(self):
+        n_trunc = 128
+        h2, h3 = hl.hk_closed_form(2, n_trunc), hl.hk_closed_form(3, n_trunc)
+        with pytest.raises(DegenerateBasis, match="zero on its diagonal"):
+            hl.nested_distances(hl.SpanProblem(hl.one(n_trunc), [h2, hl.zero(n_trunc), h3], n_trunc))
+
+    def test_repeated_member_fails_condition_gate(self):
+        n_trunc = 128
+        h2, h3 = hl.hk_closed_form(2, n_trunc), hl.hk_closed_form(3, n_trunc)
+        with pytest.raises(DegenerateBasis, match="reciprocal condition"):
+            hl.nested_distances(hl.SpanProblem(hl.one(n_trunc), [h2, h3, h2], n_trunc))
+
+
+class TestConditionFigure:
+    K_MAX, N_TRUNC = 50, 2**14
+
+    @pytest.fixture(scope="class")
+    def figures(self):
+        seq = hl.baez_duarte_sequence(self.K_MAX, self.N_TRUNC)
+        return np.array([rep.condition_estimate for _, rep in seq])
+
+    @pytest.fixture(scope="class")
+    def basis(self):
+        return basis_matrix(hl.SpanProblem(
+            hl.one(self.N_TRUNC),
+            [hl.hk_closed_form(k, self.N_TRUNC) for k in range(2, self.K_MAX + 1)],
+            self.N_TRUNC,
+        ))
+
+    def test_equals_one_norm_condition_of_each_leading_block(self, figures, basis):
+        r = np.linalg.qr(basis, mode="r")
+        exact = [np.linalg.cond(r[:j, :j], 1) for j in range(1, len(figures) + 1)]
+        np.testing.assert_allclose(figures, exact, rtol=1e-12, atol=0)
+
+    def test_within_factor_j_of_two_norm_condition(self, figures, basis):
+        # 1-norm and 2-norm of a j x j matrix differ by at most sqrt(j);
+        # at j = 1 the figure may sit an ulp below 1.
+        for j, figure in enumerate(figures, start=1):
+            cond_2 = np.linalg.cond(basis[:, :j])
+            assert cond_2 / j * (1 - 1e-12) <= figure <= j * cond_2 * (1 + 1e-12)
+
+    def test_nondecreasing_in_k(self, figures):
+        assert np.all(np.diff(figures) >= 0)
+        assert figures[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def assert_residual_checks_match_direct_norm(reports, target, basis):

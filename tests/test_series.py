@@ -1,5 +1,3 @@
-import csv
-import json
 import warnings
 
 import numpy as np
@@ -9,7 +7,7 @@ from hypothesis import strategies as st
 
 import hardylab as hl
 from hardylab.errors import NearZeroConstantTerm
-from hardylab.series import _CSV_BLOCK_ROWS, _LOG_BLOCK
+from hardylab.series import _LOG_BLOCK
 
 
 def series_from(re, im=None):
@@ -116,12 +114,6 @@ class TestDtypeRule:
     def test_non_numeric_rejected(self, values):
         with pytest.raises(ValueError, match="numeric"):
             hl.from_coeffs(values)
-
-    def test_serialized_forms_read_back_complex(self, tmp_path):
-        f = hl.from_coeffs(REAL)
-        hl.series.write_csv(f, tmp_path / "f.csv")
-        assert hl.series.read_csv(tmp_path / "f.csv").coeffs.dtype == np.complex128
-        assert hl.series.loads(hl.series.dumps(f)).coeffs.dtype == np.complex128
 
 
 class TestInnerAndNorm:
@@ -360,88 +352,3 @@ class TestCumsumAndShifts:
         # exact up to the rounding of neighboring partial sums
         assert np.max(np.abs(hl.one_minus_shift(hl.cumsum(f)).coeffs - f.coeffs)) <= 1e-12
         assert np.max(np.abs(hl.cumsum(hl.one_minus_shift(f)).coeffs - f.coeffs)) <= 1e-12
-
-
-class TestSerialization:
-    def test_json_round_trip_exact(self):
-        f = hl.from_coeffs(np.array([1 / 3, -np.pi, 1e-17]) + 1j * np.array([0.1, 2, -3]))
-        d = hl.series.to_json_dict(f)
-        assert d["valid_degree"] == 2
-        back = hl.series.from_json_dict(json.loads(json.dumps(d)))
-        assert np.array_equal(back.coeffs, f.coeffs)
-
-    def test_json_string_round_trip(self):
-        f = hl.hk_closed_form(3, 16)
-        assert np.array_equal(hl.series.loads(hl.series.dumps(f)).coeffs, f.coeffs)
-
-    def test_csv_round_trip_exact(self, tmp_path):
-        f = hl.from_coeffs(
-            np.array([1 / 3, -np.pi, 1e300]) + 1j * np.array([-1e-300, 0.0, 7.0])
-        )
-        path = tmp_path / "series.csv"
-        hl.series.write_csv(f, path)
-        back = hl.series.read_csv(path)
-        assert np.array_equal(back.coeffs, f.coeffs)
-
-    def test_csv_bytes_match_csv_writer_across_blocks(self, tmp_path):
-        rng = np.random.default_rng(5)
-        size = _CSV_BLOCK_ROWS + 905
-        f = hl.from_coeffs(
-            rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
-            + 1j * rng.standard_normal(size)
-        )
-        path = tmp_path / "series.csv"
-        ref = tmp_path / "reference.csv"
-        hl.series.write_csv(f, path)
-        with open(ref, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["index", "re", "im"])
-            for j, c in enumerate(f.coeffs):
-                w.writerow([j, format(c.real, ".17g"), format(c.imag, ".17g")])
-        assert path.read_bytes() == ref.read_bytes()
-        assert path.read_bytes().count(b"\r\n") == size + 1
-        assert np.array_equal(hl.series.read_csv(path).coeffs, f.coeffs)
-
-    def test_csv_swapped_rows_rejected(self, tmp_path):
-        path = tmp_path / "series.csv"
-        hl.series.write_csv(hl.from_coeffs(np.arange(4.0)), path)
-        lines = path.read_text().splitlines()
-        lines[2], lines[3] = lines[3], lines[2]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="expected index 1"):
-            hl.series.read_csv(path)
-
-    def test_csv_missing_row_rejected(self, tmp_path):
-        path = tmp_path / "series.csv"
-        hl.series.write_csv(hl.from_coeffs(np.arange(4.0)), path)
-        lines = path.read_text().splitlines()
-        del lines[3]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="expected index 2"):
-            hl.series.read_csv(path)
-
-    def test_csv_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "series.csv"
-        path.write_text("")
-        with pytest.raises(ValueError, match="expected header row"):
-            hl.series.read_csv(path)
-
-    @pytest.mark.parametrize("row", ["0,1.0", "0,1.0,0,7"])
-    def test_csv_row_without_three_fields_rejected(self, tmp_path, row):
-        path = tmp_path / "series.csv"
-        path.write_text(f"index,re,im\n{row}\n")
-        with pytest.raises(ValueError, match="data row 1: expected 3 fields"):
-            hl.series.read_csv(path)
-
-    def test_json_dict_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            hl.series.from_json_dict({"valid_degree": 2, "re": [1.0], "im": [0.0]})
-
-    @pytest.mark.parametrize(
-        "text, missing",
-        [("{}", "valid_degree, re, im"), ("[]", "JSON object")],
-        ids=["empty-object", "array"],
-    )
-    def test_json_without_fields_rejected(self, text, missing):
-        with pytest.raises(ValueError, match=missing):
-            hl.series.loads(text)
