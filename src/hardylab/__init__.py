@@ -25,7 +25,6 @@ from .projection import (
     SpanProblem,
     baez_duarte_sequence,
     cyclicity_scan,
-    difference_span_orthogonality,
     distance_to_span,
     nested_distances,
     non_cyclicity_witness,
@@ -96,7 +95,6 @@ __all__ = [
     "cauchy_product",
     "cumsum",
     "cyclicity_scan",
-    "difference_span_orthogonality",
     "dilation",
     "dirichlet_energy_at_one",
     "distance_to_span",

@@ -2,16 +2,19 @@
 
 This is the quantitative engine of the laboratory: distances from the
 constant 1 to growing spans of the h_k family (the Nyman-Beurling /
-Baez-Duarte style distance sequence in the disk model), orthogonality
-measurements for spans of h_k differences, and cyclicity experiments for
-the weighted dilation orbit of a given series.
+Baez-Duarte style distance sequence in the disk model) and cyclicity
+experiments for the weighted dilation orbit of a given series.
 
 Least squares is solved by Householder QR rather than Gram normal
 equations: adjacent h_k are nearly dependent and normal equations would
 square the condition number.  The d_K sequence and the cyclicity scans,
 like any family of nested spans, come from one engine: one QR of the
 augmented matrix [b_1 .. b_m | target], built once in column-major order
-with the basis and the target as views of it.  The distance to
+with the basis and the target as views of it.  That QR is LAPACK's
+recursive compact-WY Householder factorization ``?geqrt`` (Elmroth &
+Gustavson), which is level-3 BLAS throughout; ``?geqrf``, behind
+``scipy.linalg.qr``, falls back to the unblocked level-2 ``?geqr2`` below
+128 columns, sweeping all rows twice per column.  The distance to
 span{b_1..b_j} is the norm of R's last column below row j (Golub & Van
 Loan, Matrix Computations, sec. 5.3).  The same R serves every prefix:
 the leading blocks of R^-1 are the inverses of the leading blocks of R,
@@ -19,7 +22,12 @@ so one triangular inversion gives the coefficients of all m prefixes and
 the exact 1-norm condition number of every R[:j,:j], with no per-prefix
 factorization.  The residual norms of all m prefixes are then re-checked
 in one pass over row blocks of the basis, from the coefficients and the
-basis alone, never from Q or R.  Pivoted QR (:func:`distance_to_span`) is
+basis alone, never from Q or R.  Every BLAS call of the engine goes to
+scipy's OpenBLAS (``?geqrt``, ``?trtrs``, ``?gemm``); the target norm is
+summed elementwise.  The numpy and scipy wheels each bundle their own
+OpenBLAS with its own thread pool, and a numpy BLAS call right after a
+scipy one wakes the second pool while the first still spins, putting
+three busy threads on two cores.  Pivoted QR (:func:`distance_to_span`) is
 kept only as the oracle of that engine.  Every report carries the optimal
 coefficients, an independently recomputed residual norm (enforced to agree
 with the distance), and a condition figure so a genuine distance plateau
@@ -36,7 +44,7 @@ import scipy.linalg
 from .errors import DegenerateBasis, HypothesisViolated, IndexOutOfRange, ResidualMismatch
 from .semigroup import weighted_dilation
 from .series import CoeffSeries, axpy, fit_degree, from_coeffs, inner, norm
-from .special import _check_hk_args, _fill_hk_columns, hk_closed_form
+from .special import _check_hk_args, _fill_hk_columns
 
 __all__ = [
     "SpanProblem",
@@ -44,7 +52,6 @@ __all__ = [
     "distance_to_span",
     "nested_distances",
     "baez_duarte_sequence",
-    "difference_span_orthogonality",
     "cyclicity_scan",
     "non_cyclicity_witness",
 ]
@@ -52,9 +59,12 @@ __all__ = [
 RANK_TOLERANCE = 1e-10
 # |distance - residual_norm_check| may not exceed this times max(1, ||target||).
 RESIDUAL_AGREEMENT = 1e-10
-# Rows per block of the nested residual re-check: a 2048 x 50 real block
-# of temporaries is about 0.8 MiB.
+# Rows per block of the nested residual re-check, one scipy ``?gemm`` per
+# block (never numpy's ``@``, which runs on numpy's own OpenBLAS pool): a
+# 2048 x 50 real block of temporaries is about 0.8 MiB.
 _RESIDUAL_BLOCK_ROWS = 2048
+# Column block size of the engine's ``?geqrt``, capped by the matrix shape.
+_QR_BLOCK_COLUMNS = 32
 
 
 @dataclass(frozen=True)
@@ -217,11 +227,14 @@ def _nested_reports(aug: np.ndarray) -> list[DistanceReport]:
     """One report per prefix b_1..b_j, j = 1..m, of ``aug`` = [b_1 .. b_m | target]."""
     rows, m = aug.shape[0], aug.shape[1] - 1
     a, rhs = aug[:, :m], aug[:, m]
-    (r_aug,) = scipy.linalg.qr(aug, mode="r")
+    # ?geqrt returns a factored copy (R on and above the diagonal): the
+    # residual re-check below reads the original basis from ``aug``.
+    (geqrt,) = scipy.linalg.lapack.get_lapack_funcs(("geqrt",), (aug,))
+    factored, _, _ = geqrt(min(_QR_BLOCK_COLUMNS, rows, m + 1), aug)
     # With fewer than m + 1 rows, R is padded with zero rows, so its
     # diagonal holds zeros and the rank gate refuses it.
-    r = np.zeros((m + 1, m + 1), dtype=r_aug.dtype)
-    r[: min(rows, m + 1)] = r_aug[: m + 1]
+    r = np.zeros((m + 1, m + 1), dtype=aug.dtype)
+    r[: min(rows, m + 1)] = np.triu(factored[: m + 1])
     distances = np.sqrt(np.cumsum(np.abs(r[::-1, m]) ** 2))[::-1]
 
     block = r[:m, :m]
@@ -245,7 +258,8 @@ def _nested_reports(aug: np.ndarray) -> list[DistanceReport]:
     coeffs = np.cumsum(rinv * r[:m, m], axis=1)
     checks = _residual_norms(a, rhs, coeffs)
 
-    target_norm = np.linalg.norm(rhs)
+    # Summed elementwise, not by numpy's BLAS ``dot``: see the module docstring.
+    target_norm = float(np.sqrt(np.sum(np.abs(rhs) ** 2)))
     return [
         _checked_report(
             float(distances[j]),
@@ -259,11 +273,13 @@ def _nested_reports(aug: np.ndarray) -> list[DistanceReport]:
 
 
 def _residual_norms(a: np.ndarray, rhs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """||rhs - a @ coeffs[:, j]|| for every column j, one GEMM per block of rows of ``a``."""
+    """||rhs - a @ coeffs[:, j]|| for every column j, one scipy ``?gemm`` per row block of ``a``."""
+    (gemm,) = scipy.linalg.blas.get_blas_funcs(("gemm",), (a, coeffs))
     sum_sq = np.zeros(coeffs.shape[1])
     for lo in range(0, len(rhs), _RESIDUAL_BLOCK_ROWS):
-        hi = lo + _RESIDUAL_BLOCK_ROWS
-        block = rhs[lo:hi, None] - a[lo:hi] @ coeffs
+        hi = min(lo + _RESIDUAL_BLOCK_ROWS, len(rhs))
+        start = np.broadcast_to(rhs[lo:hi, None], (hi - lo, coeffs.shape[1]))
+        block = gemm(-1.0, a[lo:hi], coeffs, beta=1.0, c=start)
         sum_sq += np.sum(np.abs(block) ** 2, axis=0)
     return np.sqrt(sum_sq)
 
@@ -289,25 +305,6 @@ def _checked_report(
         residual_norm_check=check,
         condition_estimate=condition_estimate,
     )
-
-
-def difference_span_orthogonality(k_max: int) -> float:
-    """max over 2 <= k < l <= k_max of |<h_k - h_l, 1 - z>|.
-
-    Every difference h_k - h_l is orthogonal to 1 - z because the first
-    two coefficients of each h_k differ by exactly 1 regardless of k; the
-    returned maximum is zero up to rounding (<= 1e-12).
-    """
-    if k_max < 3:
-        raise IndexOutOfRange(f"k_max must be >= 3, got {k_max}")
-    one_minus_z = from_coeffs([1.0, -1.0])
-    hs = {k: hk_closed_form(k, 1) for k in range(2, k_max + 1)}
-    worst = 0.0
-    for k in range(2, k_max + 1):
-        for ell in range(k + 1, k_max + 1):
-            diff = from_coeffs(hs[k].coeffs - hs[ell].coeffs)
-            worst = max(worst, abs(inner(diff, one_minus_z)))
-    return worst
 
 
 def cyclicity_scan(

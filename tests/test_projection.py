@@ -9,6 +9,7 @@ from hardylab.errors import (
     ResidualMismatch,
 )
 from hardylab.projection import _residual_norms
+from oracles import difference_span_orthogonality
 
 
 def one_vector_distance(target, b):
@@ -242,6 +243,36 @@ class TestNestedDistances:
             hl.nested_distances(hl.SpanProblem(hl.one(n_trunc), [h2, h3, h2], n_trunc))
 
 
+class TestQRBlockEdges:
+    """The engine's ?geqrt blocks min(32, rows, m + 1) columns of [basis | target]."""
+
+    @staticmethod
+    def random_problem(rows, m, complex_basis):
+        rng = np.random.default_rng(rows * 100 + m)
+
+        def random_series():
+            c = rng.standard_normal(rows)
+            return hl.from_coeffs(c + 1j * rng.standard_normal(rows) if complex_basis else c)
+
+        return random_series(), [random_series() for _ in range(m)]
+
+    # rows == m + 1 at 2, 31, 32 and 33 rows; one row takes one member.
+    # With 64 rows, m + 1 = 31, 32, 33 columns straddle the block size.
+    @pytest.mark.parametrize("rows, m", [(1, 1), (2, 1), (31, 30), (32, 31), (33, 32),
+                                         (64, 30), (64, 31), (64, 32)])
+    @pytest.mark.parametrize("complex_basis", [False, True])
+    def test_matches_pivoted_oracle(self, rows, m, complex_basis):
+        target, basis = self.random_problem(rows, m, complex_basis)
+        reports = hl.nested_distances(hl.SpanProblem(target, basis, rows - 1))
+        assert_matches_pivoted_oracle(reports, target, basis, rows - 1)
+
+    @pytest.mark.parametrize("complex_basis", [False, True])
+    def test_fewer_rows_than_members_raises(self, complex_basis):
+        target, basis = self.random_problem(1, 2, complex_basis)
+        with pytest.raises(DegenerateBasis, match="zero on its diagonal"):
+            hl.nested_distances(hl.SpanProblem(target, basis, 0))
+
+
 class TestConditionFigure:
     K_MAX, N_TRUNC = 50, 2**14
 
@@ -344,7 +375,7 @@ class TestResidualAgreement:
 
 class TestDifferenceSpanOrthogonality:
     def test_max_over_pairs_vanishes(self):
-        assert hl.difference_span_orthogonality(10) <= 1e-12
+        assert difference_span_orthogonality(10) <= 1e-12
 
     def test_single_pair_by_hand(self):
         h2 = hl.hk_closed_form(2, 1)
@@ -358,7 +389,7 @@ class TestDifferenceSpanOrthogonality:
 
     def test_rejects_small_kmax(self):
         with pytest.raises(IndexOutOfRange):
-            hl.difference_span_orthogonality(2)
+            difference_span_orthogonality(2)
 
 
 class TestCyclicityScan:
