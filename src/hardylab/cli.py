@@ -11,8 +11,9 @@ All output files are deterministic for a fixed (flags, seed) apart from a
 single timestamp header line.  Floats are printed with 17 significant
 digits and a '.' decimal separator so values round-trip exactly.  Exit
 codes: 0 success, 1 assertion failure, 2 usage error (a bad flag or
-config value, a negative seed, an output path that cannot be written, or
-a typed laboratory error such as a degenerate basis).
+config value, a negative seed, an output path that cannot be written,
+one path for both of bd's reports, or a typed laboratory error such as a
+degenerate basis).
 """
 
 from __future__ import annotations
@@ -113,11 +114,8 @@ def cmd_gen_hk(cfg: LabConfig, k: int, n_trunc: int, out: str | None) -> int:
     return 0
 
 
-def cmd_baez_duarte(cfg: LabConfig, k_max: int, n_trunc: int,
-                    out: str | None, json_out: str | None) -> int:
+def cmd_baez_duarte(k_max: int, n_trunc: int, path: Path, json_path: Path) -> int:
     sequence = baez_duarte_sequence(k_max, n_trunc)
-    path = Path(out) if out else Path(cfg.output_dir) / f"bd_k{k_max}_n{n_trunc}.csv"
-    json_path = Path(json_out) if json_out else path.with_suffix(".json")
     report = {
         "k_max": k_max,
         "truncation_degree": n_trunc,
@@ -283,7 +281,13 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace,
         n_trunc = cfg.truncation_degree if args.n is None else args.n
         if n_trunc < 1:
             parser.error("bd requires --n >= 1")
-        return cmd_baez_duarte(cfg, args.kmax, n_trunc, args.out, args.json_out)
+        default = Path(cfg.output_dir) / f"bd_k{args.kmax}_n{n_trunc}.csv"
+        path = Path(args.out) if args.out else default
+        json_path = Path(args.json_out) if args.json_out else path.with_suffix(".json")
+        # One file cannot hold both reports: the CSV would overwrite the JSON.
+        if path.resolve() == json_path.resolve():
+            parser.error(f"bd would write its CSV and its JSON report to the same file {path}")
+        return cmd_baez_duarte(args.kmax, n_trunc, path, json_path)
 
     if args.command == "verify":
         if args.suite != "all" and args.suite not in SUITES:

@@ -9,26 +9,26 @@ Least squares is solved by Householder QR rather than Gram normal
 equations: adjacent h_k are nearly dependent and normal equations would
 square the condition number.  The d_K sequence and the cyclicity scans,
 like any family of nested spans, come from one engine: one QR of the
-augmented matrix [b_1 .. b_m | target], built once in column-major order
-with the basis and the target as views of it.  That QR is LAPACK's
-recursive compact-WY Householder factorization ``?geqrt`` (Elmroth &
-Gustavson), which is level-3 BLAS throughout; ``?geqrf``, behind
-``scipy.linalg.qr``, falls back to the unblocked level-2 ``?geqr2`` below
-128 columns, sweeping all rows twice per column.  The distance to
-span{b_1..b_j} is the norm of R's last column below row j (Golub & Van
-Loan, Matrix Computations, sec. 5.3).  The same R serves every prefix:
-the leading blocks of R^-1 are the inverses of the leading blocks of R,
-so one triangular inversion gives the coefficients of all m prefixes and
-the exact 1-norm condition number of every R[:j,:j], with no per-prefix
-factorization.  The residual norms of all m prefixes are then re-checked
-in one pass over row blocks of the basis, from the coefficients and the
-basis alone, never from Q or R.  Every BLAS call of the engine goes to
-scipy's OpenBLAS (``?geqrt``, ``?trtrs``, ``?gemm``); the target norm is
-summed elementwise.  The numpy and scipy wheels each bundle their own
+column-major matrix [b_1 .. b_m | t_1 .. t_r], the basis followed by every
+target.  That QR is LAPACK's recursive compact-WY Householder
+factorization ``?geqrt`` (Elmroth & Gustavson), level-3 BLAS throughout;
+``?geqrf``, behind ``scipy.linalg.qr``, falls back to the unblocked
+level-2 ``?geqr2`` below 128 columns.  The distance from t_i to
+span{b_1..b_j} is the norm of R's column m + i below row j (Golub & Van
+Loan, Matrix Computations, sec. 5.3): Q's columns past j are orthogonal to
+b_1..b_j, whatever the columns between the basis and t_i hold.  The
+leading blocks of R^-1 are the inverses of the leading blocks of R, so one
+inversion of R's basis block gives the coefficients of every prefix and
+target and the exact 1-norm condition number of every R[:j,:j], and the
+rank gate runs once, on that block.  Each target's residual norms are
+re-checked in one pass over row blocks of the basis, from the coefficients
+and the basis, never from Q or R.  Every BLAS call of the engine goes to
+scipy's OpenBLAS (``?geqrt``, ``?trtrs``, ``?gemm``) and target norms are
+summed elementwise: the numpy and scipy wheels each bundle their own
 OpenBLAS with its own thread pool, and a numpy BLAS call right after a
-scipy one wakes the second pool while the first still spins, putting
-three busy threads on two cores.  Pivoted QR (:func:`distance_to_span`) is
-kept only as the oracle of that engine.  Every report carries the optimal
+scipy one wakes the second pool while the first still spins, three busy
+threads on two cores.  Pivoted QR (:func:`distance_to_span`) is kept only
+as the oracle of that engine.  Every report carries the optimal
 coefficients, an independently recomputed residual norm (enforced to agree
 with the distance), and a condition figure so a genuine distance plateau
 can be told apart from numerical rank collapse.
@@ -107,8 +107,8 @@ class DistanceReport:
     2-norm condition number of the basis; in the reports of the oracle
     :func:`distance_to_span` it is the diagonal ratio of the pivoted R
     factor, a cheap lower bound on the 2-norm condition number.
-    ``coefficients`` is the engine's read-only coefficient vector, float64
-    when the target and the basis are real and complex128 otherwise.
+    ``coefficients`` is read-only, float64 when the whole factored matrix
+    (the basis and every target) is real and complex128 otherwise.
     Reports come from :func:`nested_distances` or its oracle
     :func:`distance_to_span`.
     """
@@ -143,7 +143,7 @@ def distance_to_span(problem: SpanProblem) -> DistanceReport:
         ResidualMismatch: when the residual re-check disagrees with the
             QR distance.
     """
-    aug = _augmented(problem)
+    aug = _augmented(problem.basis + [problem.target])
     a, rhs = aug[:, :-1], aug[:, -1]
     if a.shape[1] > a.shape[0]:
         raise DegenerateBasis(f"{a.shape[1]} basis members exceed {a.shape[0]} coefficients")
@@ -166,15 +166,13 @@ def nested_distances(problem: SpanProblem) -> list[DistanceReport]:
     """One report per prefix ``basis[:j]``, j = 1..len(basis), from one QR.
 
     Each report agrees with ``distance_to_span`` on the same prefix in its
-    distance and coefficients: the distance through R of the augmented
-    matrix, and the coefficients ``R[:j,:j]^-1 R[:j,m]`` from one inverse
+    distance and its coefficients ``R[:j,:j]^-1 R[:j,m]``, from one inverse
     of R's leading m x m block.  The condition estimate of prefix j is the
-    exact 1-norm condition number of ``R[:j,:j]``, which is nondecreasing
-    in j, so the rank gate runs once, on the whole basis.  The residual
-    norms of every prefix are re-checked together, as
-    ``target - basis @ C`` over row blocks of the basis, where column
-    j - 1 of the upper-triangular m x m matrix C holds the coefficients of
-    prefix j.  This is the laboratory's one least-squares engine.
+    exact 1-norm condition number of ``R[:j,:j]``, nondecreasing in j, so
+    the rank gate runs once, on the whole basis.  The residual norms of
+    every prefix are re-checked together as ``target - basis @ C`` over row
+    blocks of the basis; column j - 1 of the upper-triangular m x m matrix
+    C holds the coefficients of prefix j.
 
     Raises:
         DegenerateBasis: when R has an exact zero on its diagonal (a zero
@@ -183,7 +181,8 @@ def nested_distances(problem: SpanProblem) -> list[DistanceReport]:
         ResidualMismatch: when a residual re-check disagrees with its
             distance.
     """
-    return _nested_reports(_augmented(problem))
+    aug = _augmented(problem.basis + [problem.target])
+    return _nested_reports(aug, len(problem.basis))[0]
 
 
 def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceReport]]:
@@ -199,14 +198,13 @@ def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceRe
     aug = np.zeros((n_trunc + 1, k_max), order="F")
     _fill_hk_columns(aug[:, :-1])
     aug[0, -1] = 1.0
-    return list(zip(range(2, k_max + 1), _nested_reports(aug)))
+    return list(zip(range(2, k_max + 1), _nested_reports(aug, k_max - 1)[0]))
 
 
-def _augmented(problem: SpanProblem) -> np.ndarray:
-    """Column-major [b_1 .. b_m | target], complex when any input is complex."""
-    columns = problem.basis + [problem.target]
+def _augmented(columns: list[CoeffSeries]) -> np.ndarray:
+    """Column-major matrix of fitted, equal-length series, complex when any is complex."""
     dtype = complex if any(np.iscomplexobj(c.coeffs) for c in columns) else float
-    aug = np.empty((problem.n_trunc + 1, len(columns)), dtype=dtype, order="F")
+    aug = np.empty((len(columns[0].coeffs), len(columns)), dtype=dtype, order="F")
     for i, c in enumerate(columns):
         aug[:, i] = c.coeffs
     return aug
@@ -223,20 +221,22 @@ def _condition_estimate(r: np.ndarray) -> float:
     return float(diag[0] / diag[-1])
 
 
-def _nested_reports(aug: np.ndarray) -> list[DistanceReport]:
-    """One report per prefix b_1..b_j, j = 1..m, of ``aug`` = [b_1 .. b_m | target]."""
-    rows, m = aug.shape[0], aug.shape[1] - 1
-    a, rhs = aug[:, :m], aug[:, m]
+def _nested_reports(aug: np.ndarray, m: int) -> list[list[DistanceReport]]:
+    """For each t_i of ``aug`` = [b_1 .. b_m | t_1 .. t_r], one report per prefix b_1..b_j."""
+    rows, cols = aug.shape
     # ?geqrt returns a factored copy (R on and above the diagonal): the
-    # residual re-check below reads the original basis from ``aug``.
+    # residual re-checks below read the original basis from ``aug``.
     (geqrt,) = scipy.linalg.lapack.get_lapack_funcs(("geqrt",), (aug,))
-    factored, _, _ = geqrt(min(_QR_BLOCK_COLUMNS, rows, m + 1), aug)
-    # With fewer than m + 1 rows, R is padded with zero rows, so its
-    # diagonal holds zeros and the rank gate refuses it.
-    r = np.zeros((m + 1, m + 1), dtype=aug.dtype)
-    r[: min(rows, m + 1)] = np.triu(factored[: m + 1])
-    distances = np.sqrt(np.cumsum(np.abs(r[::-1, m]) ** 2))[::-1]
+    factored, _, _ = geqrt(min(_QR_BLOCK_COLUMNS, rows, cols), aug)
+    # With fewer rows than columns, R is padded with zero rows; in the
+    # basis block they put zeros on the diagonal, which the gate refuses.
+    r = np.zeros((cols, cols), dtype=aug.dtype)
+    r[: min(rows, cols)] = np.triu(factored[:cols])
+    # distances[j, i] = ||R[j:, m + i]||, the distance from t_i to span{b_1..b_j}.
+    distances = np.sqrt(np.cumsum(np.abs(r[::-1, m:]) ** 2, axis=0))[::-1]
 
+    # Only the basis block is gated and inverted: a zero, repeated or
+    # in-span target leaves zeros in its own rows of R.
     block = r[:m, :m]
     if not np.all(np.diag(block)):
         raise DegenerateBasis("basis is rank deficient: R has an exact zero on its diagonal")
@@ -253,23 +253,21 @@ def _nested_reports(aug: np.ndarray) -> list[DistanceReport]:
             f"basis is numerically rank deficient: reciprocal condition "
             f"{1.0 / condition[-1]:.3e} below {RANK_TOLERANCE:.0e}"
         )
-    # Column j - 1 is R[:j,:j]^-1 R[:j,m]: the first j columns of R^-1,
-    # weighted by R[:j,m] and summed.
-    coeffs = np.cumsum(rinv * r[:m, m], axis=1)
-    checks = _residual_norms(a, rhs, coeffs)
-
-    # Summed elementwise, not by numpy's BLAS ``dot``: see the module docstring.
-    target_norm = float(np.sqrt(np.sum(np.abs(rhs) ** 2)))
-    return [
-        _checked_report(
-            float(distances[j]),
-            coeffs[:j, j - 1],
-            float(checks[j - 1]),
-            target_norm,
-            float(condition[j - 1]),
-        )
-        for j in range(1, m + 1)
-    ]
+    reports = []
+    for i in range(cols - m):
+        rhs = aug[:, m + i]
+        # Column j - 1 is R[:j,:j]^-1 R[:j,m+i]: the first j columns of
+        # R^-1, weighted by R[:j,m+i] and summed.
+        coeffs = np.cumsum(rinv * r[:m, m + i], axis=1)
+        checks = _residual_norms(aug[:, :m], rhs, coeffs)
+        # Summed elementwise, not by numpy's BLAS ``dot``: see the module docstring.
+        target_norm = float(np.sqrt(np.sum(np.abs(rhs) ** 2)))
+        reports.append([
+            _checked_report(float(distances[j, i]), coeffs[:j, j - 1], float(checks[j - 1]),
+                            target_norm, float(condition[j - 1]))
+            for j in range(1, m + 1)
+        ])
+    return reports
 
 
 def _residual_norms(a: np.ndarray, rhs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -315,16 +313,18 @@ def cyclicity_scan(
 ) -> list[DistanceReport]:
     """Distances from each target to span of the dilation orbit of ``f``.
 
-    The basis is the orbit [weighted_dilation(n, f) for n = 1..n_max],
-    refitted to the common truncation degree.  Padding the orbit members
-    is exact when f is a polynomial, the intended use.  Each report is the
-    last of :func:`nested_distances`, so the whole orbit passes its rank
-    gate or :class:`DegenerateBasis` is raised.
+    The orbit W_n f, n = 1..n_max, and the targets are refitted to the
+    common truncation degree (exact padding for a polynomial f, the
+    intended use).  One factorization of [W_1 f .. W_m f | t_1 .. t_r]
+    gives each target the last report of :func:`nested_distances`, all
+    complex128 when the orbit or any target is complex.  The orbit passes
+    one rank gate, even with no targets, or :class:`DegenerateBasis` is raised.
     """
     if n_max < 2:
         raise IndexOutOfRange(f"n_max must be >= 2, got {n_max}")
     orbit = [weighted_dilation(n, f) for n in range(1, n_max + 1)]
-    return [nested_distances(SpanProblem(t, orbit, n_trunc))[-1] for t in targets]
+    aug = _augmented([fit_degree(c, n_trunc) for c in [*orbit, *targets]])
+    return [reports[-1] for reports in _nested_reports(aug, n_max)]
 
 
 def non_cyclicity_witness(f: CoeffSeries, n_max: int) -> float:

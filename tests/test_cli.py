@@ -169,6 +169,16 @@ class TestBaezDuarte:
         assert exc.value.code == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
+    # The default JSON path of r.json is r.json itself.
+    @pytest.mark.parametrize("paths", [["--out", "r.json"], ["--out", "x.csv", "--json", "x.csv"]])
+    def test_same_csv_and_json_path_is_usage_error(self, tmp_path, monkeypatch, capsys, paths):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(["bd", "--kmax", "3", "--n", "64", *paths])
+        assert exc.value.code == 2
+        assert "same file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_degenerate_basis_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["--output-dir", str(tmp_path), "bd", "--kmax", "60", "--n", "30"])

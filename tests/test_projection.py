@@ -456,6 +456,76 @@ class TestCyclicityScan:
         self.assert_reports_match_pivoted_oracle(f, 40, targets, n_trunc)
 
 
+    def test_more_targets_than_free_rows_match_pivoted_oracle(self):
+        # 8 orbit members and 20 targets in 21 rows: R has fewer rows than columns.
+        rng = np.random.default_rng(41)
+        n_trunc = 20
+        targets = [hl.from_coeffs(rng.standard_normal(n_trunc + 1)) for _ in range(20)]
+        self.assert_reports_match_pivoted_oracle(hl.from_coeffs([1.0, 0.5]), 8, targets, n_trunc)
+
+    def test_duplicate_zero_and_member_targets_match_pivoted_oracle(self):
+        n_trunc = 256
+        f = hl.from_coeffs([-2.0, 1.0])
+        targets = [
+            hl.one(n_trunc),
+            hl.one(n_trunc),
+            hl.zero(n_trunc),
+            hl.weighted_dilation(3, f),
+            hl.pad(hl.from_coeffs([1.0, -1.0]), n_trunc),
+        ]
+        self.assert_reports_match_pivoted_oracle(f, 16, targets, n_trunc)
+
+    def test_mixed_real_and_complex_targets_match_pivoted_oracle(self):
+        rng = np.random.default_rng(42)
+        n_trunc = 128
+        f = hl.from_coeffs([-2.0, 1.0])
+        targets = [
+            hl.one(n_trunc),
+            hl.from_coeffs(rng.standard_normal(n_trunc + 1) + 1j * rng.standard_normal(n_trunc + 1)),
+            hl.pad(hl.from_coeffs([1.0, -1.0]), n_trunc),
+        ]
+        self.assert_reports_match_pivoted_oracle(f, 12, targets, n_trunc)
+        reports = hl.cyclicity_scan(f, 12, targets, n_trunc)
+        assert all(rep.coefficients.dtype == np.complex128 for rep in reports)
+
+    def test_scan_matches_per_target_engine(self):
+        rng = np.random.default_rng(43)
+        n_trunc = 20
+        f = hl.from_coeffs([1.0, 0.5])
+        orbit = [hl.weighted_dilation(n, f) for n in range(1, 9)]
+        targets = [hl.from_coeffs(rng.standard_normal(n_trunc + 1)) for _ in range(12)]
+        targets.append(hl.from_coeffs(rng.standard_normal(n_trunc + 1)
+                                      + 1j * rng.standard_normal(n_trunc + 1)))
+        for rep, target in zip(hl.cyclicity_scan(f, 8, targets, n_trunc), targets):
+            alone = hl.nested_distances(hl.SpanProblem(target, orbit, n_trunc))[-1]
+            assert rep.distance == pytest.approx(alone.distance, rel=1e-14)
+            gap = np.linalg.norm(rep.coefficients - alone.coefficients)
+            assert gap <= 1e-14 * np.linalg.norm(alone.coefficients)
+
+    def test_scan_factors_once_for_all_targets(self, monkeypatch):
+        lapack = hl.projection.scipy.linalg.lapack
+        requested = []
+
+        def counting(names, *args, **kwargs):
+            requested.extend(names)
+            return get_lapack_funcs(names, *args, **kwargs)
+
+        get_lapack_funcs = lapack.get_lapack_funcs
+        monkeypatch.setattr(lapack, "get_lapack_funcs", counting)
+        n_trunc = 64
+        targets = [hl.one(n_trunc), hl.monomial(1, valid_degree=n_trunc),
+                   hl.monomial(2, valid_degree=n_trunc), hl.hk_closed_form(3, n_trunc)]
+        assert len(hl.cyclicity_scan(hl.from_coeffs([-2.0, 1.0]), 8, targets, n_trunc)) == 4
+        assert requested.count("geqrt") == 1
+
+    def test_no_targets_gives_no_reports(self):
+        assert hl.cyclicity_scan(hl.from_coeffs([-2.0, 1.0]), 8, [], 64) == []
+
+    def test_degenerate_orbit_without_targets_raises(self):
+        with pytest.raises(DegenerateBasis):
+            hl.cyclicity_scan(hl.from_coeffs([1.0, 2.0]), 5, [], 2)
+
+
 class TestNonCyclicityWitness:
     def test_polynomial_example(self):
         f = hl.from_coeffs([1.0, 1.0, 5.0])
