@@ -12,8 +12,8 @@ single timestamp header line.  Floats are printed with 17 significant
 digits and a '.' decimal separator so values round-trip exactly.  Exit
 codes: 0 success, 1 assertion failure, 2 usage error (a bad flag or
 config value, a negative seed, an output path that cannot be written,
-one path for both of bd's reports, or a typed laboratory error such as a
-degenerate basis).
+one path for both of bd's reports, a size too large for memory, or a
+typed laboratory error such as a degenerate basis).
 """
 
 from __future__ import annotations
@@ -320,6 +320,8 @@ def main(argv: list[str] | None = None) -> int:
         return _dispatch(parser, args, cfg, explicit)
     except OSError as exc:
         parser.error(str(exc))
+    except MemoryError as exc:
+        parser.error(f"MemoryError: {exc}")
     except HardyLabError as exc:
         parser.error(f"{type(exc).__name__}: {exc}")
 

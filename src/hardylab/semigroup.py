@@ -45,7 +45,7 @@ def weighted_dilation(n: int, f: CoeffSeries) -> CoeffSeries:
     _check_index(n)
     if n == 1:
         return f
-    return CoeffSeries(np.repeat(f.coeffs, n))
+    return CoeffSeries(f.coeffs.repeat(n))
 
 
 def adjoint_valid_degree(n: int, input_valid_degree: int) -> int:
@@ -71,7 +71,7 @@ def weighted_dilation_adjoint(n: int, f: CoeffSeries) -> CoeffSeries:
             f"adjoint with index {n} needs valid degree >= {n - 1}, got {f.valid_degree}"
         )
     blocks = f.coeffs[: (m + 1) * n].reshape(m + 1, n)
-    return CoeffSeries(blocks.sum(axis=1))
+    return CoeffSeries(np.add.reduce(blocks, axis=1))
 
 
 def dilation(n: int, f: CoeffSeries) -> CoeffSeries:

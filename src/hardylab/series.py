@@ -16,6 +16,7 @@ construction and safe to share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "fit_degree",
     "inner",
     "norm",
+    "array_norm",
     "axpy",
     "cauchy_product",
     "formal_log",
@@ -62,6 +64,8 @@ class CoeffSeries:
     Entry j is the coefficient of z^j.  All entries are finite; the
     backing array is a read-only float64 copy of real input and a
     complex128 copy of complex input, and anything else is refused.
+    Finiteness is checked in one pass over the float64 view of the copy,
+    which covers real and imaginary parts alike.
     """
 
     coeffs: np.ndarray = field(repr=False)
@@ -73,7 +77,8 @@ class CoeffSeries:
         c = np.array(c, dtype=np.complex128 if c.dtype.kind == "c" else np.float64)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d array")
-        if not np.all(np.isfinite(c)):
+        parts = c.view(np.float64)
+        if np.count_nonzero(np.isfinite(parts)) != parts.size:
             raise ValueError("coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -181,7 +186,20 @@ def inner(f: CoeffSeries, g: CoeffSeries) -> complex:
 
 def norm(f: CoeffSeries) -> float:
     """l2 norm of the coefficient vector; zero iff all coefficients are zero."""
-    return float(np.linalg.norm(f.coeffs))
+    return array_norm(f.coeffs)
+
+
+def array_norm(c: np.ndarray) -> float:
+    """l2 norm of a 1-d float64 or complex128 array, equal to ``np.linalg.norm(c)``.
+
+    This is the expression numpy's own 1-d fast path evaluates (one dot
+    per real part), without its argument handling, so the value is the
+    same bit for bit.
+    """
+    if c.dtype.kind == "c":
+        re, im = c.real, c.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(c.dot(c))
 
 
 def axpy(a: complex, f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:

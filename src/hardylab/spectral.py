@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, OutsideSpectralBall
 from .semigroup import weighted_dilation_adjoint
-from .series import CoeffSeries, norm
+from .series import CoeffSeries, array_norm, norm
 
 __all__ = [
     "EigenPair",
@@ -109,7 +109,7 @@ def adjoint_eigenvector(n: int, lam: complex, level: int) -> EigenPair:
     return EigenPair(n=n, lam=lam, level=level, vector=vec, residual=residual, tail_mass=tail_mass)
 
 
-def eigenvector_norm_sq(n: int, lam: complex, level: int) -> float:
+def eigenvector_norm_sq(n: int, lam: complex | np.ndarray, level: int) -> float | np.ndarray:
     """Closed form for the squared norm of :func:`adjoint_eigenvector`.
 
     Band l contributes n^l (n-1) entries of squared modulus
@@ -119,13 +119,18 @@ def eigenvector_norm_sq(n: int, lam: complex, level: int) -> float:
 
     The geometric sum stays finite as level grows exactly when
     |lam| < sqrt(n); the power sum is evaluated termwise so near-unit
-    ratios lose nothing to cancellation.
+    ratios lose nothing to cancellation.  ``lam`` is a scalar (the result
+    is a float) or a 1-d array of points (the result is an array, one
+    entry per point, each equal to the scalar call at that point).
     """
-    _check_ball(n, lam)
+    lams = [complex(x) for x in np.atleast_1d(lam)]
+    for x in lams:
+        _check_ball(n, x)
     _check_level(level)
-    q = abs(lam) ** 2 / n
-    powers = q ** np.arange(level)
-    return float(1.0 + abs(lam - 1) ** 2 / (n - 1) * powers.sum())
+    q = np.array([abs(x) ** 2 / n for x in lams])
+    scale = np.array([abs(x - 1) ** 2 / (n - 1) for x in lams])
+    norm_sq = 1.0 + scale * (q[:, None] ** np.arange(level)).sum(axis=1)
+    return float(norm_sq[0]) if np.ndim(lam) == 0 else norm_sq
 
 
 def level_for_degree(n: int, min_degree_count: int = 4096) -> int:
@@ -186,11 +191,12 @@ def spectral_disk_scan(
     (rows x n^level) array of at most 1 MiB from one ``_eigen_rows`` call.
     The adjoint block sums of the whole block are the sum of the n strided
     slices ``block[:, j::n]``, and each point's residual and vector norm are
-    their own ``np.linalg.norm`` calls on its row, so the report columns
-    equal the per-point :func:`adjoint_eigenvector` construction (bit for
-    bit for n <= 3; for larger n the block sums may differ in summation
-    order).  ``norm_closed_form`` is :func:`eigenvector_norm_sq` at each
-    point.
+    the ``np.linalg.norm`` formula (:func:`~hardylab.series.array_norm`) on
+    its row, so the report columns equal the per-point
+    :func:`adjoint_eigenvector` construction (bit for bit for n <= 3; for
+    larger n the block sums may differ in summation order).
+    ``norm_closed_form`` is one :func:`eigenvector_norm_sq` call on all the
+    points.
     """
     if n < 2:
         raise IndexOutOfRange(f"spectral scan needs index >= 2, got {n}")
@@ -222,9 +228,9 @@ def spectral_disk_scan(
         for j in range(1, n):
             adj += block[:, j:width:n]
         adj -= chunk[:, None] * block[:, :window]  # now the residual vectors
-        residual += map(np.linalg.norm, adj)
-        vector_norm += map(np.linalg.norm, block)
-    closed = np.sqrt([eigenvector_norm_sq(n, lam, level) for lam in lams])
+        residual += map(array_norm, adj)
+        vector_norm += map(array_norm, block)
+    closed = np.sqrt(eigenvector_norm_sq(n, lams, level))
     return DiskScanReport(n, level, lams, np.array(residual), np.array(vector_norm), closed)
 
 

@@ -21,3 +21,17 @@ def difference_span_orthogonality(k_max: int) -> float:
             diff = hl.from_coeffs(hs[k].coeffs - hs[ell].coeffs)
             worst = max(worst, abs(hl.inner(diff, one_minus_z)))
     return worst
+
+
+def two_truncation_duality_gap(n: int, f, g) -> float:
+    """|<Wf, g> - <f, W*g>| with the dilation applied to all of f, then cut.
+
+    The earlier form of ``verify.adjoint_duality_gap``: it dilates the whole
+    of f and truncates the image to the degrees the complete blocks of W*g
+    cover, then truncates f a second time for the right pairing.
+    """
+    adj = hl.weighted_dilation_adjoint(n, g)
+    m2 = min(f.valid_degree, adj.valid_degree)
+    lhs = hl.inner(hl.truncate(hl.weighted_dilation(n, f), n * m2 + n - 1), g)
+    rhs = hl.inner(hl.truncate(f, m2), adj)
+    return abs(lhs - rhs)

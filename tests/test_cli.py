@@ -113,6 +113,18 @@ class TestGenHk:
         run(["gen-hk", "--k", "5", "--n", "32", "--out", str(b)])
         assert a.read_text().splitlines()[1:] == b.read_text().splitlines()[1:]
 
+    def test_memory_error_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        def too_large(k, n_trunc):
+            raise MemoryError(f"Unable to allocate h_{k} through degree {n_trunc}")
+
+        monkeypatch.setattr("hardylab.cli.hk_closed_form", too_large)
+        out = tmp_path / "h.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-hk", "--k", "3", "--n", "1000000000000", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "MemoryError: Unable to allocate h_3" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBaezDuarte:
     def test_sequence_file(self, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 import hardylab as hl
 from hardylab.errors import IndexOutOfRange, TruncationTooShort
 from hardylab.verify import adjoint_duality_gap, random_series
+from oracles import two_truncation_duality_gap
 
 
 @pytest.fixture
@@ -156,6 +157,14 @@ class TestOperatorIdentities:
             scale = hl.norm(f) * hl.norm(g)
             for n in (2, 3, 5, 7):
                 assert adjoint_duality_gap(n, f, g) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    @pytest.mark.parametrize("f_degree, g_degree", [(512, 512), (40, 512), (512, 40), (5, 6)])
+    def test_duality_gap_matches_two_truncation_oracle(self, rng, n, f_degree, g_degree):
+        for _ in range(5):
+            f = random_series(rng, f_degree)
+            g = random_series(rng, g_degree)
+            assert adjoint_duality_gap(n, f, g) == two_truncation_duality_gap(n, f, g)
 
     def test_isometry(self, rng):
         for _ in range(30):

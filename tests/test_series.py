@@ -35,11 +35,36 @@ class TestConstruction:
             hl.from_coeffs([1.0, np.nan])
         with pytest.raises(ValueError):
             hl.from_coeffs([np.inf])
+        with pytest.raises(ValueError):
+            hl.from_coeffs([0.0, -np.inf, 1.0])
 
     def test_immutable(self):
         f = series_from([1, 2])
         with pytest.raises(ValueError):
             f.coeffs[0] = 5.0
+
+    @pytest.mark.parametrize("bad", [
+        complex(1.0, np.nan), complex(1.0, np.inf), complex(1.0, -np.inf),
+    ], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_imaginary_part(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            hl.from_coeffs(np.array([1.0 + 2.0j, bad, 3.0j]))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_rejects_nan_in_last_entry(self, dtype):
+        c = np.ones(4097, dtype=dtype)
+        c[-1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            hl.from_coeffs(c)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_source_neither_aliased_nor_frozen(self, dtype):
+        source = np.arange(5, dtype=dtype)
+        f = hl.from_coeffs(source)
+        assert source.flags.writeable
+        assert not np.shares_memory(source, f.coeffs)
+        source[:] = -7
+        assert np.array_equal(f.coeffs, np.arange(5))
 
     def test_truncate_and_pad(self):
         f = series_from([1, 2, 3])
@@ -147,6 +172,19 @@ class TestInnerAndNorm:
         assert hl.norm(hl.zero(8)) == 0
         assert hl.norm(series_from([1, 1])) == pytest.approx(np.sqrt(2), rel=1e-15)
         assert hl.norm(series_from([1, -1])) == pytest.approx(np.sqrt(2), rel=1e-15)
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 513, 4097])
+    @pytest.mark.parametrize("kind", ["real", "complex", "real-mixed", "complex-mixed"])
+    def test_norm_is_numpy_norm_bit_for_bit(self, length, kind):
+        rng = np.random.default_rng(length)
+        c = rng.standard_normal(length)
+        if kind.startswith("complex"):
+            c = c + 1j * rng.standard_normal(length)
+        if kind.endswith("mixed"):
+            c = c * np.where(np.arange(length) % 2 == 0, 1e-150, 1e150)
+        f = hl.from_coeffs(c)
+        assert hl.norm(f) == np.linalg.norm(f.coeffs)
+        assert type(hl.norm(f)) is float
 
     @given(f=random_series(), g=random_series())
     def test_inner_conjugate_symmetric(self, f, g):

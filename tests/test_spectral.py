@@ -99,6 +99,26 @@ class TestNormClosedForm:
         smaller = hl.norm(hl.adjoint_eigenvector(2, 0.5 * np.sqrt(2), 12).vector)
         assert hl.norm(pair.vector) > smaller
 
+    @pytest.mark.parametrize("n, level", [(2, 12), (3, 8), (5, 3), (7, 1), (70, 2)])
+    def test_array_of_points_matches_per_point_formula(self, n, level):
+        rng = np.random.default_rng(n)
+        lams = (
+            0.99 * np.sqrt(n) * np.sqrt(rng.uniform(size=200))
+            * np.exp(2j * np.pi * rng.uniform(size=200))
+        )
+        got = hl.eigenvector_norm_sq(n, lams, level)
+        assert isinstance(got, np.ndarray) and got.shape == lams.shape
+        for lam, value in zip(lams, got):
+            q = abs(lam) ** 2 / n
+            expected = 1.0 + abs(lam - 1) ** 2 / (n - 1) * (q ** np.arange(level)).sum()
+            assert value == expected
+            scalar = hl.eigenvector_norm_sq(n, lam, level)
+            assert type(scalar) is float and scalar == value
+
+    def test_every_point_of_an_array_is_checked(self):
+        with pytest.raises(OutsideSpectralBall):
+            hl.eigenvector_norm_sq(2, np.array([0.5, 1.5, 0.1j]), 3)
+
     @pytest.mark.parametrize("level", [0, -1])
     def test_level_below_one_rejected(self, level):
         # the same level gate as adjoint_eigenvector
