@@ -36,6 +36,8 @@ from .semigroup import (
     semiconjugacy_residual,
     weighted_dilation,
     weighted_dilation_adjoint,
+    weighted_dilation_adjoint_array,
+    weighted_dilation_array,
 )
 from .series import (
     CoeffSeries,
@@ -125,5 +127,7 @@ __all__ = [
     "truncation_certificate",
     "weighted_dilation",
     "weighted_dilation_adjoint",
+    "weighted_dilation_adjoint_array",
+    "weighted_dilation_array",
     "zero",
 ]

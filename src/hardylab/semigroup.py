@@ -11,6 +11,15 @@ Every transform states the valid degree of its output.  The adjoint keeps
 complete blocks only: a partially known block is discarded rather than
 partially summed, because a partial sum is simply not the block sum and
 would silently corrupt duality tests downstream.
+
+The weighted dilation and its adjoint are array kernels,
+:func:`weighted_dilation_array` and :func:`weighted_dilation_adjoint_array`,
+acting on the last axis of any ``(..., L)`` array, so one call transforms a
+whole stack of coefficient rows.  :func:`weighted_dilation` and
+:func:`weighted_dilation_adjoint` wrap them for one series, and
+:func:`semiconjugacy_residual` takes a series or a stack: the verify suites
+run the same code as the series API.  Each row of a stack goes through the
+same numpy loop as a lone series, so its values are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -18,11 +27,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IndexOutOfRange, TruncationTooShort
-from .series import CoeffSeries, norm, one_minus_shift
+from .series import CoeffSeries, array_norm
 
 __all__ = [
     "weighted_dilation",
     "weighted_dilation_adjoint",
+    "weighted_dilation_array",
+    "weighted_dilation_adjoint_array",
     "dilation",
     "adjoint_valid_degree",
     "semiconjugacy_residual",
@@ -36,21 +47,53 @@ def _check_index(n: int, lower: int = 1) -> None:
         raise IndexOutOfRange(f"semigroup index must be >= {lower}, got {n}")
 
 
+def weighted_dilation_array(n: int, c: np.ndarray) -> np.ndarray:
+    """The n-th weighted dilation on the last axis of ``c``: each entry n times.
+
+    A length-L axis becomes length n*L.  Index 1 returns ``c`` itself.
+    """
+    _check_index(n)
+    if n == 1:
+        return c
+    return c.repeat(n, axis=-1)
+
+
 def weighted_dilation(n: int, f: CoeffSeries) -> CoeffSeries:
     """Apply the n-th weighted dilation: output coefficient j is f_{floor(j/n)}.
 
     Output valid degree is n*valid + n - 1 (each of the valid+1 input
     coefficients occupies n output slots).  Index 1 is the identity.
     """
-    _check_index(n)
-    if n == 1:
-        return f
-    return CoeffSeries(f.coeffs.repeat(n))
+    out = weighted_dilation_array(n, f.coeffs)
+    return f if n == 1 else CoeffSeries(out)
 
 
 def adjoint_valid_degree(n: int, input_valid_degree: int) -> int:
     """Largest output degree whose full coefficient block is known."""
     return (input_valid_degree + 1) // n - 1
+
+
+def weighted_dilation_adjoint_array(n: int, c: np.ndarray) -> np.ndarray:
+    """Block sums of length n on the last axis of ``c``, complete blocks only.
+
+    A length-L axis becomes length floor(L/n); every block is one
+    ``np.add.reduce`` over the last axis of a ``(..., L // n, n)`` reshape.
+    Index 1 returns ``c`` itself.
+
+    Raises:
+        TruncationTooShort: if not even one full block fits (L < n).
+    """
+    _check_index(n)
+    if n == 1:
+        return c
+    valid = c.shape[-1] - 1
+    m = adjoint_valid_degree(n, valid)
+    if m < 0:
+        raise TruncationTooShort(
+            f"adjoint with index {n} needs valid degree >= {n - 1}, got {valid}"
+        )
+    blocks = c[..., : (m + 1) * n].reshape(*c.shape[:-1], m + 1, n)
+    return np.add.reduce(blocks, axis=-1)
 
 
 def weighted_dilation_adjoint(n: int, f: CoeffSeries) -> CoeffSeries:
@@ -62,16 +105,8 @@ def weighted_dilation_adjoint(n: int, f: CoeffSeries) -> CoeffSeries:
     Raises:
         TruncationTooShort: if not even one full block fits (valid < n - 1).
     """
-    _check_index(n)
-    if n == 1:
-        return f
-    m = adjoint_valid_degree(n, f.valid_degree)
-    if m < 0:
-        raise TruncationTooShort(
-            f"adjoint with index {n} needs valid degree >= {n - 1}, got {f.valid_degree}"
-        )
-    blocks = f.coeffs[: (m + 1) * n].reshape(m + 1, n)
-    return CoeffSeries(np.add.reduce(blocks, axis=1))
+    out = weighted_dilation_adjoint_array(n, f.coeffs)
+    return f if n == 1 else CoeffSeries(out)
 
 
 def dilation(n: int, f: CoeffSeries) -> CoeffSeries:
@@ -88,22 +123,28 @@ def dilation(n: int, f: CoeffSeries) -> CoeffSeries:
     return CoeffSeries(c)
 
 
-def semiconjugacy_residual(n: int, f: CoeffSeries) -> float:
+def semiconjugacy_residual(n: int, f: CoeffSeries | np.ndarray) -> float | list[float]:
     """Norm of the defect in the intertwining of plain and weighted dilations.
 
     Both (1-z)-multiplications and the two dilations are applied on their
-    exact windows and compared on the intersection; the result is zero to
-    machine precision for every input because
+    exact windows and compared on the intersection, degrees 0 .. n*valid;
+    the result is zero to machine precision for every input because
 
         (1 - z^n) f(z^n)  =  (1 - z) * [(1 - z^n)/(1 - z)] f(z^n)
 
-    holds coefficientwise.
+    holds coefficientwise.  ``f`` is a series (the result is a float) or a
+    2-d array whose rows are coefficient vectors of one valid degree (the
+    result is a list with one float per row, each norm taken on its row).
     """
     _check_index(n)
-    lhs = dilation(n, one_minus_shift(f))
-    rhs = one_minus_shift(weighted_dilation(n, f))
-    m = min(lhs.valid_degree, rhs.valid_degree)
-    return norm(CoeffSeries(lhs.coeffs[: m + 1] - rhs.coeffs[: m + 1]))
+    rows = f.coeffs[None] if isinstance(f, CoeffSeries) else f
+    m = n * (rows.shape[-1] - 1)
+    # np.diff(c, prepend=0) is c times (1 - z) on its valid window.
+    lhs = np.zeros((len(rows), m + 1), dtype=rows.dtype)
+    lhs[:, ::n] = np.diff(rows, prepend=0)
+    rhs = np.diff(weighted_dilation_array(n, rows), prepend=0)[:, : m + 1]
+    defects = [array_norm(d) for d in lhs - rhs]
+    return defects[0] if isinstance(f, CoeffSeries) else defects
 
 
 def kernel_vector(n: int, k: int) -> CoeffSeries:

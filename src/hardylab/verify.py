@@ -8,11 +8,23 @@ subcommand prints one line per check, and the acceptance criteria that
 share a check with a suite (tests/test_acceptance.py: c01, c02, c05, c06,
 c09, c10 and c11) call that suite with the criterion's seed and assert
 that every check it returns passes.
+
+The adjoint, isometry, semiconjugacy and Dirichlet suites and the
+Cauchy-Schwarz loop of the semigroup suite work on row stacks, one random
+series per row, instead of one series at a time.  Rows come in blocks whose
+widest array holds at most ``_STACK_BYTES``; each block takes its inputs in
+one ``rng.standard_normal((rows, 2 * series, length))`` call, which is the
+same stream, in the same order, as one :func:`random_series` call per
+series.  Transforms run once per block through the array kernels of
+:mod:`hardylab.semigroup`, while every norm and inner product is still
+taken per row (:func:`~hardylab.series.array_norm`, ``np.vdot``) on the
+same numbers as before, so every check value is the same bit for bit
+whatever the block size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +35,10 @@ from .semigroup import (
     semiconjugacy_residual,
     weighted_dilation,
     weighted_dilation_adjoint,
+    weighted_dilation_adjoint_array,
+    weighted_dilation_array,
 )
-from .series import CoeffSeries, from_coeffs, inner, norm, one, pad, truncate
+from .series import CoeffSeries, array_norm, from_coeffs, inner, norm, one, pad
 from .special import dirichlet_energy_at_one, hk_closed_form, hk_oracle
 from .spectral import (
     adjoint_eigenvector,
@@ -51,6 +65,12 @@ __all__ = [
 ]
 
 
+# Upper bound on the bytes of the widest row stack a suite holds at once.
+# Several stacks of that size are live together, so 128 KiB keeps the
+# suites' extra peak memory near half a MiB.
+_STACK_BYTES = 1 << 17
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -68,35 +88,67 @@ class CheckResult:
         return f"{status}  {self.name}: max_err={self.max_err:.3e} tol={self.tol:.1e}{extra}"
 
 
+def _row_blocks(rows: int, row_bytes: int) -> list[int]:
+    """Sizes of consecutive blocks of ``rows`` rows, each row stack within ``_STACK_BYTES``.
+
+    ``row_bytes`` is the width of one row of the suite's widest stack; a
+    block holds at least one row.
+    """
+    step = max(1, _STACK_BYTES // row_bytes)
+    return [min(step, rows - start) for start in range(0, rows, step)]
+
+
+def _random_rows(
+    rng: np.random.Generator, rows: int, series: int, valid_degree: int
+) -> np.ndarray:
+    """``rows`` x ``series`` random series as a complex (rows, series, valid_degree + 1) stack.
+
+    One draw gives the same numbers as ``rows * series`` calls of
+    :func:`random_series` in row-major order: each series takes its real
+    parts, then its imaginary parts.
+    """
+    parts = rng.standard_normal((rows, 2 * series, valid_degree + 1))
+    return parts[:, 0::2] + 1j * parts[:, 1::2]
+
+
 def random_series(rng: np.random.Generator, valid_degree: int) -> CoeffSeries:
     """Complex coefficients with standard-normal real and imaginary parts."""
-    re = rng.standard_normal(valid_degree + 1)
-    return from_coeffs(re + 1j * rng.standard_normal(valid_degree + 1))
+    return from_coeffs(_random_rows(rng, 1, 1, valid_degree)[0, 0])
 
 
-def adjoint_duality_gap(n: int, f: CoeffSeries, g: CoeffSeries) -> float:
+def adjoint_duality_gap(
+    n: int, f: CoeffSeries | np.ndarray, g: CoeffSeries | np.ndarray
+) -> float | list[float]:
     """|<Wf, g> - <f, W*g>| with both pairings on matched exact windows.
 
     The adjoint of g only reports complete blocks, so the left pairing is
     restricted to the degrees those blocks cover; without that matching a
     dangling partial block would show up as a spurious duality violation.
+    ``f`` and ``g`` are two series (the result is a float) or two 2-d
+    arrays holding one pair per row (the result is a list with one float
+    per pair, each inner product taken on its pair).
     """
-    adj = weighted_dilation_adjoint(n, g)
-    head = truncate(f, min(f.valid_degree, adj.valid_degree))
-    lhs = inner(weighted_dilation(n, head), g)
-    rhs = inner(head, adj)
-    return abs(lhs - rhs)
+    series = isinstance(f, CoeffSeries)
+    fs, gs = (f.coeffs[None], g.coeffs[None]) if series else (f, g)
+    adj = weighted_dilation_adjoint_array(n, gs)
+    m = min(fs.shape[-1], adj.shape[-1])
+    head = fs[:, :m]
+    gaps = [
+        abs(complex(np.vdot(b[: len(w)], w)) - complex(np.vdot(a[:m], h)))
+        for h, w, b, a in zip(head, weighted_dilation_array(n, head), gs, adj)
+    ]
+    return gaps[0] if series else gaps
 
 
 def suite_adjoint(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(200):
-        f = random_series(rng, 512)
-        g = random_series(rng, 512)
-        scale = norm(f) * norm(g)
+    for rows in _row_blocks(200, 2 * 513 * 16):
+        f, g = _random_rows(rng, rows, 2, 512).transpose(1, 0, 2)
+        scales = [array_norm(a) * array_norm(b) for a, b in zip(f, g)]
         for n in (2, 3, 5, 7):
-            worst = max(worst, adjoint_duality_gap(n, f, g) / scale)
+            for gap, scale in zip(adjoint_duality_gap(n, f, g), scales):
+                worst = max(worst, gap / scale)
     return [CheckResult("adjoint duality <Wf,g> = <f,W*g>", worst, 1e-10)]
 
 
@@ -104,16 +156,17 @@ def suite_isometry(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     worst_iso = 0.0
     worst_wsw = 0.0
-    for _ in range(100):
-        f = random_series(rng, 256)
-        nf = norm(f)
+    for rows in _row_blocks(100, 10 * 257 * 16):
+        f = _random_rows(rng, rows, 1, 256)[:, 0]
+        norms = [array_norm(row) for row in f]
         for n in range(2, 11):
-            wf = weighted_dilation(n, f)
-            worst_iso = max(worst_iso, abs(norm(wf) - np.sqrt(n) * nf) / (np.sqrt(n) * nf))
-            back = weighted_dilation_adjoint(n, wf)
-            worst_wsw = max(
-                worst_wsw, norm(from_coeffs(back.coeffs - n * f.coeffs)) / nf
-            )
+            wf = weighted_dilation_array(n, f)
+            back = weighted_dilation_adjoint_array(n, wf)
+            for w, d, nf in zip(wf, back - n * f, norms):
+                worst_iso = max(
+                    worst_iso, abs(array_norm(w) - np.sqrt(n) * nf) / (np.sqrt(n) * nf)
+                )
+                worst_wsw = max(worst_wsw, array_norm(d) / nf)
     return [
         CheckResult("isometry ||Wf|| = sqrt(n)||f||", worst_iso, 1e-12),
         CheckResult("adjoint inversion W*Wf = n f", worst_wsw, 1e-13),
@@ -133,11 +186,13 @@ def suite_semigroup(seed: int = 0) -> list[CheckResult]:
     # Cauchy-Schwarz gap: the index-2 dilation moves every nonzero vector off
     # its own line, so ||Wf||^2||f||^2 - |<Wf,f>|^2 stays strictly positive.
     min_gap = np.inf
-    for _ in range(100):
-        f = random_series(rng, 64)
-        wf = weighted_dilation(2, f)
-        gap = norm(wf) ** 2 * norm(f) ** 2 - abs(inner(wf, f)) ** 2
-        min_gap = min(min_gap, gap / norm(f) ** 4)
+    for rows in _row_blocks(100, 2 * 65 * 16):
+        f = _random_rows(rng, rows, 1, 64)[:, 0]
+        for row, wf in zip(f, weighted_dilation_array(2, f)):
+            nf = array_norm(row)
+            pairing = complex(np.vdot(row, wf[: len(row)]))  # <Wf, f>
+            gap = array_norm(wf) ** 2 * nf**2 - abs(pairing) ** 2
+            min_gap = min(min_gap, gap / nf**4)
     results.append(
         CheckResult("no-eigenvector gap (index 2) stays positive", 1e-12 - min_gap, 0.0,
                     note=f"min normalized gap {min_gap:.3e}")
@@ -148,10 +203,12 @@ def suite_semigroup(seed: int = 0) -> list[CheckResult]:
 def suite_semiconjugacy(seed: int = 0, n_trunc: int = 200) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(100):
-        f = random_series(rng, n_trunc)
+    for rows in _row_blocks(100, 5 * (n_trunc + 1) * 16):
+        f = _random_rows(rng, rows, 1, n_trunc)[:, 0]
+        norms = [array_norm(row) for row in f]
         for n in (2, 3, 5):
-            worst = max(worst, semiconjugacy_residual(n, f) / norm(f))
+            for residual, nf in zip(semiconjugacy_residual(n, f), norms):
+                worst = max(worst, residual / nf)
     return [CheckResult("semiconjugacy of plain and weighted dilations", worst, 1e-12)]
 
 
@@ -231,18 +288,17 @@ def suite_dirichlet(seed: int = 0) -> list[CheckResult]:
     worst_ratio = 0.0
     sharp_holds = True
     for n in (2, 3, 4):
-        vecs = [kernel_vector(n, k) for k in range(21)]
-        top = max(len(v.coeffs) for v in vecs)
-        for _ in range(50):
-            c = rng.standard_normal(21) + 1j * rng.standard_normal(21)
-            acc = np.zeros(top, dtype=np.complex128)
-            for ck, v in zip(c, vecs):
-                acc[: len(v.coeffs)] += ck * v.coeffs
-            f = from_coeffs(acc)
-            energy = dirichlet_energy_at_one(f)
-            worst_ratio = max(worst_ratio, energy / (2**n * n * norm(f) ** 2))
-            if energy > n**2 * norm(f) ** 2:
-                sharp_holds = False
+        # Kernel vector k is kernel_vector(n, 0) moved to block k; the 21 blocks
+        # are disjoint, so each coefficient of a combination is one product.
+        block = kernel_vector(n, 0).coeffs
+        for rows in _row_blocks(50, 21 * n * 16):
+            c = _random_rows(rng, rows, 1, 20)[:, 0]
+            for acc in (c[:, :, None] * block).reshape(rows, 21 * n):
+                f = from_coeffs(acc)
+                energy = dirichlet_energy_at_one(f)
+                worst_ratio = max(worst_ratio, energy / (2**n * n * norm(f) ** 2))
+                if energy > n**2 * norm(f) ** 2:
+                    sharp_holds = False
     return [
         CheckResult(
             "kernel combinations have energy <= 2^n n ||f||^2",

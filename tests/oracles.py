@@ -1,7 +1,10 @@
 """Reference computations that only the tests use."""
 
+import numpy as np
+
 import hardylab as hl
 from hardylab.errors import IndexOutOfRange
+from hardylab.verify import CheckResult
 
 
 def difference_span_orthogonality(k_max: int) -> float:
@@ -35,3 +38,137 @@ def two_truncation_duality_gap(n: int, f, g) -> float:
     lhs = hl.inner(hl.truncate(hl.weighted_dilation(n, f), n * m2 + n - 1), g)
     rhs = hl.inner(hl.truncate(f, m2), adj)
     return abs(lhs - rhs)
+
+
+# ---------------------------------------------------------------------------
+# One-series-at-a-time forms of the identity suites that run on row stacks
+# ---------------------------------------------------------------------------
+
+
+def series_random(rng, valid_degree: int):
+    """One random complex series from two separate draws (real, then imaginary)."""
+    re = rng.standard_normal(valid_degree + 1)
+    return hl.from_coeffs(re + 1j * rng.standard_normal(valid_degree + 1))
+
+
+def series_duality_gap(n: int, f, g) -> float:
+    """|<Wf, g> - <f, W*g>| for one pair, built from series operations."""
+    adj = hl.weighted_dilation_adjoint(n, g)
+    head = hl.truncate(f, min(f.valid_degree, adj.valid_degree))
+    lhs = hl.inner(hl.weighted_dilation(n, head), g)
+    rhs = hl.inner(head, adj)
+    return abs(lhs - rhs)
+
+
+def series_semiconjugacy_residual(n: int, f) -> float:
+    """The intertwining defect of one series, built from series operations."""
+    lhs = hl.dilation(n, hl.one_minus_shift(f))
+    rhs = hl.one_minus_shift(hl.weighted_dilation(n, f))
+    m = min(lhs.valid_degree, rhs.valid_degree)
+    return hl.norm(hl.CoeffSeries(lhs.coeffs[: m + 1] - rhs.coeffs[: m + 1]))
+
+
+def series_suite_adjoint(seed: int = 0):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(200):
+        f = series_random(rng, 512)
+        g = series_random(rng, 512)
+        scale = hl.norm(f) * hl.norm(g)
+        for n in (2, 3, 5, 7):
+            worst = max(worst, series_duality_gap(n, f, g) / scale)
+    return [CheckResult("adjoint duality <Wf,g> = <f,W*g>", worst, 1e-10)]
+
+
+def series_suite_isometry(seed: int = 0):
+    rng = np.random.default_rng(seed)
+    worst_iso = 0.0
+    worst_wsw = 0.0
+    for _ in range(100):
+        f = series_random(rng, 256)
+        nf = hl.norm(f)
+        for n in range(2, 11):
+            wf = hl.weighted_dilation(n, f)
+            worst_iso = max(worst_iso, abs(hl.norm(wf) - np.sqrt(n) * nf) / (np.sqrt(n) * nf))
+            back = hl.weighted_dilation_adjoint(n, wf)
+            worst_wsw = max(
+                worst_wsw, hl.norm(hl.from_coeffs(back.coeffs - n * f.coeffs)) / nf
+            )
+    return [
+        CheckResult("isometry ||Wf|| = sqrt(n)||f||", worst_iso, 1e-12),
+        CheckResult("adjoint inversion W*Wf = n f", worst_wsw, 1e-13),
+    ]
+
+
+def series_suite_semigroup(seed: int = 0):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for m, n in [(2, 2), (2, 5), (3, 2), (3, 5), (2, 3)]:
+        f = series_random(rng, 128)
+        lhs = hl.weighted_dilation(m, hl.weighted_dilation(n, f))
+        rhs = hl.weighted_dilation(m * n, f)
+        worst = max(worst, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
+    results = [CheckResult("semigroup law W_m W_n = W_mn", worst, 1e-14)]
+    min_gap = np.inf
+    for _ in range(100):
+        f = series_random(rng, 64)
+        wf = hl.weighted_dilation(2, f)
+        gap = hl.norm(wf) ** 2 * hl.norm(f) ** 2 - abs(hl.inner(wf, f)) ** 2
+        min_gap = min(min_gap, gap / hl.norm(f) ** 4)
+    results.append(
+        CheckResult("no-eigenvector gap (index 2) stays positive", 1e-12 - min_gap, 0.0,
+                    note=f"min normalized gap {min_gap:.3e}")
+    )
+    return results
+
+
+def series_suite_semiconjugacy(seed: int = 0, n_trunc: int = 200):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(100):
+        f = series_random(rng, n_trunc)
+        for n in (2, 3, 5):
+            worst = max(worst, series_semiconjugacy_residual(n, f) / hl.norm(f))
+    return [CheckResult("semiconjugacy of plain and weighted dilations", worst, 1e-12)]
+
+
+def series_suite_dirichlet(seed: int = 0):
+    rng = np.random.default_rng(seed)
+    worst_ratio = 0.0
+    sharp_holds = True
+    for n in (2, 3, 4):
+        vecs = [hl.kernel_vector(n, k) for k in range(21)]
+        top = max(len(v.coeffs) for v in vecs)
+        for _ in range(50):
+            c = rng.standard_normal(21) + 1j * rng.standard_normal(21)
+            acc = np.zeros(top, dtype=np.complex128)
+            for ck, v in zip(c, vecs):
+                acc[: len(v.coeffs)] += ck * v.coeffs
+            f = hl.from_coeffs(acc)
+            energy = hl.dirichlet_energy_at_one(f)
+            worst_ratio = max(worst_ratio, energy / (2**n * n * hl.norm(f) ** 2))
+            if energy > n**2 * hl.norm(f) ** 2:
+                sharp_holds = False
+    return [
+        CheckResult(
+            "kernel combinations have energy <= 2^n n ||f||^2",
+            worst_ratio,
+            1.0,
+            note=f"sharper n^2 bound held: {sharp_holds}",
+        ),
+        CheckResult(
+            "energy of 1 - z is exactly 1",
+            abs(hl.dirichlet_energy_at_one(hl.from_coeffs([1.0, -1.0])) - 1.0),
+            0.0,
+        ),
+        CheckResult("energy of the constant is 0", hl.dirichlet_energy_at_one(hl.one()), 0.0),
+    ]
+
+
+SERIES_SUITES = {
+    "adjoint": series_suite_adjoint,
+    "isometry": series_suite_isometry,
+    "semigroup": series_suite_semigroup,
+    "semiconjugacy": series_suite_semiconjugacy,
+    "dirichlet": series_suite_dirichlet,
+}

@@ -4,7 +4,15 @@ import pytest
 import hardylab as hl
 from hardylab.errors import IndexOutOfRange, TruncationTooShort
 from hardylab.verify import adjoint_duality_gap, random_series
-from oracles import two_truncation_duality_gap
+from oracles import (
+    series_duality_gap,
+    series_semiconjugacy_residual,
+    two_truncation_duality_gap,
+)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.fixture
@@ -66,6 +74,95 @@ class TestAdjoint:
     def test_index_one_is_identity(self):
         f = hl.from_coeffs([5, 6])
         assert hl.weighted_dilation_adjoint(1, f) is f
+
+
+class TestArrayKernels:
+    """The array kernels on stacks against the series operators row by row."""
+
+    @staticmethod
+    def stack(rng, kind, shape):
+        if kind == "real":
+            return rng.standard_normal(shape)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("length", [7, 11, 64, 257])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 10])
+    def test_rows_match_series_operators(self, rng, n, length, kind):
+        pairs = self.stack(rng, kind, (4, 2, length))
+        # a contiguous 2-d stack and a view whose rows are not adjacent
+        for rows in (pairs.reshape(8, length), pairs[:, 1]):
+            wide = hl.weighted_dilation_array(n, rows)
+            assert wide.shape == (len(rows), n * length)
+            for row, got in zip(rows, wide):
+                assert same_bits(got, hl.weighted_dilation(n, hl.from_coeffs(row)).coeffs)
+            if length < n:
+                continue
+            narrow = hl.weighted_dilation_adjoint_array(n, rows)
+            assert narrow.shape == (len(rows), length // n)
+            for row, got in zip(rows, narrow):
+                want = hl.weighted_dilation_adjoint(n, hl.from_coeffs(row)).coeffs
+                assert same_bits(got, want)
+                # the one-series block sum, whose summation order the check values depend on
+                blocks = row[: length // n * n].reshape(length // n, n)
+                assert same_bits(got, np.add.reduce(blocks, axis=1))
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_last_axis_of_a_three_dimensional_stack(self, rng, n):
+        cube = self.stack(rng, "complex", (3, 4, 50))
+        assert same_bits(hl.weighted_dilation_array(n, cube)[2, 1],
+                         hl.weighted_dilation_array(n, cube[2, 1]))
+        assert same_bits(hl.weighted_dilation_adjoint_array(n, cube)[1, 3],
+                         hl.weighted_dilation_adjoint_array(n, cube[1, 3]))
+
+    @pytest.mark.parametrize("n, length", [(3, 2), (7, 6), (10, 1)])
+    def test_short_rows_raise_like_the_series_adjoint(self, n, length):
+        with pytest.raises(TruncationTooShort) as series_err:
+            hl.weighted_dilation_adjoint(n, hl.zero(length - 1))
+        with pytest.raises(TruncationTooShort) as array_err:
+            hl.weighted_dilation_adjoint_array(n, np.zeros((5, length)))
+        assert str(array_err.value) == str(series_err.value)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_bad_index_raises_like_the_series_operators(self, n):
+        rows = np.ones((3, 4))
+        for series_op, array_op in [
+            (hl.weighted_dilation, hl.weighted_dilation_array),
+            (hl.weighted_dilation_adjoint, hl.weighted_dilation_adjoint_array),
+        ]:
+            with pytest.raises(IndexOutOfRange) as series_err:
+                series_op(n, hl.one(3))
+            with pytest.raises(IndexOutOfRange) as array_err:
+                array_op(n, rows)
+            assert str(array_err.value) == str(series_err.value)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_semiconjugacy_rejects_bad_index(self, n):
+        for f in (hl.one(3), np.ones((2, 4))):
+            with pytest.raises(IndexOutOfRange):
+                hl.semiconjugacy_residual(n, f)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("length", [1, 2, 97])
+    def test_semiconjugacy_rows_match_series_form(self, rng, n, length):
+        rows = self.stack(rng, "complex", (5, length))
+        got = hl.semiconjugacy_residual(n, rows)
+        assert len(got) == len(rows)
+        for row, value in zip(rows, got):
+            f = hl.from_coeffs(row)
+            assert value == series_semiconjugacy_residual(n, f)
+            assert hl.semiconjugacy_residual(n, f) == value
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("f_length, g_length", [(513, 513), (41, 513), (513, 41), (6, 7)])
+    def test_duality_gap_rows_match_series_form(self, rng, n, f_length, g_length):
+        f_rows = self.stack(rng, "complex", (4, f_length))
+        g_rows = self.stack(rng, "complex", (4, g_length))
+        got = adjoint_duality_gap(n, f_rows, g_rows)
+        assert len(got) == len(f_rows)
+        for f, g, value in zip(f_rows, g_rows, got):
+            f, g = hl.from_coeffs(f), hl.from_coeffs(g)
+            assert value == series_duality_gap(n, f, g) == adjoint_duality_gap(n, f, g)
 
 
 class TestPlainDilation:
