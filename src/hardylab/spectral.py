@@ -8,22 +8,25 @@ ends on a power of n, which is why truncation levels are specified as the
 exponent L (series built through degree n^L - 1): a ragged cut would break
 the outermost block identity.
 
-One builder, ``_eigen_rows``, makes these vectors as rows of a complex
-array.  :func:`spectral_disk_scan` calls it per row block of at most 1 MiB
-and returns a columnar :class:`DiskScanReport`.  Its oracle
-:func:`adjoint_eigenvector` takes one row but keeps its own adjoint
-(:func:`~hardylab.semigroup.weighted_dilation_adjoint`) and its own norms.
+One builder, ``_eigen_bands``, makes the band values, one row per point.
+:func:`spectral_disk_scan` works on them alone and returns a columnar
+:class:`DiskScanReport`; its oracle :func:`adjoint_eigenvector` expands one
+row to the full vector and keeps its own adjoint and norms.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 
 from .errors import IndexOutOfRange, OutsideSpectralBall
 from .semigroup import weighted_dilation_adjoint
-from .series import CoeffSeries, array_norm, norm
+from .series import CoeffSeries, norm
 
 __all__ = [
     "EigenPair",
@@ -34,9 +37,6 @@ __all__ = [
     "spectral_disk_scan",
     "shift_decay",
 ]
-
-# Upper bound on the bytes of one row block of the batched disk scan.
-_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -59,36 +59,50 @@ class EigenPair:
     tail_mass: float
 
 
-def _check_level(level: int) -> None:
-    if level < 1:
-        raise IndexOutOfRange(f"truncation level must be >= 1, got {level}")
-
-
-def _check_ball(n: int, lam: complex) -> None:
+def _checked_points(n: int, lams, level: int) -> np.ndarray:
+    """``lams`` as a 1-d complex array, once index, every point and the level are valid."""
+    lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
     if n < 2:
         raise IndexOutOfRange(f"adjoint eigenvectors exist for index >= 2, got {n}")
-    if not abs(lam) < np.sqrt(n):
-        raise OutsideSpectralBall(
-            f"|lam| = {abs(lam):.6g} is not inside the open ball of radius sqrt({n})"
-        )
+    # np.hypot rounds |lam| as Python's abs does; np.abs differs in the last bit
+    inside = np.less(np.hypot(lams.real, lams.imag), math.sqrt(n))
+    if np.count_nonzero(inside) < len(lams):
+        raise OutsideSpectralBall(f"|lam| = {abs(lams[inside.argmin()]):.6g} is not inside "
+                                  f"the open ball of radius sqrt({n})")
+    # n^1024 overflows for every n >= 2, so n**level stays a small power
+    if not 1 <= level < 1024 or n**level > sys.float_info.max:
+        raise IndexOutOfRange(f"truncation level must be >= 1 with {n}^level a float, got {level}")
+    return lams
+
+
+def _eigen_bands(n: int, lams, level: int) -> np.ndarray:
+    """Band values b_0 .. b_{level-1} of the eigenvectors at ``lams``, one row per point."""
+    lams = _checked_points(n, lams, level)
+    # Python complex arithmetic: numpy's complex / and * differ in the last bit
+    rows = [list(accumulate(repeat(lam / n, level - 1), mul, initial=(lam - 1) / (n - 1)))
+            for lam in lams.tolist()]
+    return np.array(rows, dtype=np.complex128).reshape(len(lams), level)
+
+
+def _band_vectors(n: int, lams, level: int) -> tuple[np.ndarray, list[int]]:
+    """Eigenvectors as columns [1, b_0 .. b_{level-1}] and each column's entry count."""
+    bands = _eigen_bands(n, lams, level)
+    vector = np.concatenate([np.ones((len(bands), 1)), bands], axis=1)
+    return vector, [1] + [n**ell * (n - 1) for ell in range(level)]
 
 
 def _eigen_rows(n: int, lams, level: int) -> np.ndarray:
     """The eigenvectors at ``lams`` as the rows of a complex (len(lams), n^level) array."""
-    for lam in lams:
-        _check_ball(n, lam)
-    _check_level(level)
-    bands = np.empty((len(lams), level), dtype=np.complex128)
-    for i, lam in enumerate(map(complex, lams)):
-        band_value = (lam - 1) / (n - 1)
-        for ell in range(level):
-            bands[i, ell] = band_value
-            band_value *= lam / n
-    rows = np.empty((len(lams), n**level), dtype=np.complex128)
-    rows[:, 0] = 1.0
-    for ell in range(level):
-        rows[:, n**ell : n ** (ell + 1)] = bands[:, ell : ell + 1]
-    return rows
+    return np.repeat(*_band_vectors(n, lams, level), axis=1)
+
+
+def _residual_bands(n: int, lams: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """adjoint(v) - lam*v by window band, each block summed left to right as on full rows."""
+    res = vector[:, 1:].copy()  # the first entry of each block: v_0 = 1, then b_(l+1)
+    res[:, 0] = 1.0
+    for _ in range(n - 1):
+        res += vector[:, 1:]
+    return res - lams[:, None] * vector[:, :-1]
 
 
 def adjoint_eigenvector(n: int, lam: complex, level: int) -> EigenPair:
@@ -123,12 +137,11 @@ def eigenvector_norm_sq(n: int, lam: complex | np.ndarray, level: int) -> float 
     is a float) or a 1-d array of points (the result is an array, one
     entry per point, each equal to the scalar call at that point).
     """
-    lams = [complex(x) for x in np.atleast_1d(lam)]
-    for x in lams:
-        _check_ball(n, x)
-    _check_level(level)
-    q = np.array([abs(x) ** 2 / n for x in lams])
-    scale = np.array([abs(x - 1) ** 2 / (n - 1) for x in lams])
+    lams = _checked_points(n, lam, level)
+    # libm hypot and pow round |lam| and its square as Python's abs and ** do
+    d = lams - 1
+    q = np.float_power(np.hypot(lams.real, lams.imag), 2) / n
+    scale = np.float_power(np.hypot(d.real, d.imag), 2) / (n - 1)
     norm_sq = 1.0 + scale * (q[:, None] ** np.arange(level)).sum(axis=1)
     return float(norm_sq[0]) if np.ndim(lam) == 0 else norm_sq
 
@@ -165,13 +178,13 @@ class DiskScanReport:
     @property
     def max_norm_mismatch(self) -> float:
         """Worst relative gap between summed and closed-form squared norms."""
-        # Python-float powers: numpy's squares differ in the last bit at some points
-        pairs = zip(self.vector_norm.tolist(), self.norm_closed_form.tolist())
-        return max(abs(v**2 - c**2) / c**2 for v, c in pairs)
+        # float_power squares with libm pow, as Python's ** does; x*x differs
+        v, c = np.float_power(self.vector_norm, 2), np.float_power(self.norm_closed_form, 2)
+        return float(np.max(np.abs(v - c) / c))
 
     @property
     def all_norms_finite(self) -> bool:
-        return bool(np.isfinite(self.vector_norm).all())
+        return bool(np.isfinite(self.residual).all() and np.isfinite(self.vector_norm).all())
 
 
 def spectral_disk_scan(
@@ -187,16 +200,11 @@ def spectral_disk_scan(
     spaced angles are used.  The truncation level is chosen so the vector
     carries at least ``min_degree_count`` coefficients.
 
-    The grid is walked in blocks of rows, each block a complex
-    (rows x n^level) array of at most 1 MiB from one ``_eigen_rows`` call.
-    The adjoint block sums of the whole block are the sum of the n strided
-    slices ``block[:, j::n]``, and each point's residual and vector norm are
-    the ``np.linalg.norm`` formula (:func:`~hardylab.series.array_norm`) on
-    its row, so the report columns equal the per-point
-    :func:`adjoint_eigenvector` construction (bit for bit for n <= 3; for
-    larger n the block sums may differ in summation order).
-    ``norm_closed_form`` is one :func:`eigenvector_norm_sq` call on all the
-    points.
+    The eigenvectors and their residual vectors are constant on the bands
+    [n^l, n^(l+1)), so the scan works on band values, O(points * level):
+    each residual entry sums its block as on full rows (equal to
+    :func:`adjoint_eigenvector`'s for n <= 3), and each norm is
+    sqrt(sum of count * |value|^2), within an ulp of the exactly rounded norm.
     """
     if n < 2:
         raise IndexOutOfRange(f"spectral scan needs index >= 2, got {n}")
@@ -210,28 +218,17 @@ def spectral_disk_scan(
             raise OutsideSpectralBall(f"relative radius {r} is outside [0, 1)")
     level = level_for_degree(n, min_degree_count)
     sqrt_n = float(np.sqrt(n))
-    lams = np.array([
-        r * sqrt_n * np.exp(2j * np.pi * t / angles_count)
-        for r in radii
-        for t in range(angles_count)
-    ])
-
-    width = n**level
-    window = n ** (level - 1)
-    rows_per_block = max(1, _BLOCK_BYTES // (16 * width))
-    residual, vector_norm = [], []
-    for start in range(0, len(lams), rows_per_block):
-        chunk = lams[start : start + rows_per_block]
-        block = _eigen_rows(n, chunk, level)
-        # adjoint block sums, one strided slice per position inside a block
-        adj = block[:, 0:width:n].copy()
-        for j in range(1, n):
-            adj += block[:, j:width:n]
-        adj -= chunk[:, None] * block[:, :window]  # now the residual vectors
-        residual += map(array_norm, adj)
-        vector_norm += map(array_norm, block)
+    turns = [np.exp(2j * np.pi * t / angles_count) for t in range(angles_count)]
+    lams = np.array([r * sqrt_n * turn for r in radii for turn in turns])
+    vector, counts = _band_vectors(n, lams, level)
+    weights = np.array(counts, dtype=np.float64)
+    residual = _band_norms(_residual_bands(n, lams, vector), weights[:-1])
     closed = np.sqrt(eigenvector_norm_sq(n, lams, level))
-    return DiskScanReport(n, level, lams, np.array(residual), np.array(vector_norm), closed)
+    return DiskScanReport(n, level, lams, residual, _band_norms(vector, weights), closed)
+
+
+def _band_norms(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    return np.sqrt((weights * (values.real**2 + values.imag**2)).sum(axis=1))
 
 
 def shift_decay(n: int, f: CoeffSeries, m_max: int) -> list[float]:

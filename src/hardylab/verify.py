@@ -321,17 +321,13 @@ def suite_spectral(seed: int = 0) -> list[CheckResult]:
     worst_norm = 0.0
     for n in (2, 3):
         level = level_for_degree(n, 4096)
-        for _ in range(100):
-            lam = (
-                0.95
-                * np.sqrt(n)
-                * np.sqrt(rng.uniform())
-                * np.exp(2j * np.pi * rng.uniform())
-            )
+        # the same stream, in the same order, as one rng.uniform() call at a time
+        draws = rng.uniform(size=(100, 2)).tolist()
+        lams = [0.95 * np.sqrt(n) * np.sqrt(u) * np.exp(2j * np.pi * t) for u, t in draws]
+        for lam, closed in zip(lams, eigenvector_norm_sq(n, np.array(lams), level).tolist()):
             pair = adjoint_eigenvector(n, lam, level)
             vector_norm = norm(pair.vector)
             worst_resid = max(worst_resid, pair.residual / vector_norm)
-            closed = eigenvector_norm_sq(n, lam, level)
             worst_norm = max(worst_norm, abs(vector_norm ** 2 - closed) / closed)
     results = [
         CheckResult("adjoint eigenvector residual", worst_resid, 1e-10),

@@ -273,7 +273,15 @@ class TestSpectrum:
         assert run(argv + [str(oracle)]) == 0
         a, b = batched.read_text().splitlines(), oracle.read_text().splitlines()
         assert a[0].startswith("# generated=") and b[0].startswith("# generated=")
-        assert a[1:] == b[1:]
+        assert a[1:3] == b[1:3]
+        for line, oracle_line in zip(a[3:], b[3:]):
+            # the grid points byte for byte; the norms are summed over bands, not rows
+            assert line.split(",")[:2] == oracle_line.split(",")[:2]
+            residual, vector_norm = map(float, line.split(",")[2:])
+            oracle_residual, oracle_norm = map(float, oracle_line.split(",")[2:])
+            assert abs(residual - oracle_residual) <= 1e-15 * vector_norm
+            assert abs(vector_norm - oracle_norm) <= 1e-12
+        assert len(a) == len(b) == 3 + 15
 
     def test_residual_above_tolerance_fails_but_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "spec.csv"
@@ -296,6 +304,37 @@ class TestSpectrum:
                     "--out", str(out)]) == 1
         assert "FAIL" in capsys.readouterr().err
         assert data_lines(out)[-1].endswith(",inf")
+
+    def test_non_finite_residual_fails(self, tmp_path, monkeypatch, capsys):
+        scan = hl.spectral_disk_scan
+
+        def nan_scan(*args, **kwargs):
+            report = scan(*args, **kwargs)
+            residual = report.residual.copy()
+            residual[-1] = np.nan
+            return dataclasses.replace(report, residual=residual)
+
+        monkeypatch.setattr("hardylab.cli.spectral_disk_scan", nan_scan)
+        out = tmp_path / "spec.csv"
+        assert run(["spectrum", "--n", "2", "--r-steps", "2", "--theta-steps", "3",
+                    "--out", str(out)]) == 1
+        assert "FAIL" in capsys.readouterr().err
+        assert data_lines(out)[-1].split(",")[2] == "nan"
+
+    def test_truncation_beyond_int64_runs(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert run(["--truncation", str(10**30), "spectrum", "--n", "3", "--r-steps", "2",
+                    "--theta-steps", "2", "--out", str(out)]) == 0
+        assert "level=63" in out.read_text().splitlines()[1]
+        assert len(data_lines(out)) == 1 + 4
+
+    def test_truncation_beyond_float64_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "spec.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["--truncation", str(10**400), "spectrum", "--n", "3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "IndexOutOfRange: truncation level" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("source, level", [("default", 8), ("flag", 5), ("config", 5)])
     def test_truncation_sets_level(self, tmp_path, source, level):

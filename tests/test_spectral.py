@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import hardylab as hl
 from hardylab import spectral
 from hardylab.errors import IndexOutOfRange, OutsideSpectralBall, TruncationTooShort
+from hardylab.semigroup import weighted_dilation_adjoint
 
 
 class TestEigenvectorConstruction:
@@ -116,8 +119,8 @@ class TestNormClosedForm:
             assert type(scalar) is float and scalar == value
 
     def test_every_point_of_an_array_is_checked(self):
-        with pytest.raises(OutsideSpectralBall):
-            hl.eigenvector_norm_sq(2, np.array([0.5, 1.5, 0.1j]), 3)
+        with pytest.raises(OutsideSpectralBall, match=r"^\|lam\| = 1.5 is not inside"):
+            hl.eigenvector_norm_sq(2, np.array([0.5, 1.5, 0.1j, 2.5]), 3)
 
     @pytest.mark.parametrize("level", [0, -1])
     def test_level_below_one_rejected(self, level):
@@ -163,31 +166,55 @@ class TestDiskScan:
 
 
 class TestBatchedScanOracle:
-    """The batched scan against the per-point construction it replaces."""
+    """The band-value scan against the per-point construction over full vectors."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
     def test_points_match_per_point_oracle(self, n):
         radii, angles = [0.0, 0.5, 0.9], 8
         report = hl.spectral_disk_scan(n, radii, angles)
         level = report.level
-        # the grid spans more than one row block
-        assert len(radii) * angles > spectral._BLOCK_BYTES // (16 * n**level)
         sqrt_n = float(np.sqrt(n))
         expected_lams = [
             r * sqrt_n * np.exp(2j * np.pi * t / angles) for r in radii for t in range(angles)
         ]
         assert report.lam.tolist() == expected_lams
+        vector, counts = spectral._band_vectors(n, report.lam, level)
+        residual = np.repeat(spectral._residual_bands(n, report.lam, vector), counts[:-1], axis=1)
+        # bit for bit the residuals of the full rows, blocks summed as n strided slices
+        rows = spectral._eigen_rows(n, report.lam, level)
+        window = n ** (level - 1)
+        row_residual = rows[:, 0::n].copy()
+        for j in range(1, n):
+            row_residual += rows[:, j::n]
+        row_residual -= report.lam[:, None] * rows[:, :window]
+        assert residual.tobytes() == row_residual.tobytes()
         for i, lam in enumerate(report.lam):
             pair = hl.adjoint_eigenvector(n, lam, level)
-            assert report.vector_norm[i] == hl.norm(pair.vector)
-            assert report.norm_closed_form[i] == float(
-                np.sqrt(hl.eigenvector_norm_sq(n, lam, level))
-            )
+            v = pair.vector.coeffs
+            # the band values expand bit for bit to the vector filled band by band
+            band_value, filled = (complex(lam) - 1) / (n - 1), [1.0]
+            for ell in range(level):
+                filled += [band_value] * (n**ell * (n - 1))
+                band_value *= complex(lam) / n
+            assert np.repeat(vector[i], counts).tobytes() == v.tobytes()
+            assert v.tobytes() == np.array(filled, dtype=complex).tobytes()
+            entries = residual[i]
             if n <= 3:
-                assert report.residual[i] == pair.residual
+                # equal values; the oracle's np.add.reduce may flip the sign of a zero
+                adj = weighted_dilation_adjoint(n, pair.vector).coeffs
+                assert np.array_equal(entries, adj - pair.lam * v[:window])
             else:
                 # only the summation order of the block sums differs
                 assert abs(report.residual[i] - pair.residual) <= 1e-15 * report.vector_norm[i]
+            # both norms within (level + 2) * 2^-52 relative of an exactly rounded sum
+            for got, full in [(report.vector_norm[i], v), (report.residual[i], entries)]:
+                squares = np.concatenate([full.real**2, full.imag**2]).tolist()
+                exact = math.sqrt(math.fsum(squares))
+                assert abs(got - exact) <= (level + 2) * 2.0**-52 * exact
+            assert abs(report.vector_norm[i] - hl.norm(pair.vector)) <= 1e-12
+            assert report.norm_closed_form[i] == float(
+                np.sqrt(hl.eigenvector_norm_sq(n, lam, level))
+            )
 
 
 class TestShiftDecay:
