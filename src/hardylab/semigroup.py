@@ -18,8 +18,11 @@ acting on the last axis of any ``(..., L)`` array, so one call transforms a
 whole stack of coefficient rows.  :func:`weighted_dilation` and
 :func:`weighted_dilation_adjoint` wrap them for one series, and
 :func:`semiconjugacy_residual` takes a series or a stack: the verify suites
-run the same code as the series API.  Each row of a stack goes through the
-same numpy loop as a lone series, so its values are the same bit for bit.
+run the same code as the series API.  The block sums are n strided adds,
+one per position in the block, over the whole stack at once, in numpy's
+pairwise-reduction order and pinned to ``np.add.reduce`` by a test.  Each
+row of a stack therefore gets the same values, bit for bit, as a lone
+series, and as ``np.add.reduce`` over the row's blocks.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ __all__ = [
     "kernel_vector",
     "kernel_intersection_basis",
 ]
+
+
+# numpy's pairwise reduction splits a run of more than this many floats in two.
+_PAIRWISE_FLOATS = 128
 
 
 def _check_index(n: int, lower: int = 1) -> None:
@@ -76,9 +83,11 @@ def adjoint_valid_degree(n: int, input_valid_degree: int) -> int:
 def weighted_dilation_adjoint_array(n: int, c: np.ndarray) -> np.ndarray:
     """Block sums of length n on the last axis of ``c``, complete blocks only.
 
-    A length-L axis becomes length floor(L/n); every block is one
-    ``np.add.reduce`` over the last axis of a ``(..., L // n, n)`` reshape.
-    Index 1 returns ``c`` itself.
+    A length-L axis becomes length floor(L/n).  ``c`` is float64 or
+    complex128.  The sums are strided adds of the n views ``c[..., i::n]``
+    in numpy's pairwise-reduction order, pinned to ``np.add.reduce`` by a
+    test: every block sum equals ``np.add.reduce`` over that block, bit for
+    bit, whatever the layout of ``c``.  Index 1 returns ``c`` itself.
 
     Raises:
         TruncationTooShort: if not even one full block fits (L < n).
@@ -92,8 +101,36 @@ def weighted_dilation_adjoint_array(n: int, c: np.ndarray) -> np.ndarray:
         raise TruncationTooShort(
             f"adjoint with index {n} needs valid degree >= {n - 1}, got {valid}"
         )
-    blocks = c[..., : (m + 1) * n].reshape(*c.shape[:-1], m + 1, n)
-    return np.add.reduce(blocks, axis=-1)
+    window = c[..., : (m + 1) * n]
+    lanes = 4 if window.dtype.kind == "c" else 8
+    return _pairwise_sum([window[..., i::n] for i in range(n)], lanes)
+
+
+def _pairwise_sum(cols: list[np.ndarray], lanes: int) -> np.ndarray:
+    """Sum of ``cols`` as a new array, added in numpy's pairwise-reduction order.
+
+    numpy adds a run of fewer than 8 floats left to right.  A longer run
+    goes into 8 float accumulators (``lanes`` values, a complex value taking
+    two floats) over its full groups; they are combined pairwise,
+    ((a0 + a1) + (a2 + a3)) + ..., and the leftover values are added left to
+    right.  A run of more than 128 floats is split in two at a multiple of
+    8 floats.  The reduction starts from +0.0, hence ``cols[0] + 0.0``: a
+    block of -0.0 alone sums to +0.0.
+    """
+    if len(cols) * 8 // lanes > _PAIRWISE_FLOATS:
+        half = len(cols) // 2 - len(cols) // 2 % lanes
+        return _pairwise_sum(cols[:half], lanes) + _pairwise_sum(cols[half:], lanes)
+    width = lanes if len(cols) >= lanes else 1
+    full = len(cols) - len(cols) % width
+    acc = [cols[0] + 0.0, *cols[1:width]]
+    for start in range(width, full, width):
+        acc = [a + col for a, col in zip(acc, cols[start : start + width])]
+    while len(acc) > 1:
+        acc = [acc[i] + acc[i + 1] for i in range(0, len(acc), 2)]
+    out = acc[0]
+    for col in cols[full:]:
+        out += col
+    return out
 
 
 def weighted_dilation_adjoint(n: int, f: CoeffSeries) -> CoeffSeries:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg import get_lapack_funcs, toeplitz
 
 from .errors import NearZeroConstantTerm
 
@@ -228,10 +228,13 @@ def formal_log(f: CoeffSeries) -> CoeffSeries:
     With fn = f/f_0 and a_j = j*g_j this is the unit lower-triangular
     Toeplitz system sum_{i=1}^{j} fn_{j-i} a_i = j*fn_j.  It is solved by
     forward substitution in blocks of ``_LOG_BLOCK`` degrees: one
-    triangular solve per block, then one convolution pushes the block into
-    the later right-hand sides.  Only fn_0 .. fn_d enter, d being the last
-    nonzero coefficient, so the cost is O(N*(d+B)) with B = ``_LOG_BLOCK``
-    instead of O(N^2).  No composition-radius issues.  Valid degree preserved.
+    triangular solve per block (LAPACK ``?trtrs``, called directly), then
+    one convolution pushes the block into the later right-hand sides.  The
+    solves take the arguments ``scipy.linalg.solve_triangular`` would pass,
+    so the values are the same bit for bit.  Only fn_0 .. fn_d enter, d
+    being the last nonzero coefficient, so the cost is O(N*(d+B)) with
+    B = ``_LOG_BLOCK`` instead of O(N^2).  No composition-radius issues.
+    Valid degree preserved.
 
     Raises:
         NearZeroConstantTerm: if |f_0| <= ``_MIN_CONSTANT``, or if f/f_0 or the
@@ -252,13 +255,17 @@ def formal_log(f: CoeffSeries) -> CoeffSeries:
         m = min(_LOG_BLOCK, max(n, 1))
         col = np.zeros(m, dtype=np.complex128)
         col[: min(m, d + 1)] = fn[:m]
-        lower = toeplitz(col, np.zeros(m))
+        # LAPACK reads the transposed C-ordered factor as a Fortran upper
+        # triangle and solves with its transpose, as solve_triangular does.
+        upper = toeplitz(col, np.zeros(m)).T
+        trtrs, = get_lapack_funcs(("trtrs",), (upper,))
         for s in range(1, n + 1, m):
             e = min(s + m, n + 1)
-            a[s:e] = solve_triangular(
-                lower[: e - s, : e - s], a[s:e], lower=True,
-                unit_diagonal=True, check_finite=False,
+            a[s:e], info = trtrs(
+                upper[: e - s, : e - s], a[s:e], lower=0, trans=1, unitdiag=1
             )
+            if info:
+                raise np.linalg.LinAlgError(f"?trtrs failed with info = {info}")
             push = np.convolve(a[s:e], fn[: n + 1 - s])[e - s : n + 1 - s]
             a[e : e + len(push)] -= push
         g = a / np.maximum(np.arange(n + 1), 1)

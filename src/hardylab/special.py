@@ -9,6 +9,8 @@ log/partial-sum pipeline used as its permanent cross-check.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .errors import IndexOutOfRange
@@ -27,6 +29,10 @@ __all__ = [
 def _check_hk_args(k: int, n_trunc: int) -> None:
     if k < 2:
         raise IndexOutOfRange(f"h_k is defined for k >= 2, got {k}")
+    if k > sys.float_info.max:
+        raise IndexOutOfRange(
+            f"h_k needs k within double precision, got a {k.bit_length()}-bit k"
+        )
     if n_trunc < 0:
         raise IndexOutOfRange(f"truncation degree must be >= 0, got {n_trunc}")
 
@@ -76,9 +82,13 @@ def _harmonic_table(n_trunc: int) -> np.ndarray:
 
 
 def _hk_coeffs(h: np.ndarray, k: int) -> np.ndarray:
-    """H_j - H_{floor(j/k)} - log k for j < len(h); each H_{floor(j/k)} is a run of k copies."""
+    """H_j - H_{floor(j/k)} - log k for j < len(h); each H_{floor(j/k)} is a run of k copies.
+
+    Only the first len(h) entries of the runs are read, so a run is never
+    longer than len(h): for k > len(h) every floor(j/k) is 0.
+    """
     n = len(h)
-    return h - np.repeat(h[: (n - 1) // k + 1], k)[:n] - np.log(k)
+    return h - np.repeat(h[: (n - 1) // k + 1], min(k, n))[:n] - np.log(float(k))
 
 
 def hk_oracle(k: int, n_trunc: int) -> CoeffSeries:

@@ -201,8 +201,9 @@ def spectral_disk_scan(
     carries at least ``min_degree_count`` coefficients.
 
     The eigenvectors and their residual vectors are constant on the bands
-    [n^l, n^(l+1)), so the scan works on band values, O(points * level):
-    each residual entry sums its block as on full rows (equal to
+    [n^l, n^(l+1)), so the scan works on band values, in O(points * level)
+    memory and O(points * level * n) time: each residual entry sums its
+    block of n values as on full rows (equal to
     :func:`adjoint_eigenvector`'s for n <= 3), and each norm is
     sqrt(sum of count * |value|^2), within an ulp of the exactly rounded norm.
     """

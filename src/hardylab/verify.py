@@ -108,7 +108,10 @@ def _random_rows(
     parts, then its imaginary parts.
     """
     parts = rng.standard_normal((rows, 2 * series, valid_degree + 1))
-    return parts[:, 0::2] + 1j * parts[:, 1::2]
+    out = np.empty((rows, series, valid_degree + 1), dtype=np.complex128)
+    out.real = parts[:, 0::2]
+    out.imag = parts[:, 1::2]
+    return out
 
 
 def random_series(rng: np.random.Generator, valid_degree: int) -> CoeffSeries:

@@ -1,9 +1,11 @@
 """Reference computations that only the tests use."""
 
 import numpy as np
+from scipy.linalg import solve_triangular, toeplitz
 
 import hardylab as hl
 from hardylab.errors import IndexOutOfRange
+from hardylab.series import _LOG_BLOCK
 from hardylab.verify import CheckResult
 
 
@@ -38,6 +40,36 @@ def two_truncation_duality_gap(n: int, f, g) -> float:
     lhs = hl.inner(hl.truncate(hl.weighted_dilation(n, f), n * m2 + n - 1), g)
     rhs = hl.inner(hl.truncate(f, m2), adj)
     return abs(lhs - rhs)
+
+
+def solve_triangular_formal_log(f) -> np.ndarray:
+    """Coefficients of ``hl.formal_log(f)`` with each block solved by ``solve_triangular``.
+
+    The blocked forward substitution of :func:`hardylab.formal_log` before it
+    called LAPACK's ``?trtrs`` itself; the two must agree bit for bit.
+    """
+    f0 = complex(f.coeffs[0])
+    n = f.valid_degree
+    with np.errstate(all="ignore"):
+        fn = np.trim_zeros(f.coeffs / f0, "b")
+        d = len(fn) - 1
+        a = np.zeros(n + 1, dtype=np.complex128)
+        a[1 : d + 1] = np.arange(1, d + 1) * fn[1:]
+        m = min(_LOG_BLOCK, max(n, 1))
+        col = np.zeros(m, dtype=np.complex128)
+        col[: min(m, d + 1)] = fn[:m]
+        lower = toeplitz(col, np.zeros(m))
+        for s in range(1, n + 1, m):
+            e = min(s + m, n + 1)
+            a[s:e] = solve_triangular(
+                lower[: e - s, : e - s], a[s:e], lower=True,
+                unit_diagonal=True, check_finite=False,
+            )
+            push = np.convolve(a[s:e], fn[: n + 1 - s])[e - s : n + 1 - s]
+            a[e : e + len(push)] -= push
+        g = a / np.maximum(np.arange(n + 1), 1)
+        g[0] = np.log(f0)
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,24 @@ class TestGenHk:
         run(["gen-hk", "--k", "5", "--n", "32", "--out", str(b)])
         assert a.read_text().splitlines()[1:] == b.read_text().splitlines()[1:]
 
+    @pytest.mark.parametrize("k", [2**62, 10**20])
+    def test_k_beyond_the_truncation_runs(self, tmp_path, k):
+        out = tmp_path / "h.csv"
+        assert run(["gen-hk", "--k", str(k), "--n", "5", "--out", str(out)]) == 0
+        rows = data_lines(out)
+        assert len(rows) == 1 + 6
+        assert float(rows[1].split(",")[1]) == -np.log(float(k))
+
+    def test_k_beyond_double_precision_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-hk", "--k", str(10**400), "--n", "5", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "IndexOutOfRange: h_k needs k within double precision" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_memory_error_is_usage_error(self, tmp_path, monkeypatch, capsys):
         def too_large(k, n_trunc):
             raise MemoryError(f"Unable to allocate h_{k} through degree {n_trunc}")

@@ -115,6 +115,34 @@ class TestArrayKernels:
         assert same_bits(hl.weighted_dilation_adjoint_array(n, cube)[1, 3],
                          hl.weighted_dilation_adjoint_array(n, cube[1, 3]))
 
+    @pytest.mark.parametrize("values", ["scaled", "signed zeros and ones", "negative zeros"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_block_sums_are_add_reduce_bit_for_bit(self, rng, kind, values):
+        # every n through numpy's 128-float pairwise block and past it, then split sizes
+        for n in [*range(2, 141), 200, 256, 257, 300]:
+            shape = (3, 4, 4 * n + 3)
+            if values == "scaled":  # magnitudes 1e-8 .. 1e8, so the order shows
+                scale = 10.0 ** rng.integers(-8, 9, (2, *shape))
+                parts = rng.standard_normal((2, *shape)) * scale
+            elif values == "signed zeros and ones":
+                parts = rng.choice([-0.0, 0.0, -1.0, 1.0], (2, *shape))
+            else:
+                parts = np.full((2, *shape), -0.0)
+            cube = parts[0]
+            if kind == "complex":  # set apart: 1j * -0.0 would lose the signs
+                cube = np.empty(shape, dtype=np.complex128)
+                cube.real, cube.imag = parts
+            # a 3-d stack, a 2-d view of non-adjacent rows, a reversed, strided view
+            # and a Fortran-ordered copy; the reference reduces C-ordered blocks
+            for stack in (cube, cube[:, 1], cube[::-1, ::2, 1:], np.asfortranarray(cube)):
+                got = hl.weighted_dilation_adjoint_array(n, stack)
+                length = stack.shape[-1] // n * n
+                blocks = np.ascontiguousarray(stack[..., :length])
+                blocks = blocks.reshape(*stack.shape[:-1], length // n, n)
+                assert same_bits(got, np.add.reduce(blocks, axis=-1)), n
+                if values == "negative zeros":
+                    assert not np.signbit([got.real, got.imag]).any()
+
     @pytest.mark.parametrize("n, length", [(3, 2), (7, 6), (10, 1)])
     def test_short_rows_raise_like_the_series_adjoint(self, n, length):
         with pytest.raises(TruncationTooShort) as series_err:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import hardylab as hl
 from hardylab.errors import NearZeroConstantTerm
 from hardylab.series import _LOG_BLOCK
+from oracles import solve_triangular_formal_log
 
 
 def series_from(re, im=None):
@@ -314,6 +315,21 @@ class TestBlockedFormalLog:
             warnings.simplefilter("error")
             with pytest.raises(NearZeroConstantTerm, match=r"\|f_0\| = .*max\|f_j\| = "):
                 hl.formal_log(hl.from_coeffs(coeffs))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("trailing_zeros", [0, 3, 200])
+    @pytest.mark.parametrize(
+        "valid_degree",
+        [0, 1, _LOG_BLOCK - 1, _LOG_BLOCK, _LOG_BLOCK + 1, 700],
+    )
+    def test_lapack_solves_match_solve_triangular(self, valid_degree, trailing_zeros, kind):
+        rng = np.random.default_rng(valid_degree + trailing_zeros)
+        c = zero_free_polynomial(rng, valid_degree, valid_degree)
+        c[max(1, len(c) - trailing_zeros) :] = 0.0
+        f = hl.from_coeffs(c.real if kind == "real" else c)
+        got = hl.formal_log(f).coeffs
+        want = solve_triangular_formal_log(f)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_min_constant_still_guards(self):
         with pytest.raises(NearZeroConstantTerm, match="constant term"):

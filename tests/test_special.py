@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,24 @@ class TestHkValues:
             hl.hk_oracle(1, 16)
         with pytest.raises(IndexOutOfRange):
             hl.hk_closed_form(2, -1)
+
+    def test_huge_k_needs_no_run_of_k_copies(self):
+        k = 2**62
+        tracemalloc.start()
+        try:
+            got = hl.hk_closed_form(k, 5).coeffs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every floor(j/k) is 0, so coefficient j is H_j - log k
+        assert np.array_equal(got, _harmonic_table(5) - np.log(k))
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("k", [2**1024, 10**400])
+    def test_rejects_k_beyond_double_precision(self, k):
+        for make in (hl.hk_closed_form, hl.hk_oracle):
+            with pytest.raises(IndexOutOfRange, match="double precision"):
+                make(k, 5)
 
 
 class TestMutualOracle:
@@ -132,6 +152,10 @@ class TestHkMatrix:
         for k in (2, 3, 64, n_trunc + 1, n_trunc + 5):
             by_index = h - h[np.arange(len(h)) // k] - np.log(k)
             assert np.array_equal(_hk_coeffs(h, k), by_index)
+
+    @pytest.mark.parametrize("k", [2, 3, 2**31 - 1, 2**53 + 1, 2**62 + 1, 2**63 - 1])
+    def test_log_of_float_k_is_log_of_k(self, k):
+        assert np.log(float(k)).tobytes() == np.log(k).tobytes()
 
 
 class TestTruncationCertificate:

@@ -45,6 +45,19 @@ def test_random_rows_are_the_series_stream():
                           series_random(serial, 4).coeffs)
 
 
+# (rows, series, valid degree) of the stacks the suites draw, last blocks included
+@pytest.mark.parametrize("shape", [(7, 2, 512), (4, 2, 512), (3, 1, 256), (1, 1, 256),
+                                   (63, 1, 64), (37, 1, 64), (8, 1, 200), (4, 1, 200),
+                                   (50, 1, 20), (1, 1, 728), (1, 1, 0)])
+def test_random_rows_assemble_the_parts_bit_for_bit(shape):
+    rows, series, valid_degree = shape
+    got = verify._random_rows(np.random.default_rng(5), rows, series, valid_degree)
+    parts = np.random.default_rng(5).standard_normal((rows, 2 * series, valid_degree + 1))
+    want = parts[:, 0::2] + 1j * parts[:, 1::2]
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("rows, row_bytes", [(200, 16416), (100, 1), (7, 1 << 20), (1, 5)])
 def test_row_blocks_cover_every_row_within_the_budget(rows, row_bytes):
     sizes = verify._row_blocks(rows, row_bytes)
