@@ -42,7 +42,6 @@ from .semigroup import (
 from .series import (
     CoeffSeries,
     axpy,
-    cauchy_product,
     cumsum,
     fit_degree,
     formal_log,
@@ -51,16 +50,13 @@ from .series import (
     monomial,
     norm,
     one,
-    one_minus_shift,
     pad,
-    shift_up,
     truncate,
     zero,
 )
 from .special import (
     dirichlet_energy_at_one,
     hk_closed_form,
-    hk_matrix,
     hk_oracle,
     hk_tail_norm_bound,
     truncation_certificate,
@@ -94,7 +90,6 @@ __all__ = [
     "adjoint_eigenvector",
     "axpy",
     "baez_duarte_sequence",
-    "cauchy_product",
     "cumsum",
     "cyclicity_scan",
     "dilation",
@@ -105,7 +100,6 @@ __all__ = [
     "formal_log",
     "from_coeffs",
     "hk_closed_form",
-    "hk_matrix",
     "hk_oracle",
     "hk_tail_norm_bound",
     "inner",
@@ -117,11 +111,9 @@ __all__ = [
     "non_cyclicity_witness",
     "norm",
     "one",
-    "one_minus_shift",
     "pad",
     "semiconjugacy_residual",
     "shift_decay",
-    "shift_up",
     "spectral_disk_scan",
     "truncate",
     "truncation_certificate",

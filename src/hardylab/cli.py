@@ -89,14 +89,13 @@ def _write_rows(path: Path, meta: list[str], header: list[str], columns) -> None
 
     ``columns`` holds one ``(fmt, values)`` pair per CSV column (``"%d"``
     for indices, ``"%.17g"`` for floats); :func:`series.write_columns`
-    formats them a block of rows at a time.
+    encodes them a block of rows at a time.  The file is binary and the
+    text lines above the rows are written as ASCII.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# generated={_timestamp()}\n")
-        for line in meta:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
+    head = [f"# generated={_timestamp()}"] + [f"# {line}" for line in meta] + [",".join(header)]
+    with open(path, "wb") as fh:
+        fh.write("".join(line + "\n" for line in head).encode("ascii"))
         write_columns(fh, columns)
 
 

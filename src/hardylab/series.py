@@ -37,11 +37,8 @@ __all__ = [
     "norm",
     "array_norm",
     "axpy",
-    "cauchy_product",
     "formal_log",
     "cumsum",
-    "shift_up",
-    "one_minus_shift",
     "write_columns",
 ]
 
@@ -52,8 +49,9 @@ _LOG_BLOCK = 128
 # formal_log refuses a constant term of at most this modulus.
 _MIN_CONSTANT = 1e-300
 
-# Rows formatted per `%` call in write_columns; bounds the formatted
-# block to a few hundred KiB however long the table is.
+# Rows encoded per block by write_columns; a block's character matrix,
+# at most 25 bytes a float cell and 21 an int cell, stays within a few
+# hundred KiB however long the table is.
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -208,16 +206,6 @@ def axpy(a: complex, f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
     return CoeffSeries(a * f.coeffs[:m] + g.coeffs[:m])
 
 
-def cauchy_product(f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
-    """Coefficient convolution (fg)_j = sum_i f_i g_{j-i}.
-
-    Valid degree is min of the inputs: coefficient j of the product needs
-    both factors through degree j, so that window is truncation-safe.
-    """
-    m = min(f.valid_degree, g.valid_degree)
-    return CoeffSeries(np.convolve(f.coeffs, g.coeffs)[: m + 1])
-
-
 def formal_log(f: CoeffSeries) -> CoeffSeries:
     """Formal logarithm g = log f with g determined by g'*f = f'.
 
@@ -283,47 +271,168 @@ def cumsum(f: CoeffSeries) -> CoeffSeries:
     return CoeffSeries(np.cumsum(f.coeffs))
 
 
-def shift_up(f: CoeffSeries) -> CoeffSeries:
-    """Multiplication by z (the unilateral shift); valid degree grows by one."""
-    c = np.empty(len(f.coeffs) + 1, dtype=f.coeffs.dtype)
-    c[0] = 0.0
-    c[1:] = f.coeffs
-    return CoeffSeries(c)
-
-
-def one_minus_shift(f: CoeffSeries) -> CoeffSeries:
-    """Multiplication by (1-z); inverse of :func:`cumsum` on the shared window.
-
-    Output coefficient j = f_j - f_{j-1}.  The difference at degree
-    valid+1 would need the unknown coefficient f_{valid+1}, so the valid
-    degree is preserved, not grown.
-    """
-    c = f.coeffs.copy()
-    c[1:] -= f.coeffs[:-1]
-    return CoeffSeries(c)
-
-
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
 
 
 def write_columns(fh, columns) -> None:
-    """Write equal-length ``columns`` to ``fh`` as comma-separated rows.
+    """Write equal-length ``columns`` to the binary file ``fh`` as comma-separated rows.
 
-    ``columns`` is a list of ``(fmt, values)`` pairs: ``"%d"`` for integer
-    columns and ``"%.17g"`` for floats, whose output is the same as
-    ``format(x, ".17g")``.  Each block of at most ``_CSV_BLOCK_ROWS`` rows
-    is formatted by one ``%`` call on a flat tuple and sent in one write.
+    ``columns`` is a list of ``(fmt, values)`` pairs: ``"%d"`` for int64
+    columns, whose cells read ``str(v)``, and ``"%.17g"`` for float64
+    columns, whose cells read ``format(x, ".17g")``.  Each block of at most
+    ``_CSV_BLOCK_ROWS`` rows is laid out as one uint8 character matrix, in
+    which a 0 byte marks a position the cell leaves out (a leading digit
+    zero, a trailing fraction zero, an absent sign or point), and is sent
+    in one write of its kept bytes.  Floats with 1e-11 < |x| < 1e16 are
+    encoded exactly with integer arithmetic (:func:`_float_cells`); zeros,
+    nan, inf and smaller or larger magnitudes are formatted by ``format``,
+    one cell at a time.  Tests pin the bytes to the per-value formatting.
     """
-    ncols = len(columns)
-    row_fmt = ",".join(fmt for fmt, _ in columns) + "\n"
-    values = [np.asarray(v) for _, v in columns]
-    nrows = len(values[0])
+    encoders = {"%d": _int_cells, "%.17g": _float_cells}
+    values = [(encoders[fmt], np.asarray(v)) for fmt, v in columns]
+    seps = [ord(",")] * (len(values) - 1) + [ord("\n")]
+    nrows = len(values[0][1])
     for start in range(0, nrows, _CSV_BLOCK_ROWS):
-        block = [v[start:start + _CSV_BLOCK_ROWS].tolist() for v in values]
-        rows = len(block[0])
-        flat = [None] * (rows * ncols)
-        for i, col in enumerate(block):
-            flat[i::ncols] = col
-        fh.write(row_fmt * rows % tuple(flat))
+        rows = min(_CSV_BLOCK_ROWS, nrows - start)
+        parts = []
+        for (encode, v), sep in zip(values, seps):
+            parts += [encode(v[start:start + rows]), np.full((rows, 1), sep, dtype=np.uint8)]
+        mat = np.concatenate(parts, axis=1)
+        fh.write(mat[mat != 0].tobytes())
+
+
+# "0000" .. "9999" as native uint32 words, so that one gather writes four digits.
+_DIGITS4 = (
+    (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint16)
+     % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+)
+_POW5 = np.array([5**q for q in range(28)], dtype=np.uint64)
+_POW10 = np.array([10**e for e in range(20)], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _digit_groups(d: np.ndarray, groups: int) -> np.ndarray:
+    """The ``4 * groups`` lowest decimal digits of each uint64 in ``d``, one ASCII row each."""
+    g = np.empty((len(d), groups), dtype=np.intp)
+    for i in range(groups - 1, -1, -1):
+        rest = d // np.uint64(10000)
+        g[:, i] = d - rest * np.uint64(10000)
+        d = rest
+    return _DIGITS4[g].view(np.uint8)
+
+
+def _int_cells(v: np.ndarray) -> np.ndarray:
+    """``str(v)`` of each int64 entry as one row, with 0 bytes in unused positions."""
+    v = v.astype(np.int64, copy=False)
+    u = v.view(np.uint64)
+    neg = v < 0
+    mag = np.where(neg, -u, u)  # uint64 negation wraps, so -2^63 gives 2^63
+    ndig = np.maximum(np.searchsorted(_POW10, mag, side="right"), 1)
+    width = int(ndig.max(initial=1))
+    cells = np.empty((len(v), width + 1), dtype=np.uint8)
+    cells[:, 0] = np.where(neg, ord("-"), 0)
+    groups = -(-width // 4)
+    digits = _digit_groups(mag, groups)[:, 4 * groups - width:]
+    cells[:, 1:] = digits * (np.arange(width, 0, -1) <= ndig[:, None])
+    return cells
+
+
+def _scaled_decimal(m: np.ndarray, e: np.ndarray, p: np.ndarray):
+    """Floor and round (ties to even) of m * 2^e * 10^(16 - p), computed exactly.
+
+    ``m`` is a uint64 array below 2^53, ``e`` and ``p`` are int64 arrays
+    and 0 <= 16 - p <= 27, so that 5^(16 - p) < 2^63.  The product
+    m * 5^(16 - p) is formed as 128 bits from 32-bit limbs and shifted
+    right by -(e + 16 - p) bits; the bits shifted out decide the rounding.
+    A shift of less than one bit is first raised to one by moving factors
+    of 2 from the shift into m, which stays below 2^57; that happens only
+    for |x| >= 2^51, where 16 - p <= 2 and the product still fits.
+    """
+    q = 16 - p
+    s = -(e + q)
+    k = np.maximum(1 - s, 0)
+    m = m << k.astype(np.uint64)
+    t = (s + k - 1).astype(np.uint64)
+    f = _POW5[q]
+    m0, m1, f0, f1 = m & _LOW32, m >> np.uint64(32), f & _LOW32, f >> np.uint64(32)
+    low = m0 * f0
+    mid = m1 * f0 + m0 * f1
+    lo = low + (mid << np.uint64(32))
+    hi = m1 * f1 + (mid >> np.uint64(32)) + (lo < low)
+    # t <= 62 in the range write_columns encodes, so the product shifted
+    # right by t bits (twice the floor plus the rounding bit) fits in 64.
+    shifted = ((hi << np.uint64(1)) << (np.uint64(63) - t)) | (lo >> t)
+    sticky = (lo & ((np.uint64(1) << t) - np.uint64(1))) != 0
+    floor = shifted >> np.uint64(1)
+    up = (shifted & np.uint64(1)).astype(bool) & (sticky | (floor & np.uint64(1)).astype(bool))
+    return floor, floor + up
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """``format(x, ".17g")`` of each float64 entry as one row, with 0 bytes in unused positions.
+
+    For 1e-11 < |x| < 1e16 the 17 significant digits are D = round(|x| *
+    10^(16 - p)), with p = floor(log10|x|) the decimal exponent, so that
+    10^16 <= floor(|x| * 10^(16 - p)) < 10^17.  p starts from the float
+    log10 and moves by one for each row that misses that range.  D never
+    rounds up to 10^17: the largest double below each power of ten in the
+    range is more than half a unit of the 17th digit below it (a test
+    checks this), so p is also the exponent %g prints.  The digits are
+    laid out by %g's rules, fixed notation for -4 <= p < 17 and d.ddde-XX
+    below, without trailing fraction zeros: the rows are sorted by p, each
+    run of equal p is placed with slice copies, and one row gather puts
+    the rows back in order.  Every other entry is formatted by ``format``
+    and copied over its row.
+    """
+    x = x.astype(np.float64, copy=False)
+    a = np.abs(x)
+    fast = (a > 1e-11) & (a < 1e16)
+    slow = np.flatnonzero(~fast)
+    a[slow] = 1.0  # a stand-in for the integer path; its row is replaced below
+    frac, e = np.frexp(a)
+    m = (frac * 2.0**53).astype(np.uint64)
+    e = e.astype(np.int64) - 53
+    p = np.maximum(np.floor(np.log10(a)).astype(np.int64), -11)
+    floor, d = _scaled_decimal(m, e, p)
+    redo = np.flatnonzero((floor < _POW10[16]) | (floor >= _POW10[17]))
+    while len(redo):
+        p[redo] += np.where(floor[redo] < _POW10[16], -1, 1)
+        floor[redo], d[redo] = _scaled_decimal(m[redo], e[redo], p[redo])
+        redo = redo[(floor[redo] < _POW10[16]) | (floor[redo] >= _POW10[17])]
+    order = np.argsort(p.astype(np.int8), kind="stable")
+    p, d = p[order], d[order]
+    digits = _digit_groups(d, 5)[:, 3:]
+    ndig = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    # Fixed notation keeps every integer digit; trailing fraction zeros go.
+    digits *= np.arange(17) < np.maximum(ndig, p + 1)[:, None]
+    out = np.zeros((len(d), 24), dtype=np.uint8)
+    out[:, 0] = np.where(x[order] < 0, ord("-"), 0)
+    cuts = (np.flatnonzero(np.diff(p)) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(p)]):
+        exp = int(p[lo])
+        c, dg = out[lo:hi], digits[lo:hi]
+        point = np.where(ndig[lo:hi] > max(exp, 0) + 1, ord("."), 0)
+        if exp >= 0:
+            c[:, 1:exp + 2] = dg[:, :exp + 1]
+            c[:, exp + 2] = point
+            c[:, exp + 3:19] = dg[:, exp + 1:]
+        elif exp >= -4:
+            c[:, 1:2 - exp] = np.frombuffer(b"0." + b"0" * (-exp - 1), dtype=np.uint8)
+            c[:, 2 - exp:19 - exp] = dg
+        else:
+            c[:, 1] = dg[:, 0]
+            c[:, 2] = point
+            c[:, 3:19] = dg[:, 1:]
+            c[:, 19:23] = np.frombuffer(b"e-%02d" % -exp, dtype=np.uint8)
+    back = np.empty_like(order)
+    back[order] = np.arange(len(order))
+    cells = np.take(out, back, axis=0)
+    if len(slow):
+        text = [format(v, ".17g") for v in x[slow].tolist()]
+        lens = np.fromiter(map(len, text), dtype=np.intp, count=len(text))
+        block = np.zeros((len(slow), 24), dtype=np.uint8)
+        block[np.arange(24) < lens[:, None]] = np.frombuffer("".join(text).encode(), dtype=np.uint8)
+        cells[slow] = block
+    return cells

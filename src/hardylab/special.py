@@ -18,7 +18,6 @@ from .series import CoeffSeries, cumsum, formal_log
 
 __all__ = [
     "hk_closed_form",
-    "hk_matrix",
     "hk_oracle",
     "hk_tail_norm_bound",
     "truncation_certificate",
@@ -53,20 +52,12 @@ def hk_closed_form(k: int, n_trunc: int) -> CoeffSeries:
     return CoeffSeries(_hk_coeffs(_harmonic_table(n_trunc), k))
 
 
-def hk_matrix(k_max: int, n_trunc: int) -> np.ndarray:
-    """Real (n_trunc + 1) x (k_max - 1) matrix whose column k - 2 is h_k, k = 2..k_max.
+def _fill_hk_columns(out: np.ndarray) -> np.ndarray:
+    """Write h_{i+2} through degree ``len(out) - 1`` into column i of ``out``.
 
     Every column comes from one shared harmonic table and is bit-identical
-    to ``hk_closed_form(k, n_trunc).coeffs``.  The matrix
-    is allocated in Fortran (column-major) order and filled one column at a
-    time, so each column and every leading block of columns is contiguous.
+    to ``hk_closed_form(i + 2, len(out) - 1).coeffs``.
     """
-    _check_hk_args(k_max, n_trunc)
-    return _fill_hk_columns(np.empty((n_trunc + 1, k_max - 1), order="F"))
-
-
-def _fill_hk_columns(out: np.ndarray) -> np.ndarray:
-    """Write h_{i+2} through degree ``len(out) - 1`` into column i of ``out``."""
     h = _harmonic_table(out.shape[0] - 1)
     for i in range(out.shape[1]):
         out[:, i] = _hk_coeffs(h, i + 2)

@@ -42,6 +42,18 @@ def two_truncation_duality_gap(n: int, f, g) -> float:
     return abs(lhs - rhs)
 
 
+def one_minus_shift(f):
+    """Multiplication by (1-z); inverse of ``hl.cumsum`` on the shared window.
+
+    Output coefficient j = f_j - f_{j-1}.  The difference at degree
+    valid+1 would need the unknown coefficient f_{valid+1}, so the valid
+    degree is preserved, not grown.
+    """
+    c = f.coeffs.copy()
+    c[1:] -= f.coeffs[:-1]
+    return hl.CoeffSeries(c)
+
+
 def solve_triangular_formal_log(f) -> np.ndarray:
     """Coefficients of ``hl.formal_log(f)`` with each block solved by ``solve_triangular``.
 
@@ -94,8 +106,8 @@ def series_duality_gap(n: int, f, g) -> float:
 
 def series_semiconjugacy_residual(n: int, f) -> float:
     """The intertwining defect of one series, built from series operations."""
-    lhs = hl.dilation(n, hl.one_minus_shift(f))
-    rhs = hl.one_minus_shift(hl.weighted_dilation(n, f))
+    lhs = hl.dilation(n, one_minus_shift(f))
+    rhs = one_minus_shift(hl.weighted_dilation(n, f))
     m = min(lhs.valid_degree, rhs.valid_degree)
     return hl.norm(hl.CoeffSeries(lhs.coeffs[: m + 1] - rhs.coeffs[: m + 1]))
 

@@ -1,13 +1,16 @@
 import dataclasses
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hardylab as hl
 from hardylab.cli import LabConfig, _fmt, load_config_file, main
-from hardylab.series import write_columns
+from hardylab.series import _CSV_BLOCK_ROWS, write_columns
 
 
 def run(args):
@@ -35,16 +38,44 @@ def assert_same_after_line_one(path, ref):
     assert body == ref.read_bytes().split(b"\n", 1)[1]
 
 
+def encoded(columns):
+    fh = io.BytesIO()
+    write_columns(fh, columns)
+    return fh.getvalue()
+
+
+def formatted(ints, floats):
+    """The rows ``j,x`` as ``str`` and ``format(x, ".17g")`` print them."""
+    return "".join(f"{j},{format(x, '.17g')}\n" for j, x in zip(ints, floats)).encode()
+
+
+def assert_gen_hk_matches_per_row_writer(tmp_path, k, n):
+    out, ref = tmp_path / "hk.csv", tmp_path / "ref.csv"
+    assert run(["gen-hk", "--k", str(k), "--n", str(n), "--out", str(out)]) == 0
+    series = hl.hk_closed_form(k, n)
+    rows = ([str(j), _fmt(c.real)] for j, c in enumerate(series.coeffs))
+    reference_write_rows(ref, [f"command=gen-hk k={k} n={n}"], ["j", "value"], rows)
+    assert_same_after_line_one(out, ref)
+    assert len(data_lines(out)) == n + 2
+
+
+def spread_doubles(rng, size):
+    """Signed doubles from 1e-14 to 1e19 with zeros, inf, nan and subnormals mixed in."""
+    x = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-14, 19, size)
+    x[::17] = 0.0
+    x[5::31] = np.nextafter(1e-11, 0.0)
+    x[7::97] = np.resize([np.inf, -np.inf, np.nan, 5e-324, -0.0], len(x[7::97]))
+    return x
+
+
 class TestBlockWriter:
     @pytest.mark.parametrize("n", [0, 4094, 4095, 4096, 8192])
     def test_gen_hk_matches_per_row_writer(self, tmp_path, n):
-        out, ref = tmp_path / "hk.csv", tmp_path / "ref.csv"
-        assert run(["gen-hk", "--k", "7", "--n", str(n), "--out", str(out)]) == 0
-        series = hl.hk_closed_form(7, n)
-        rows = ([str(j), _fmt(c.real)] for j, c in enumerate(series.coeffs))
-        reference_write_rows(ref, [f"command=gen-hk k=7 n={n}"], ["j", "value"], rows)
-        assert_same_after_line_one(out, ref)
-        assert len(data_lines(out)) == n + 2
+        assert_gen_hk_matches_per_row_writer(tmp_path, 7, n)
+
+    @pytest.mark.parametrize("k", range(2, 65))
+    def test_gen_hk_table_of_every_k_matches_per_row_writer(self, tmp_path, k):
+        assert_gen_hk_matches_per_row_writer(tmp_path, k, 4096)
 
     def test_bd_matches_per_row_writer(self, tmp_path):
         out, ref = tmp_path / "bd.csv", tmp_path / "ref.csv"
@@ -58,28 +89,92 @@ class TestBlockWriter:
         assert_same_after_line_one(out, ref)
 
     def test_spectrum_matches_per_row_writer(self, tmp_path):
-        out, ref = tmp_path / "spec.csv", tmp_path / "ref.csv"
-        assert run(["spectrum", "--n", "5", "--r-steps", "3", "--theta-steps", "5",
-                    "--out", str(out)]) == 0
-        report = hl.spectral_disk_scan(5, np.linspace(0.0, 0.95, 3), 5, 4096)
-        rows = (
-            [_fmt(lam.real), _fmt(lam.imag), _fmt(res), _fmt(vn)]
-            for lam, res, vn in zip(report.lam, report.residual, report.vector_norm)
-        )
-        reference_write_rows(
-            ref,
-            [f"command=spectrum n=5 r-steps=3 theta-steps=5 level={report.level}"],
-            ["re_lambda", "im_lambda", "residual", "vector_norm"],
-            rows,
-        )
-        assert_same_after_line_one(out, ref)
+        # The second grid is the benchmark's: its exact zeros and residuals
+        # of about 1e-16 are formatted by the per-cell fallback.
+        for n, r_steps, theta_steps in [(5, 3, 5), (3, 40, 64)]:
+            out, ref = tmp_path / "spec.csv", tmp_path / "ref.csv"
+            assert run(["spectrum", "--n", str(n), "--r-steps", str(r_steps),
+                        "--theta-steps", str(theta_steps), "--out", str(out)]) == 0
+            report = hl.spectral_disk_scan(n, np.linspace(0.0, 0.95, r_steps), theta_steps, 4096)
+            rows = (
+                [_fmt(lam.real), _fmt(lam.imag), _fmt(res), _fmt(vn)]
+                for lam, res, vn in zip(report.lam, report.residual, report.vector_norm)
+            )
+            reference_write_rows(
+                ref,
+                [f"command=spectrum n={n} r-steps={r_steps} theta-steps={theta_steps} "
+                 f"level={report.level}"],
+                ["re_lambda", "im_lambda", "residual", "vector_norm"],
+                rows,
+            )
+            assert_same_after_line_one(out, ref)
 
     def test_formatter_matches_format_17g(self):
         values = [-0.0, 5e-324, 1e-300, 1e308, -1.5, 0.1]
-        fh = io.StringIO()
-        write_columns(fh, [("%d", np.arange(len(values))), ("%.17g", values)])
-        expected = "".join(f"{j},{format(x, '.17g')}\n" for j, x in enumerate(values))
-        assert fh.getvalue() == expected
+        got = encoded([("%d", np.arange(len(values))), ("%.17g", values)])
+        assert got == formatted(range(len(values)), values)
+
+    @given(st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), st.floats()), max_size=40))
+    def test_encoder_matches_str_and_format_17g(self, rows):
+        ints = np.array([j for j, _ in rows], dtype=np.int64)
+        floats = np.array([x for _, x in rows], dtype=np.float64)
+        assert encoded([("%d", ints), ("%.17g", floats)]) == formatted(ints.tolist(), floats.tolist())
+
+    @given(st.lists(st.floats(1e-11, 1e16, exclude_max=True), max_size=40),
+           st.booleans())
+    def test_encoder_matches_format_17g_in_the_integer_range(self, values, negative):
+        floats = -np.array(values) if negative else np.array(values, dtype=np.float64)
+        ints = np.arange(len(values))
+        assert encoded([("%d", ints), ("%.17g", floats)]) == formatted(ints, floats.tolist())
+
+    @pytest.mark.parametrize("x, text", [
+        (9.9999999999999995e-05, "9.9999999999999991e-05"),
+        (1e-11, "9.9999999999999994e-12"),
+        (9.99999999999999955e-12, "9.9999999999999994e-12"),
+        (np.nextafter(1e-11, 1.0), "1.0000000000000001e-11"),
+        (1e16, "10000000000000000"),
+        (1e17, "1e+17"),
+        (2.0**53 + 2, "9007199254740994"),
+        (5e-324, "4.9406564584124654e-324"),
+        (-0.0, "-0"),
+        (1e-4, "0.0001"),
+        (1e-5, "1.0000000000000001e-05"),
+        (1e-7, "9.9999999999999995e-08"),
+        (0.5, "0.5"),
+        (9999999999999998.0, "9999999999999998"),
+        (1234567890123456.25, "1234567890123456.2"),
+        (1234567890123456.75, "1234567890123456.8"),
+        (-123.0, "-123"),
+    ])
+    def test_pinned_values(self, x, text):
+        assert format(x, ".17g") == text
+        assert encoded([("%d", [0]), ("%.17g", [x])]) == f"0,{text}\n".encode()
+
+    @pytest.mark.parametrize("e", range(-11, 17))
+    def test_no_double_rounds_up_to_a_power_of_ten(self, e):
+        power = Fraction(10) ** e
+        below = float(power)
+        if Fraction(below) >= power:
+            below = np.nextafter(below, 0.0)
+        assert Fraction(format(below, ".17g")) < power
+
+    def test_row_mixing_integer_and_format_cells(self):
+        rows = [[0.5, 0.0, 1e-16, 1.25], [-0.25, 3.0, np.inf, 2e-11], [np.nan, -7.5, 1e20, -0.0]]
+        cols = np.array(rows).T
+        got = encoded([("%.17g", c) for c in cols])
+        assert got == "".join(",".join(format(x, ".17g") for x in r) + "\n" for r in rows).encode()
+
+    @pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+    def test_block_lengths(self, rows):
+        rng = np.random.default_rng(rows)
+        ints = rng.integers(-2**63, 2**63 - 1, rows, endpoint=True)
+        floats = spread_doubles(rng, rows)
+        assert encoded([("%d", ints), ("%.17g", floats)]) == formatted(ints.tolist(), floats.tolist())
+
+    def test_negative_and_extreme_ints(self):
+        ints = [-1, 0, -10, 10, -9, 99999, -(2**63), 2**63 - 1, -1000000000000000000]
+        got = encoded([("%d", ints), ("%.17g", [1.0] * len(ints))])
+        assert got == "".join(f"{j},1\n" for j in ints).encode()
 
 
 class TestGenHk:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import hardylab as hl
 from hardylab.errors import NearZeroConstantTerm
 from hardylab.series import _LOG_BLOCK
-from oracles import solve_triangular_formal_log
+from oracles import one_minus_shift, solve_triangular_formal_log
 
 
 def series_from(re, im=None):
@@ -101,7 +101,6 @@ DTYPE_PRESERVING = {
     "from_coeffs": hl.from_coeffs,
     "pad": lambda c: hl.pad(hl.from_coeffs(c), 7),
     "truncate": lambda c: hl.truncate(hl.from_coeffs(c), 2),
-    "shift_up": lambda c: hl.shift_up(hl.from_coeffs(c)),
     "cumsum": lambda c: hl.cumsum(hl.from_coeffs(c)),
     "weighted_dilation": lambda c: hl.weighted_dilation(3, hl.from_coeffs(c)),
     "weighted_dilation_adjoint": lambda c: hl.weighted_dilation_adjoint(2, hl.from_coeffs(c)),
@@ -203,44 +202,6 @@ class TestAxpy:
     def test_valid_degree_is_min(self):
         got = hl.axpy(1, series_from([1, 1, 1]), series_from([1, 1]))
         assert got.valid_degree == 1
-
-
-class TestCauchyProduct:
-    def test_square_of_one_plus_z(self):
-        f = hl.pad(series_from([1, 1]), 2)
-        assert np.array_equal(hl.cauchy_product(f, f).coeffs, [1, 2, 1])
-
-    def test_weighted_dilation_factorization(self):
-        # (1+z)(1+z^2) = 1 + z + z^2 + z^3, the index-2 image of 1 + z
-        f = hl.pad(series_from([1, 1]), 3)
-        g = hl.pad(series_from([1, 0, 1]), 3)
-        assert np.array_equal(hl.cauchy_product(f, g).coeffs, [1, 1, 1, 1])
-
-    def test_multiplicative_identity(self):
-        f = series_from([2, -1, 4])
-        assert np.array_equal(hl.cauchy_product(f, hl.one(2)).coeffs, f.coeffs)
-
-    def test_valid_degree_is_min(self):
-        f = series_from([1, 1, 1, 1])
-        g = series_from([1, 1])
-        assert hl.cauchy_product(f, g).valid_degree == 1
-
-    @given(f=random_series(max_len=32), g=random_series(max_len=32))
-    def test_commutative(self, f, g):
-        a = hl.cauchy_product(f, g)
-        b = hl.cauchy_product(g, f)
-        assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12
-
-    @given(
-        f=random_series(max_len=16),
-        g=random_series(max_len=16),
-        h=random_series(max_len=16),
-    )
-    def test_associative(self, f, g, h):
-        a = hl.cauchy_product(hl.cauchy_product(f, g), h)
-        b = hl.cauchy_product(f, hl.cauchy_product(g, h))
-        m = min(a.valid_degree, b.valid_degree)
-        assert np.max(np.abs(a.coeffs[: m + 1] - b.coeffs[: m + 1])) <= 1e-12
 
 
 def formal_exp(g):
@@ -390,19 +351,13 @@ class TestCumsumAndShifts:
         got = hl.cumsum(hl.monomial(1, valid_degree=3))
         assert np.array_equal(got.coeffs, [0, 1, 1, 1])
 
-    def test_shift_up(self):
-        assert np.array_equal(hl.shift_up(hl.one()).coeffs, [0, 1])
-        got = hl.shift_up(series_from([1, 1]))
-        assert np.array_equal(got.coeffs, [0, 1, 1])
-        assert got.valid_degree == 2
-
     def test_one_minus_shift_inverts_cumsum_on_all_ones(self):
         all_ones = hl.from_coeffs(np.ones(6))
-        got = hl.one_minus_shift(all_ones)
+        got = one_minus_shift(all_ones)
         assert np.array_equal(got.coeffs, [1, 0, 0, 0, 0, 0])
 
     @given(f=random_series())
     def test_cumsum_one_minus_shift_mutually_inverse(self, f):
         # exact up to the rounding of neighboring partial sums
-        assert np.max(np.abs(hl.one_minus_shift(hl.cumsum(f)).coeffs - f.coeffs)) <= 1e-12
-        assert np.max(np.abs(hl.cumsum(hl.one_minus_shift(f)).coeffs - f.coeffs)) <= 1e-12
+        assert np.max(np.abs(one_minus_shift(hl.cumsum(f)).coeffs - f.coeffs)) <= 1e-12
+        assert np.max(np.abs(hl.cumsum(one_minus_shift(f)).coeffs - f.coeffs)) <= 1e-12
