@@ -333,8 +333,9 @@ def non_cyclicity_witness(f: CoeffSeries, n_max: int) -> float:
     Requires the first two coefficients of f to coincide (checked to
     1e-14 * max(1, |f_0|)).  Under that hypothesis every orbit member is
     orthogonal to 1 - z: for n >= 2 the first two output coefficients are
-    both f_0, and for n = 1 the hypothesis itself applies.  The returned maximum is
-    bounded by ~1e-13 times ||f||.
+    both f_0, and for n = 1 the hypothesis itself applies.  The returned
+    maximum is exactly |f_0 - f_1|, the n = 1 term: every n >= 2 term is an
+    exact 0.
     """
     if n_max < 1:
         raise IndexOutOfRange(f"n_max must be >= 1, got {n_max}")

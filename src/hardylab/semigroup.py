@@ -16,13 +16,13 @@ The weighted dilation and its adjoint are array kernels,
 :func:`weighted_dilation_array` and :func:`weighted_dilation_adjoint_array`,
 acting on the last axis of any ``(..., L)`` array, so one call transforms a
 whole stack of coefficient rows.  :func:`weighted_dilation` and
-:func:`weighted_dilation_adjoint` wrap them for one series, and
-:func:`semiconjugacy_residual` takes a series or a stack: the verify suites
-run the same code as the series API.  The block sums are n strided adds,
-one per position in the block, over the whole stack at once, in numpy's
-pairwise-reduction order and pinned to ``np.add.reduce`` by a test.  Each
-row of a stack therefore gets the same values, bit for bit, as a lone
-series, and as ``np.add.reduce`` over the row's blocks.
+:func:`weighted_dilation_adjoint` wrap them for one series, so the verify
+suites that work on row stacks run the same code as the series API.  The
+block sums are n strided adds, one per position in the block, over the
+whole stack at once, in numpy's pairwise-reduction order and pinned to
+``np.add.reduce`` by a test.  Each row of a stack therefore gets the same
+values, bit for bit, as a lone series, and as ``np.add.reduce`` over the
+row's blocks.  :func:`semiconjugacy_residual` takes one series.
 """
 
 from __future__ import annotations
@@ -160,28 +160,25 @@ def dilation(n: int, f: CoeffSeries) -> CoeffSeries:
     return CoeffSeries(c)
 
 
-def semiconjugacy_residual(n: int, f: CoeffSeries | np.ndarray) -> float | list[float]:
+def semiconjugacy_residual(n: int, f: CoeffSeries) -> float:
     """Norm of the defect in the intertwining of plain and weighted dilations.
 
     Both (1-z)-multiplications and the two dilations are applied on their
-    exact windows and compared on the intersection, degrees 0 .. n*valid;
-    the result is zero to machine precision for every input because
+    exact windows and compared on the intersection, degrees 0 .. n*valid.
+    The result is exactly zero for every input, because
 
         (1 - z^n) f(z^n)  =  (1 - z) * [(1 - z^n)/(1 - z)] f(z^n)
 
-    holds coefficientwise.  ``f`` is a series (the result is a float) or a
-    2-d array whose rows are coefficient vectors of one valid degree (the
-    result is a list with one float per row, each norm taken on its row).
+    holds coefficientwise and both sides place the same differences
+    f_k - f_{k-1} at degree nk, and exact zeros elsewhere.
     """
     _check_index(n)
-    rows = f.coeffs[None] if isinstance(f, CoeffSeries) else f
-    m = n * (rows.shape[-1] - 1)
+    m = n * f.valid_degree
     # np.diff(c, prepend=0) is c times (1 - z) on its valid window.
-    lhs = np.zeros((len(rows), m + 1), dtype=rows.dtype)
-    lhs[:, ::n] = np.diff(rows, prepend=0)
-    rhs = np.diff(weighted_dilation_array(n, rows), prepend=0)[:, : m + 1]
-    defects = [array_norm(d) for d in lhs - rhs]
-    return defects[0] if isinstance(f, CoeffSeries) else defects
+    lhs = np.zeros(m + 1, dtype=f.coeffs.dtype)
+    lhs[::n] = np.diff(f.coeffs, prepend=0)
+    rhs = np.diff(weighted_dilation_array(n, f.coeffs), prepend=0)[: m + 1]
+    return array_norm(lhs - rhs)
 
 
 def kernel_vector(n: int, k: int) -> CoeffSeries:

@@ -1,5 +1,7 @@
 """Reference computations that only the tests use."""
 
+import math
+
 import numpy as np
 from scipy.linalg import solve_triangular, toeplitz
 
@@ -104,14 +106,6 @@ def series_duality_gap(n: int, f, g) -> float:
     return abs(lhs - rhs)
 
 
-def series_semiconjugacy_residual(n: int, f) -> float:
-    """The intertwining defect of one series, built from series operations."""
-    lhs = hl.dilation(n, one_minus_shift(f))
-    rhs = one_minus_shift(hl.weighted_dilation(n, f))
-    m = min(lhs.valid_degree, rhs.valid_degree)
-    return hl.norm(hl.CoeffSeries(lhs.coeffs[: m + 1] - rhs.coeffs[: m + 1]))
-
-
 def series_suite_adjoint(seed: int = 0):
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -133,7 +127,7 @@ def series_suite_isometry(seed: int = 0):
         nf = hl.norm(f)
         for n in range(2, 11):
             wf = hl.weighted_dilation(n, f)
-            worst_iso = max(worst_iso, abs(hl.norm(wf) - np.sqrt(n) * nf) / (np.sqrt(n) * nf))
+            worst_iso = max(worst_iso, abs(hl.norm(wf) - math.sqrt(n) * nf) / (math.sqrt(n) * nf))
             back = hl.weighted_dilation_adjoint(n, wf)
             worst_wsw = max(
                 worst_wsw, hl.norm(hl.from_coeffs(back.coeffs - n * f.coeffs)) / nf
@@ -145,14 +139,14 @@ def series_suite_isometry(seed: int = 0):
 
 
 def series_suite_semigroup(seed: int = 0):
-    rng = np.random.default_rng(seed)
+    f = hl.from_coeffs(np.exp(1j * np.arange(129)) / np.arange(1, 130))
     worst = 0.0
     for m, n in [(2, 2), (2, 5), (3, 2), (3, 5), (2, 3)]:
-        f = series_random(rng, 128)
         lhs = hl.weighted_dilation(m, hl.weighted_dilation(n, f))
         rhs = hl.weighted_dilation(m * n, f)
         worst = max(worst, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
-    results = [CheckResult("semigroup law W_m W_n = W_mn", worst, 1e-14)]
+    results = [CheckResult("semigroup law W_m W_n = W_mn", worst, 0.0)]
+    rng = np.random.default_rng(seed)
     min_gap = np.inf
     for _ in range(100):
         f = series_random(rng, 64)
@@ -166,53 +160,8 @@ def series_suite_semigroup(seed: int = 0):
     return results
 
 
-def series_suite_semiconjugacy(seed: int = 0, n_trunc: int = 200):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(100):
-        f = series_random(rng, n_trunc)
-        for n in (2, 3, 5):
-            worst = max(worst, series_semiconjugacy_residual(n, f) / hl.norm(f))
-    return [CheckResult("semiconjugacy of plain and weighted dilations", worst, 1e-12)]
-
-
-def series_suite_dirichlet(seed: int = 0):
-    rng = np.random.default_rng(seed)
-    worst_ratio = 0.0
-    sharp_holds = True
-    for n in (2, 3, 4):
-        vecs = [hl.kernel_vector(n, k) for k in range(21)]
-        top = max(len(v.coeffs) for v in vecs)
-        for _ in range(50):
-            c = rng.standard_normal(21) + 1j * rng.standard_normal(21)
-            acc = np.zeros(top, dtype=np.complex128)
-            for ck, v in zip(c, vecs):
-                acc[: len(v.coeffs)] += ck * v.coeffs
-            f = hl.from_coeffs(acc)
-            energy = hl.dirichlet_energy_at_one(f)
-            worst_ratio = max(worst_ratio, energy / (2**n * n * hl.norm(f) ** 2))
-            if energy > n**2 * hl.norm(f) ** 2:
-                sharp_holds = False
-    return [
-        CheckResult(
-            "kernel combinations have energy <= 2^n n ||f||^2",
-            worst_ratio,
-            1.0,
-            note=f"sharper n^2 bound held: {sharp_holds}",
-        ),
-        CheckResult(
-            "energy of 1 - z is exactly 1",
-            abs(hl.dirichlet_energy_at_one(hl.from_coeffs([1.0, -1.0])) - 1.0),
-            0.0,
-        ),
-        CheckResult("energy of the constant is 0", hl.dirichlet_energy_at_one(hl.one()), 0.0),
-    ]
-
-
 SERIES_SUITES = {
     "adjoint": series_suite_adjoint,
     "isometry": series_suite_isometry,
     "semigroup": series_suite_semigroup,
-    "semiconjugacy": series_suite_semiconjugacy,
-    "dirichlet": series_suite_dirichlet,
 }

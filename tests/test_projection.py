@@ -546,6 +546,17 @@ class TestNonCyclicityWitness:
         f = hl.from_coeffs([1e6, 1e6 + 1e-9])
         assert hl.non_cyclicity_witness(f, 10) <= 1e-13 * hl.norm(f)
 
+    def test_result_is_the_gap_of_the_first_two_coefficients(self):
+        # accepted, and the witness 5.0e-15 is 3.5e-12 ||f||: ||f|| < 1 here
+        f = hl.from_coeffs([1e-3, 1e-3 + 5e-15, 0.0])
+        assert hl.non_cyclicity_witness(f, 20) == abs(f.coeffs[0] - f.coeffs[1]) > 0
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            c[1] = c[0] * (1 + 3e-15)
+            f = hl.from_coeffs(c)
+            assert hl.non_cyclicity_witness(f, 20) == abs(f.coeffs[0] - f.coeffs[1])
+
     def test_small_gap_at_unit_scale_rejected(self):
         with pytest.raises(HypothesisViolated):
             hl.non_cyclicity_witness(hl.from_coeffs([1.0, 1.0 + 1e-10]), 10)

@@ -4,15 +4,16 @@ import pytest
 import hardylab as hl
 from hardylab.errors import IndexOutOfRange, TruncationTooShort
 from hardylab.verify import adjoint_duality_gap, random_series
-from oracles import (
-    series_duality_gap,
-    series_semiconjugacy_residual,
-    two_truncation_duality_gap,
-)
+from oracles import series_duality_gap, two_truncation_duality_gap
 
 
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def duality_gap(n, f, g):
+    """``adjoint_duality_gap`` of one pair of series, as a one-row stack each."""
+    return adjoint_duality_gap(n, f.coeffs[None], g.coeffs[None])[0]
 
 
 @pytest.fixture
@@ -166,20 +167,8 @@ class TestArrayKernels:
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_semiconjugacy_rejects_bad_index(self, n):
-        for f in (hl.one(3), np.ones((2, 4))):
-            with pytest.raises(IndexOutOfRange):
-                hl.semiconjugacy_residual(n, f)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    @pytest.mark.parametrize("length", [1, 2, 97])
-    def test_semiconjugacy_rows_match_series_form(self, rng, n, length):
-        rows = self.stack(rng, "complex", (5, length))
-        got = hl.semiconjugacy_residual(n, rows)
-        assert len(got) == len(rows)
-        for row, value in zip(rows, got):
-            f = hl.from_coeffs(row)
-            assert value == series_semiconjugacy_residual(n, f)
-            assert hl.semiconjugacy_residual(n, f) == value
+        with pytest.raises(IndexOutOfRange):
+            hl.semiconjugacy_residual(n, hl.one(3))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
     @pytest.mark.parametrize("f_length, g_length", [(513, 513), (41, 513), (513, 41), (6, 7)])
@@ -190,7 +179,7 @@ class TestArrayKernels:
         assert len(got) == len(f_rows)
         for f, g, value in zip(f_rows, g_rows, got):
             f, g = hl.from_coeffs(f), hl.from_coeffs(g)
-            assert value == series_duality_gap(n, f, g) == adjoint_duality_gap(n, f, g)
+            assert value == series_duality_gap(n, f, g)
 
 
 class TestPlainDilation:
@@ -209,17 +198,17 @@ class TestSemiconjugacy:
         assert hl.semiconjugacy_residual(2, hl.one()) == 0
 
     def test_small_polynomial(self):
-        assert hl.semiconjugacy_residual(3, hl.from_coeffs([1, 2, 1])) <= 1e-14
+        assert hl.semiconjugacy_residual(3, hl.from_coeffs([1, 2, 1])) == 0
 
     def test_random(self, rng):
         f = random_series(rng, 200)
-        assert hl.semiconjugacy_residual(5, f) <= 1e-12 * hl.norm(f)
+        assert hl.semiconjugacy_residual(5, f) == 0
 
     def test_many_random(self, rng):
-        for n in (2, 3, 5):
+        for n in (1, 2, 3, 5):
             for _ in range(25):
                 f = random_series(rng, 97)
-                assert hl.semiconjugacy_residual(n, f) <= 1e-12 * hl.norm(f)
+                assert hl.semiconjugacy_residual(n, f) == 0
 
 
 class TestKernelVectors:
@@ -281,7 +270,7 @@ class TestOperatorIdentities:
             g = random_series(rng, 512)
             scale = hl.norm(f) * hl.norm(g)
             for n in (2, 3, 5, 7):
-                assert adjoint_duality_gap(n, f, g) <= 1e-10 * scale
+                assert duality_gap(n, f, g) <= 1e-10 * scale
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
     @pytest.mark.parametrize("f_degree, g_degree", [(512, 512), (40, 512), (512, 40), (5, 6)])
@@ -289,7 +278,7 @@ class TestOperatorIdentities:
         for _ in range(5):
             f = random_series(rng, f_degree)
             g = random_series(rng, g_degree)
-            assert adjoint_duality_gap(n, f, g) == two_truncation_duality_gap(n, f, g)
+            assert duality_gap(n, f, g) == two_truncation_duality_gap(n, f, g)
 
     def test_isometry(self, rng):
         for _ in range(30):

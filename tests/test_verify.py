@@ -1,4 +1,4 @@
-"""The stacked identity suites against their one-series-at-a-time forms."""
+"""The identity suites: stacked against one-series-at-a-time forms, and seed dependence."""
 
 import numpy as np
 import pytest
@@ -19,13 +19,7 @@ def test_stacked_suite_matches_series_form(name, seed):
     assert reprs(verify.SUITES[name](seed=seed)) == reprs(SERIES_SUITES[name](seed=seed))
 
 
-@pytest.mark.parametrize("n_trunc", [0, 1, 150])
-def test_semiconjugacy_truncations_match_series_form(n_trunc):
-    got = verify.suite_semiconjugacy(seed=3, n_trunc=n_trunc)
-    assert reprs(got) == reprs(SERIES_SUITES["semiconjugacy"](seed=3, n_trunc=n_trunc))
-
-
-@pytest.mark.parametrize("name", sorted(SERIES_SUITES))
+@pytest.mark.parametrize("name", ["adjoint", "dirichlet", "isometry", "semigroup"])
 def test_block_size_does_not_change_results(name, monkeypatch):
     default = reprs(verify.SUITES[name](seed=20240826))
     for budget in (1, 1 << 40):  # one row per block, then every row in one block
@@ -47,8 +41,8 @@ def test_random_rows_are_the_series_stream():
 
 # (rows, series, valid degree) of the stacks the suites draw, last blocks included
 @pytest.mark.parametrize("shape", [(7, 2, 512), (4, 2, 512), (3, 1, 256), (1, 1, 256),
-                                   (63, 1, 64), (37, 1, 64), (8, 1, 200), (4, 1, 200),
-                                   (50, 1, 20), (1, 1, 728), (1, 1, 0)])
+                                   (63, 1, 64), (37, 1, 64), (50, 1, 62), (50, 1, 83),
+                                   (1, 1, 83), (1, 1, 728), (1, 1, 0)])
 def test_random_rows_assemble_the_parts_bit_for_bit(shape):
     rows, series, valid_degree = shape
     got = verify._random_rows(np.random.default_rng(5), rows, series, valid_degree)
@@ -64,3 +58,30 @@ def test_row_blocks_cover_every_row_within_the_budget(rows, row_bytes):
     assert sum(sizes) == rows and min(sizes) >= 1
     assert max(sizes) == 1 or max(sizes) * row_bytes <= verify._STACK_BYTES
     assert sizes[:-1] == [sizes[0]] * (len(sizes) - 1)
+
+
+# The checks whose value comes from random draws; every other check runs on
+# fixed input and must read the same at every seed.
+SEEDED_CHECKS = {
+    "adjoint duality <Wf,g> = <f,W*g>",
+    "isometry ||Wf|| = sqrt(n)||f||",
+    "adjoint inversion W*Wf = n f",
+    "no-eigenvector gap (index 2) stays positive",
+    "kernel combinations have energy <= 2^n n ||f||^2",
+    "adjoint eigenvector residual",
+    "eigenvector norm matches closed form",
+    "shift decay sequence is nonincreasing",
+}
+
+
+def test_seeded_checks_move_with_the_seed_and_fixed_checks_do_not():
+    first = verify.run_suites(list(verify.SUITES), seed=0)
+    second = verify.run_suites(list(verify.SUITES), seed=7)
+    assert [c.name for c in first] == [c.name for c in second]
+    assert SEEDED_CHECKS <= {c.name for c in first}
+    for a, b in zip(first, second):
+        assert type(a.max_err) is float and type(b.max_err) is float, a.name
+        if a.name in SEEDED_CHECKS:
+            assert a.max_err != b.max_err, a.name
+        else:
+            assert a.max_err == b.max_err, a.name
