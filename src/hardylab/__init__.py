@@ -22,7 +22,6 @@ from .errors import (
 )
 from .projection import (
     DistanceReport,
-    SpanProblem,
     baez_duarte_sequence,
     cyclicity_scan,
     distance_to_span,
@@ -58,7 +57,6 @@ from .special import (
     dirichlet_energy_at_one,
     hk_closed_form,
     hk_oracle,
-    hk_tail_norm_bound,
     truncation_certificate,
 )
 from .spectral import (
@@ -85,7 +83,6 @@ __all__ = [
     "NearZeroConstantTerm",
     "OutsideSpectralBall",
     "ResidualMismatch",
-    "SpanProblem",
     "TruncationTooShort",
     "adjoint_eigenvector",
     "axpy",
@@ -101,7 +98,6 @@ __all__ = [
     "from_coeffs",
     "hk_closed_form",
     "hk_oracle",
-    "hk_tail_norm_bound",
     "inner",
     "kernel_intersection_basis",
     "kernel_vector",

@@ -87,10 +87,10 @@ def _timestamp() -> str:
 def _write_rows(path: Path, meta: list[str], header: list[str], columns) -> None:
     """Write the timestamp line, ``# `` meta lines, the header and the data rows.
 
-    ``columns`` holds one ``(fmt, values)`` pair per CSV column (``"%d"``
-    for indices, ``"%.17g"`` for floats); :func:`series.write_columns`
-    encodes them a block of rows at a time.  The file is binary and the
-    text lines above the rows are written as ASCII.
+    ``columns`` holds one array per CSV column, integer indices or float64
+    values; :func:`series.write_columns` encodes them a block of rows at a
+    time.  The file is binary and the text lines above the rows are written
+    as ASCII.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     head = [f"# generated={_timestamp()}"] + [f"# {line}" for line in meta] + [",".join(header)]
@@ -107,7 +107,7 @@ def _write_rows(path: Path, meta: list[str], header: list[str], columns) -> None
 def cmd_gen_hk(cfg: LabConfig, k: int, n_trunc: int, out: str | None) -> int:
     series = hk_closed_form(k, n_trunc)
     path = Path(out) if out else Path(cfg.output_dir) / f"hk_{k}_n{n_trunc}.csv"
-    columns = [("%d", np.arange(n_trunc + 1)), ("%.17g", series.coeffs)]
+    columns = [np.arange(n_trunc + 1), series.coeffs]
     _write_rows(path, [f"command=gen-hk k={k} n={n_trunc}"], ["j", "value"], columns)
     print(f"wrote {path} ({n_trunc + 1} coefficients, c_0 = {_fmt(series.coeffs[0])})")
     return 0
@@ -132,9 +132,9 @@ def cmd_baez_duarte(k_max: int, n_trunc: int, path: Path, json_path: Path) -> in
     json_path.parent.mkdir(parents=True, exist_ok=True)
     json_path.write_text(json.dumps(report))
     columns = [
-        ("%d", [k for k, _ in sequence]),
-        ("%.17g", [rep.distance for _, rep in sequence]),
-        ("%.17g", [rep.condition_estimate for _, rep in sequence]),
+        [k for k, _ in sequence],
+        [rep.distance for _, rep in sequence],
+        [rep.condition_estimate for _, rep in sequence],
     ]
     try:
         _write_rows(
@@ -172,12 +172,7 @@ def cmd_spectrum(cfg: LabConfig, n: int, r_steps: int, theta_steps: int,
     radii = np.linspace(0.0, 0.95, r_steps)
     report = spectral_disk_scan(n, radii, theta_steps, min_degree_count)
     path = Path(out) if out else Path(cfg.output_dir) / f"spectrum_n{n}.csv"
-    columns = [
-        ("%.17g", report.lam.real),
-        ("%.17g", report.lam.imag),
-        ("%.17g", report.residual),
-        ("%.17g", report.vector_norm),
-    ]
+    columns = [report.lam.real, report.lam.imag, report.residual, report.vector_norm]
     _write_rows(
         path,
         [f"command=spectrum n={n} r-steps={r_steps} theta-steps={theta_steps} level={report.level}"],

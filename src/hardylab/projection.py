@@ -10,10 +10,12 @@ equations: adjacent h_k are nearly dependent and normal equations would
 square the condition number.  The d_K sequence and the cyclicity scans,
 like any family of nested spans, come from one engine: one QR of the
 column-major matrix [b_1 .. b_m | t_1 .. t_r], the basis followed by every
-target.  That QR is LAPACK's recursive compact-WY Householder
-factorization ``?geqrt`` (Elmroth & Gustavson), level-3 BLAS throughout;
-``?geqrf``, behind ``scipy.linalg.qr``, falls back to the unblocked
-level-2 ``?geqr2`` below 128 columns.  The distance from t_i to
+target.  Its one entry for series input is :func:`nested_distances`, which
+:func:`cyclicity_scan` calls; :func:`baez_duarte_sequence` fills the matrix
+in place from one harmonic table instead.  That QR is LAPACK's recursive
+compact-WY Householder factorization ``?geqrt`` (Elmroth & Gustavson),
+level-3 BLAS throughout; ``?geqrf``, behind ``scipy.linalg.qr``, falls back
+to the unblocked level-2 ``?geqr2`` below 128 columns.  The distance from t_i to
 span{b_1..b_j} is the norm of R's column m + i below row j (Golub & Van
 Loan, Matrix Computations, sec. 5.3): Q's columns past j are orthogonal to
 b_1..b_j, whatever the columns between the basis and t_i hold.  The
@@ -47,7 +49,6 @@ from .series import CoeffSeries, axpy, fit_degree, from_coeffs, inner, norm
 from .special import _check_hk_args, _fill_hk_columns
 
 __all__ = [
-    "SpanProblem",
     "DistanceReport",
     "distance_to_span",
     "nested_distances",
@@ -68,32 +69,6 @@ _QR_BLOCK_COLUMNS = 32
 
 
 @dataclass(frozen=True)
-class SpanProblem:
-    """A target series, a finite basis, and the common truncation degree.
-
-    Target and basis are refitted to degree ``n_trunc`` on construction.
-    Members shorter than ``n_trunc`` are zero-padded, which is exact only
-    for polynomials; for h_k-type bases generate directly at ``n_trunc``
-    and make sure the tail bound at that degree is negligible against the
-    distances of interest.
-    """
-
-    target: CoeffSeries
-    basis: list[CoeffSeries]
-    n_trunc: int
-
-    def __post_init__(self) -> None:
-        if not self.basis:
-            raise ValueError("basis must be nonempty")
-        if self.n_trunc < 0:
-            raise ValueError("n_trunc must be >= 0")
-        object.__setattr__(self, "target", fit_degree(self.target, self.n_trunc))
-        object.__setattr__(
-            self, "basis", [fit_degree(b, self.n_trunc) for b in self.basis]
-        )
-
-
-@dataclass(frozen=True)
 class DistanceReport:
     """Outcome of one least-squares projection.
 
@@ -101,16 +76,17 @@ class DistanceReport:
     ``residual_norm_check`` recomputes it from the coefficients by direct
     arithmetic on the basis and agrees to 1e-10 * max(1, ||target||), or
     the report is never made (:class:`ResidualMismatch`).
-    ``condition_estimate`` is, in the reports of :func:`nested_distances`,
-    the exact 1-norm condition number of the basis' triangular factor,
-    which lies within a factor j (the number of basis members) of the
-    2-norm condition number of the basis; in the reports of the oracle
+    ``condition_estimate`` is, in the reports of the nested engine, the
+    exact 1-norm condition number of the basis' triangular factor, which
+    lies within a factor j (the number of basis members) of the 2-norm
+    condition number of the basis; in the reports of the oracle
     :func:`distance_to_span` it is the diagonal ratio of the pivoted R
     factor, a cheap lower bound on the 2-norm condition number.
     ``coefficients`` is read-only, float64 when the whole factored matrix
     (the basis and every target) is real and complex128 otherwise.
-    Reports come from :func:`nested_distances` or its oracle
-    :func:`distance_to_span`.
+    Reports come from the nested engine (:func:`nested_distances`,
+    :func:`cyclicity_scan`, :func:`baez_duarte_sequence`) or from its
+    oracle :func:`distance_to_span`.
     """
 
     distance: float
@@ -128,8 +104,9 @@ class DistanceReport:
         }
 
 
-def distance_to_span(problem: SpanProblem) -> DistanceReport:
-    """Distance from the target to the span of the basis at the fixed truncation.
+def distance_to_span(target: CoeffSeries, basis: list[CoeffSeries],
+                     n_trunc: int) -> DistanceReport:
+    """Distance from ``target`` to the span of ``basis`` at truncation degree ``n_trunc``.
 
     The oracle of :func:`nested_distances`: solves min_c ||target - sum_i
     c_i basis_i|| over coefficients 0..n_trunc via pivoted Householder QR
@@ -137,13 +114,14 @@ def distance_to_span(problem: SpanProblem) -> DistanceReport:
     when the target and every basis member are real, complex otherwise.
 
     Raises:
+        ValueError: when the basis is empty or ``n_trunc`` is negative.
         DegenerateBasis: when the basis has more members than coefficients,
             or the pivoted R diagonal decays below RANK_TOLERANCE relative
             to its largest entry.
         ResidualMismatch: when the residual re-check disagrees with the
             QR distance.
     """
-    aug = _augmented(problem.basis + [problem.target])
+    aug = _augmented(basis, [target], n_trunc)
     a, rhs = aug[:, :-1], aug[:, -1]
     if a.shape[1] > a.shape[0]:
         raise DegenerateBasis(f"{a.shape[1]} basis members exceed {a.shape[0]} coefficients")
@@ -156,33 +134,37 @@ def distance_to_span(problem: SpanProblem) -> DistanceReport:
     coeffs[piv] = c_piv
     distance = float(np.linalg.norm(rhs - q @ qtb))
 
-    residual = problem.target
-    for c, b in zip(coeffs, problem.basis):
-        residual = axpy(-c, b, residual)
+    residual = from_coeffs(rhs)
+    for c, b in zip(coeffs, a.T):
+        residual = axpy(-c, from_coeffs(b), residual)
     return _checked_report(distance, coeffs, norm(residual), np.linalg.norm(rhs), condition_estimate)
 
 
-def nested_distances(problem: SpanProblem) -> list[DistanceReport]:
-    """One report per prefix ``basis[:j]``, j = 1..len(basis), from one QR.
+def nested_distances(basis: list[CoeffSeries], targets: list[CoeffSeries],
+                     n_trunc: int) -> list[list[DistanceReport]]:
+    """For each target, one report per prefix ``basis[:j]``, j = 1..len(basis), from one QR.
 
-    Each report agrees with ``distance_to_span`` on the same prefix in its
-    distance and its coefficients ``R[:j,:j]^-1 R[:j,m]``, from one inverse
-    of R's leading m x m block.  The condition estimate of prefix j is the
-    exact 1-norm condition number of ``R[:j,:j]``, nondecreasing in j, so
-    the rank gate runs once, on the whole basis.  The residual norms of
-    every prefix are re-checked together as ``target - basis @ C`` over row
-    blocks of the basis; column j - 1 of the upper-triangular m x m matrix
-    C holds the coefficients of prefix j.
+    Basis and targets are refitted to degree ``n_trunc``: members shorter
+    than that are zero-padded, which is exact only for polynomials, so an
+    h_k-type basis is generated at ``n_trunc`` directly.  Each report agrees
+    with ``distance_to_span`` on the same prefix and target in its distance
+    and its coefficients ``R[:j,:j]^-1 R[:j,m+i]``, from one inverse of R's
+    leading m x m block.  The condition estimate of prefix j is the exact
+    1-norm condition number of ``R[:j,:j]``, nondecreasing in j, so the
+    rank gate runs once, on the whole basis, even with no targets.  The
+    residual norms of every prefix are re-checked together as ``target -
+    basis @ C`` over row blocks of the basis; column j - 1 of the
+    upper-triangular m x m matrix C holds the coefficients of prefix j.
 
     Raises:
+        ValueError: when the basis is empty or ``n_trunc`` is negative.
         DegenerateBasis: when R has an exact zero on its diagonal (a zero
             member, or more members than coefficients), or when the
             reciprocal condition of the whole basis is below RANK_TOLERANCE.
         ResidualMismatch: when a residual re-check disagrees with its
             distance.
     """
-    aug = _augmented(problem.basis + [problem.target])
-    return _nested_reports(aug, len(problem.basis))[0]
+    return _nested_reports(_augmented(basis, targets, n_trunc), len(basis))
 
 
 def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceReport]]:
@@ -201,10 +183,14 @@ def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceRe
     return list(zip(range(2, k_max + 1), _nested_reports(aug, k_max - 1)[0]))
 
 
-def _augmented(columns: list[CoeffSeries]) -> np.ndarray:
-    """Column-major matrix of fitted, equal-length series, complex when any is complex."""
+def _augmented(basis: list[CoeffSeries], targets: list[CoeffSeries],
+               n_trunc: int) -> np.ndarray:
+    """Column-major [b_1 .. b_m | t_1 .. t_r] refitted to degree ``n_trunc``, complex when any is."""
+    if not basis:
+        raise ValueError("basis must be nonempty")
+    columns = [fit_degree(c, n_trunc) for c in [*basis, *targets]]
     dtype = complex if any(np.iscomplexobj(c.coeffs) for c in columns) else float
-    aug = np.empty((len(columns[0].coeffs), len(columns)), dtype=dtype, order="F")
+    aug = np.empty((n_trunc + 1, len(columns)), dtype=dtype, order="F")
     for i, c in enumerate(columns):
         aug[:, i] = c.coeffs
     return aug
@@ -313,18 +299,17 @@ def cyclicity_scan(
 ) -> list[DistanceReport]:
     """Distances from each target to span of the dilation orbit of ``f``.
 
-    The orbit W_n f, n = 1..n_max, and the targets are refitted to the
-    common truncation degree (exact padding for a polynomial f, the
-    intended use).  One factorization of [W_1 f .. W_m f | t_1 .. t_r]
-    gives each target the last report of :func:`nested_distances`, all
-    complex128 when the orbit or any target is complex.  The orbit passes
-    one rank gate, even with no targets, or :class:`DegenerateBasis` is raised.
+    Each target gets the last of its :func:`nested_distances` reports on
+    the orbit W_n f, n = 1..n_max, from one factorization of [W_1 f ..
+    W_m f | t_1 .. t_r] at degree ``n_trunc`` (exact padding for a
+    polynomial f, the intended use), all complex128 when the orbit or any
+    target is complex.  The orbit passes one rank gate, even with no
+    targets, or :class:`DegenerateBasis` is raised.
     """
     if n_max < 2:
         raise IndexOutOfRange(f"n_max must be >= 2, got {n_max}")
     orbit = [weighted_dilation(n, f) for n in range(1, n_max + 1)]
-    aug = _augmented([fit_degree(c, n_trunc) for c in [*orbit, *targets]])
-    return [reports[-1] for reports in _nested_reports(aug, n_max)]
+    return [reports[-1] for reports in nested_distances(orbit, targets, n_trunc)]
 
 
 def non_cyclicity_witness(f: CoeffSeries, n_max: int) -> float:

@@ -279,19 +279,18 @@ def cumsum(f: CoeffSeries) -> CoeffSeries:
 def write_columns(fh, columns) -> None:
     """Write equal-length ``columns`` to the binary file ``fh`` as comma-separated rows.
 
-    ``columns`` is a list of ``(fmt, values)`` pairs: ``"%d"`` for int64
-    columns, whose cells read ``str(v)``, and ``"%.17g"`` for float64
-    columns, whose cells read ``format(x, ".17g")``.  Each block of at most
-    ``_CSV_BLOCK_ROWS`` rows is laid out as one uint8 character matrix, in
-    which a 0 byte marks a position the cell leaves out (a leading digit
-    zero, a trailing fraction zero, an absent sign or point), and is sent
-    in one write of its kept bytes.  Floats with 1e-11 < |x| < 1e16 are
-    encoded exactly with integer arithmetic (:func:`_float_cells`); zeros,
-    nan, inf and smaller or larger magnitudes are formatted by ``format``,
-    one cell at a time.  Tests pin the bytes to the per-value formatting.
+    Each column's encoder follows from its dtype: the cells of a
+    signed-integer column read ``str(v)`` and those of a float64 column
+    ``format(x, ".17g")``; any other dtype raises :class:`TypeError`.
+    Each block of at most ``_CSV_BLOCK_ROWS`` rows is laid out as one uint8
+    character matrix, in which a 0 byte marks a position the cell leaves
+    out (a leading digit zero, a trailing fraction zero, an absent sign or
+    point), and is sent in one write of its kept bytes.  Floats with
+    1e-11 < |x| < 1e16 are encoded exactly with integer arithmetic
+    (:func:`_float_cells`); zeros, nan, inf and smaller or larger
+    magnitudes are formatted by ``format``, one cell at a time.  Tests pin the bytes to the per-value formatting.
     """
-    encoders = {"%d": _int_cells, "%.17g": _float_cells}
-    values = [(encoders[fmt], np.asarray(v)) for fmt, v in columns]
+    values = [(_cell_encoder(v.dtype), v) for v in map(np.asarray, columns)]
     seps = [ord(",")] * (len(values) - 1) + [ord("\n")]
     nrows = len(values[0][1])
     for start in range(0, nrows, _CSV_BLOCK_ROWS):
@@ -301,6 +300,15 @@ def write_columns(fh, columns) -> None:
             parts += [encode(v[start:start + rows]), np.full((rows, 1), sep, dtype=np.uint8)]
         mat = np.concatenate(parts, axis=1)
         fh.write(mat[mat != 0].tobytes())
+
+
+def _cell_encoder(dtype: np.dtype):
+    """:func:`_int_cells` for signed integers, :func:`_float_cells` for float64."""
+    if np.issubdtype(dtype, np.signedinteger):
+        return _int_cells
+    if dtype == np.float64:
+        return _float_cells
+    raise TypeError(f"write_columns encodes signed-integer and float64 columns, not {dtype}")
 
 
 # "0000" .. "9999" as native uint32 words, so that one gather writes four digits.

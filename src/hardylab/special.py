@@ -19,7 +19,6 @@ from .series import CoeffSeries, cumsum, formal_log
 __all__ = [
     "hk_closed_form",
     "hk_oracle",
-    "hk_tail_norm_bound",
     "truncation_certificate",
     "dirichlet_energy_at_one",
 ]
@@ -95,22 +94,14 @@ def hk_oracle(k: int, n_trunc: int) -> CoeffSeries:
     return cumsum(formal_log(CoeffSeries(p)))
 
 
-def hk_tail_norm_bound(k: int, n_trunc: int) -> float:
-    """Upper bound on the norm of h_k beyond degree ``n_trunc``.
-
-    The coefficients decay like |c_j| <= k/(j+1), so the tail norm is at
-    most sqrt(sum_{j>N} k^2/(j+1)^2) <= k/sqrt(N+1).  Used to certify that
-    a chosen truncation degree is deep enough for distance experiments.
-    """
-    _check_hk_args(k, n_trunc)
-    return k / np.sqrt(n_trunc + 1)
-
-
 def truncation_certificate(coefficients, n_trunc: int) -> float:
     """Upper bound on the norm of sum_k c_k h_k beyond degree ``n_trunc``.
 
     ``coefficients[i]`` multiplies h_{i+2}, as in the reports of the d_K
-    sequence; the bound is sum_k |c_k| * hk_tail_norm_bound(k, n_trunc).
+    sequence.  The coefficients of h_k decay like |c_j| <= k/(j+1), so the
+    tail of h_k beyond degree N has norm at most
+    sqrt(sum_{j>N} k^2/(j+1)^2) <= k/sqrt(N+1), and the bound is
+    sum_k |c_k| * k/sqrt(N+1), summed in the order of the coefficients.
     It certifies how far the truncation can move a distance d_K.
     """
     _check_hk_args(2, n_trunc)

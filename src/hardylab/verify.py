@@ -6,9 +6,9 @@ nontrivial input at tolerance 0.0; the others draw reproducible random
 input from the suite's seed, its only setting.  Sample sizes and inputs are
 fixed in each suite body.  The CLI `verify` subcommand prints one line per
 check, and the acceptance criteria that share a check with a suite
-(tests/test_acceptance.py: c01, c02, c05, c06, c09, c10, c11, c14 and c15)
-call that suite with the criterion's seed and assert that every check it
-returns passes.
+(tests/test_acceptance.py: c01 to c07, c09, c10, c11, c14 and c15) call
+that suite with the criterion's seed and assert that the checks they share
+pass.
 
 The adjoint, isometry and Dirichlet suites and the Cauchy-Schwarz loop of
 the semigroup suite work on row stacks, one random series per row, instead

@@ -111,21 +111,21 @@ class TestBlockWriter:
 
     def test_formatter_matches_format_17g(self):
         values = [-0.0, 5e-324, 1e-300, 1e308, -1.5, 0.1]
-        got = encoded([("%d", np.arange(len(values))), ("%.17g", values)])
+        got = encoded([np.arange(len(values)), values])
         assert got == formatted(range(len(values)), values)
 
     @given(st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), st.floats()), max_size=40))
     def test_encoder_matches_str_and_format_17g(self, rows):
         ints = np.array([j for j, _ in rows], dtype=np.int64)
         floats = np.array([x for _, x in rows], dtype=np.float64)
-        assert encoded([("%d", ints), ("%.17g", floats)]) == formatted(ints.tolist(), floats.tolist())
+        assert encoded([ints, floats]) == formatted(ints.tolist(), floats.tolist())
 
     @given(st.lists(st.floats(1e-11, 1e16, exclude_max=True), max_size=40),
            st.booleans())
     def test_encoder_matches_format_17g_in_the_integer_range(self, values, negative):
         floats = -np.array(values) if negative else np.array(values, dtype=np.float64)
         ints = np.arange(len(values))
-        assert encoded([("%d", ints), ("%.17g", floats)]) == formatted(ints, floats.tolist())
+        assert encoded([ints, floats]) == formatted(ints, floats.tolist())
 
     @pytest.mark.parametrize("x, text", [
         (9.9999999999999995e-05, "9.9999999999999991e-05"),
@@ -148,7 +148,7 @@ class TestBlockWriter:
     ])
     def test_pinned_values(self, x, text):
         assert format(x, ".17g") == text
-        assert encoded([("%d", [0]), ("%.17g", [x])]) == f"0,{text}\n".encode()
+        assert encoded([[0], [x]]) == f"0,{text}\n".encode()
 
     @pytest.mark.parametrize("e", range(-11, 17))
     def test_no_double_rounds_up_to_a_power_of_ten(self, e):
@@ -161,7 +161,7 @@ class TestBlockWriter:
     def test_row_mixing_integer_and_format_cells(self):
         rows = [[0.5, 0.0, 1e-16, 1.25], [-0.25, 3.0, np.inf, 2e-11], [np.nan, -7.5, 1e20, -0.0]]
         cols = np.array(rows).T
-        got = encoded([("%.17g", c) for c in cols])
+        got = encoded(list(cols))
         assert got == "".join(",".join(format(x, ".17g") for x in r) + "\n" for r in rows).encode()
 
     @pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
@@ -169,12 +169,18 @@ class TestBlockWriter:
         rng = np.random.default_rng(rows)
         ints = rng.integers(-2**63, 2**63 - 1, rows, endpoint=True)
         floats = spread_doubles(rng, rows)
-        assert encoded([("%d", ints), ("%.17g", floats)]) == formatted(ints.tolist(), floats.tolist())
+        assert encoded([ints, floats]) == formatted(ints.tolist(), floats.tolist())
 
     def test_negative_and_extreme_ints(self):
         ints = [-1, 0, -10, 10, -9, 99999, -(2**63), 2**63 - 1, -1000000000000000000]
-        got = encoded([("%d", ints), ("%.17g", [1.0] * len(ints))])
+        got = encoded([ints, [1.0] * len(ints)])
         assert got == "".join(f"{j},1\n" for j in ints).encode()
+
+    @pytest.mark.parametrize("column", [np.array([1 + 2j]), np.array(["1"], dtype=object)],
+                             ids=["complex128", "object"])
+    def test_other_dtypes_raise_type_error(self, column):
+        with pytest.raises(TypeError, match=str(column.dtype)):
+            encoded([[0], column])
 
 
 class TestGenHk:

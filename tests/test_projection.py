@@ -20,7 +20,7 @@ def one_vector_distance(target, b):
 class TestDistanceToSpan:
     def test_membership_gives_zero(self):
         h2 = hl.hk_closed_form(2, 1024)
-        report = hl.distance_to_span(hl.SpanProblem(h2, [h2], 1024))
+        report = hl.distance_to_span(h2, [h2], 1024)
         assert report.distance <= 1e-10
         assert report.residual_norm_check <= 1e-10
 
@@ -28,7 +28,7 @@ class TestDistanceToSpan:
         n_trunc = 1024
         h2 = hl.hk_closed_form(2, n_trunc)
         target = hl.one(n_trunc)
-        report = hl.distance_to_span(hl.SpanProblem(target, [h2], n_trunc))
+        report = hl.distance_to_span(target, [h2], n_trunc)
         assert report.distance == pytest.approx(
             one_vector_distance(target, h2), abs=1e-12
         )
@@ -42,22 +42,24 @@ class TestDistanceToSpan:
         h = {k: hl.hk_closed_form(k, n_trunc) for k in (2, 3, 5)}
         basis = [hl.axpy(-1, h[3], h[2]), hl.axpy(-1, h[5], h[2])]
         target = hl.pad(hl.from_coeffs([1, -1]), n_trunc)
-        report = hl.distance_to_span(hl.SpanProblem(target, basis, n_trunc))
+        report = hl.distance_to_span(target, basis, n_trunc)
         assert report.distance == pytest.approx(np.sqrt(2), abs=1e-10)
 
     def test_more_members_than_coefficients_raises(self):
         basis = [hl.hk_closed_form(k, 2) for k in range(2, 6)]
         with pytest.raises(DegenerateBasis, match="exceed"):
-            hl.distance_to_span(hl.SpanProblem(hl.one(2), basis, 2))
+            hl.distance_to_span(hl.one(2), basis, 2)
 
     def test_degenerate_basis_raises(self):
         f = hl.hk_closed_form(2, 128)
         with pytest.raises(DegenerateBasis):
-            hl.distance_to_span(hl.SpanProblem(hl.one(128), [f, hl.axpy(1.0, f, hl.zero(128))], 128))
+            hl.distance_to_span(hl.one(128), [f, hl.axpy(1.0, f, hl.zero(128))], 128)
 
     def test_empty_basis_rejected(self):
-        with pytest.raises(ValueError):
-            hl.SpanProblem(hl.one(4), [], 4)
+        with pytest.raises(ValueError, match="basis must be nonempty"):
+            hl.distance_to_span(hl.one(4), [], 4)
+        with pytest.raises(ValueError, match="basis must be nonempty"):
+            hl.nested_distances([], [hl.one(4)], 4)
 
     def test_report_invariants_random(self):
         rng = np.random.default_rng(8)
@@ -72,7 +74,7 @@ class TestDistanceToSpan:
                 )
                 for _ in range(5)
             ]
-            report = hl.distance_to_span(hl.SpanProblem(target, basis, n_trunc))
+            report = hl.distance_to_span(target, basis, n_trunc)
             assert report.distance <= hl.norm(target) + 1e-12
             assert abs(report.distance - report.residual_norm_check) <= 1e-10
             assert report.condition_estimate >= 1.0
@@ -83,7 +85,7 @@ class TestDistanceToSpan:
         target = hl.one(n_trunc)
         last = np.inf
         for size in range(1, len(basis) + 1):
-            d = hl.distance_to_span(hl.SpanProblem(target, basis[:size], n_trunc)).distance
+            d = hl.distance_to_span(target, basis[:size], n_trunc).distance
             assert d <= last + 1e-12
             last = d
 
@@ -91,29 +93,27 @@ class TestDistanceToSpan:
         n_trunc = 256
         basis = [hl.hk_closed_form(k, n_trunc) for k in (2, 3, 4)]
         target = hl.one(n_trunc)
-        report = hl.distance_to_span(hl.SpanProblem(target, basis, n_trunc))
+        report = hl.distance_to_span(target, basis, n_trunc)
         projection = hl.zero(n_trunc)
         for c, b in zip(report.coefficients, basis):
             projection = hl.axpy(c, b, projection)
-        again = hl.distance_to_span(hl.SpanProblem(projection, basis, n_trunc))
+        again = hl.distance_to_span(projection, basis, n_trunc)
         assert again.distance <= 1e-10
 
     def test_real_and_complex_paths_agree(self):
         n_trunc = 128
         basis = [hl.hk_closed_form(k, n_trunc) for k in (2, 3)]
         target = hl.one(n_trunc)
-        real_report = hl.distance_to_span(hl.SpanProblem(target, basis, n_trunc))
+        real_report = hl.distance_to_span(target, basis, n_trunc)
         spun = [hl.from_coeffs(b.coeffs * np.exp(0.7j)) for b in basis]
         spun_target = hl.from_coeffs(target.coeffs * np.exp(0.3j))
-        complex_report = hl.distance_to_span(hl.SpanProblem(spun_target, spun, n_trunc))
+        complex_report = hl.distance_to_span(spun_target, spun, n_trunc)
         # rotating the target by a unimodular scalar preserves the distance
         assert complex_report.distance == pytest.approx(real_report.distance, abs=1e-12)
 
     def test_json_report_round_trips(self):
         n_trunc = 64
-        report = hl.distance_to_span(
-            hl.SpanProblem(hl.one(n_trunc), [hl.hk_closed_form(2, n_trunc)], n_trunc)
-        )
+        report = hl.distance_to_span(hl.one(n_trunc), [hl.hk_closed_form(2, n_trunc)], n_trunc)
         d = report.to_json_dict()
         assert d["distance"] == report.distance
         assert len(d["coefficients_re"]) == 1
@@ -140,11 +140,8 @@ class TestBaezDuarteSequence:
         n_small = 1024
         seq_small = hl.baez_duarte_sequence(8, n_small)
         seq_big = hl.baez_duarte_sequence(8, 2 * n_small)
-        for (k, rep_small), (_, rep_big) in zip(seq_small, seq_big):
-            tail = sum(
-                abs(c) * hl.hk_tail_norm_bound(j, n_small)
-                for j, c in zip(range(2, k + 1), rep_small.coefficients)
-            )
+        for (_, rep_small), (_, rep_big) in zip(seq_small, seq_big):
+            tail = hl.truncation_certificate(rep_small.coefficients, n_small)
             assert abs(rep_small.distance - rep_big.distance) <= 10 * tail
 
     def test_rejects_small_kmax(self):
@@ -152,9 +149,9 @@ class TestBaezDuarteSequence:
             hl.baez_duarte_sequence(1, 64)
 
 
-def basis_matrix(problem):
-    """The N x j matrix of the problem's refitted basis."""
-    return np.column_stack([b.coeffs for b in problem.basis])
+def basis_matrix(basis, n_trunc):
+    """The (n_trunc + 1) x j matrix of the basis refitted to degree ``n_trunc``."""
+    return np.column_stack([hl.fit_degree(b, n_trunc).coeffs for b in basis])
 
 
 def assert_matches_oracle(rep, target, basis, n_trunc):
@@ -163,11 +160,10 @@ def assert_matches_oracle(rep, target, basis, n_trunc):
     The condition figure is the 1-norm condition number of the basis'
     triangular factor, taken here from numpy's QR of the basis alone.
     """
-    problem = hl.SpanProblem(target, basis, n_trunc)
-    oracle = hl.distance_to_span(problem)
+    oracle = hl.distance_to_span(target, basis, n_trunc)
     assert rep.distance == pytest.approx(oracle.distance, rel=1e-12)
     np.testing.assert_allclose(rep.coefficients, oracle.coefficients, rtol=0, atol=1e-10)
-    r = np.linalg.qr(basis_matrix(problem), mode="r")
+    r = np.linalg.qr(basis_matrix(basis, n_trunc), mode="r")
     assert rep.condition_estimate == pytest.approx(np.linalg.cond(r, 1), rel=1e-10)
 
 
@@ -197,7 +193,7 @@ class TestNestedDistances:
 
         target = random_series()
         basis = [random_series() for _ in range(7)]
-        reports = hl.nested_distances(hl.SpanProblem(target, basis, n_trunc))
+        reports = hl.nested_distances(basis, [target], n_trunc)[0]
         assert_matches_pivoted_oracle(reports, target, basis, n_trunc)
         assert any(c.imag != 0 for c in reports[-1].coefficients)
 
@@ -205,18 +201,26 @@ class TestNestedDistances:
         n_trunc = 200
         basis = [hl.hk_closed_form(k, n_trunc) for k in range(2, 8)]
         target = hl.from_coeffs(np.exp(0.4j) * hl.one(n_trunc).coeffs + 0.1j * basis[0].coeffs)
-        reports = hl.nested_distances(hl.SpanProblem(target, basis, n_trunc))
+        reports = hl.nested_distances(basis, [target], n_trunc)[0]
         assert_matches_pivoted_oracle(reports, target, basis, n_trunc)
         assert all(rep.coefficients.dtype == np.complex128 for rep in reports)
+
+    def test_one_report_list_per_target(self):
+        n_trunc = 200
+        basis = [hl.hk_closed_form(k, n_trunc) for k in range(2, 8)]
+        targets = [hl.one(n_trunc), hl.pad(hl.from_coeffs([1.0, -1.0]), n_trunc)]
+        per_target = hl.nested_distances(basis, targets, n_trunc)
+        assert len(per_target) == len(targets)
+        for reports, target in zip(per_target, targets):
+            assert_matches_pivoted_oracle(reports, target, basis, n_trunc)
+        assert hl.nested_distances(basis, [], n_trunc) == []
 
     def test_real_problem_gives_read_only_real_coefficients(self):
         for _, rep in hl.baez_duarte_sequence(6, 128):
             assert rep.coefficients.dtype == np.float64
             with pytest.raises(ValueError):
                 rep.coefficients[0] = 0.0
-        oracle = hl.distance_to_span(
-            hl.SpanProblem(hl.one(64), [hl.hk_closed_form(2, 64)], 64)
-        )
+        oracle = hl.distance_to_span(hl.one(64), [hl.hk_closed_form(2, 64)], 64)
         with pytest.raises(ValueError):
             oracle.coefficients[0] = 0.0
 
@@ -224,7 +228,7 @@ class TestNestedDistances:
         n_trunc = 128
         h2, h3 = hl.hk_closed_form(2, n_trunc), hl.hk_closed_form(3, n_trunc)
         with pytest.raises(DegenerateBasis):
-            hl.nested_distances(hl.SpanProblem(hl.one(n_trunc), [h2, h3, h2], n_trunc))
+            hl.nested_distances([h2, h3, h2], [hl.one(n_trunc)], n_trunc)
 
     def test_more_columns_than_coefficients_raises(self):
         with pytest.raises(DegenerateBasis):
@@ -234,13 +238,13 @@ class TestNestedDistances:
         n_trunc = 128
         h2, h3 = hl.hk_closed_form(2, n_trunc), hl.hk_closed_form(3, n_trunc)
         with pytest.raises(DegenerateBasis, match="zero on its diagonal"):
-            hl.nested_distances(hl.SpanProblem(hl.one(n_trunc), [h2, hl.zero(n_trunc), h3], n_trunc))
+            hl.nested_distances([h2, hl.zero(n_trunc), h3], [hl.one(n_trunc)], n_trunc)
 
     def test_repeated_member_fails_condition_gate(self):
         n_trunc = 128
         h2, h3 = hl.hk_closed_form(2, n_trunc), hl.hk_closed_form(3, n_trunc)
         with pytest.raises(DegenerateBasis, match="reciprocal condition"):
-            hl.nested_distances(hl.SpanProblem(hl.one(n_trunc), [h2, h3, h2], n_trunc))
+            hl.nested_distances([h2, h3, h2], [hl.one(n_trunc)], n_trunc)
 
 
 class TestQRBlockEdges:
@@ -263,14 +267,14 @@ class TestQRBlockEdges:
     @pytest.mark.parametrize("complex_basis", [False, True])
     def test_matches_pivoted_oracle(self, rows, m, complex_basis):
         target, basis = self.random_problem(rows, m, complex_basis)
-        reports = hl.nested_distances(hl.SpanProblem(target, basis, rows - 1))
+        reports = hl.nested_distances(basis, [target], rows - 1)[0]
         assert_matches_pivoted_oracle(reports, target, basis, rows - 1)
 
     @pytest.mark.parametrize("complex_basis", [False, True])
     def test_fewer_rows_than_members_raises(self, complex_basis):
         target, basis = self.random_problem(1, 2, complex_basis)
         with pytest.raises(DegenerateBasis, match="zero on its diagonal"):
-            hl.nested_distances(hl.SpanProblem(target, basis, 0))
+            hl.nested_distances(basis, [target], 0)
 
 
 class TestConditionFigure:
@@ -283,11 +287,9 @@ class TestConditionFigure:
 
     @pytest.fixture(scope="class")
     def basis(self):
-        return basis_matrix(hl.SpanProblem(
-            hl.one(self.N_TRUNC),
-            [hl.hk_closed_form(k, self.N_TRUNC) for k in range(2, self.K_MAX + 1)],
-            self.N_TRUNC,
-        ))
+        return basis_matrix(
+            [hl.hk_closed_form(k, self.N_TRUNC) for k in range(2, self.K_MAX + 1)], self.N_TRUNC
+        )
 
     def test_equals_one_norm_condition_of_each_leading_block(self, figures, basis):
         r = np.linalg.qr(basis, mode="r")
@@ -335,42 +337,47 @@ class TestBlockedResidualCheck:
 
         target = random_series()
         basis = [random_series() for _ in range(6)]
-        reports = hl.nested_distances(hl.SpanProblem(target, basis, n_trunc))
+        reports = hl.nested_distances(basis, [target], n_trunc)[0]
         assert_residual_checks_match_direct_norm(reports, target, basis)
 
 
 class TestResidualAgreement:
     # distance_to_span re-checks its residual with series.norm; the nested
-    # engine re-checks every prefix at once in _residual_norms.
-    CHECKS = {hl.distance_to_span: ("norm", hl.norm),
-              hl.nested_distances: ("_residual_norms", _residual_norms)}
+    # engine re-checks every prefix at once in _residual_norms.  Each engine
+    # is called on (target, basis, n_trunc).
+    ENGINES = {
+        "distance_to_span": (hl.distance_to_span, "norm", hl.norm),
+        "nested_distances": (lambda t, b, n: hl.nested_distances(b, [t], n),
+                             "_residual_norms", _residual_norms),
+    }
 
     @classmethod
     def skew_residual_norm(cls, monkeypatch, engine, amount):
-        name, true_check = cls.CHECKS[engine]
+        _, name, true_check = cls.ENGINES[engine]
         monkeypatch.setattr(
             f"hardylab.projection.{name}", lambda *args: true_check(*args) + amount
         )
 
-    @pytest.mark.parametrize("engine", [hl.distance_to_span, hl.nested_distances])
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_mismatch_raises(self, monkeypatch, engine):
         n_trunc = 128
-        problem = hl.SpanProblem(hl.one(n_trunc), [hl.hk_closed_form(2, n_trunc)], n_trunc)
+        run = self.ENGINES[engine][0]
         self.skew_residual_norm(monkeypatch, engine, 1e-8)
         with pytest.raises(ResidualMismatch):
-            engine(problem)
+            run(hl.one(n_trunc), [hl.hk_closed_form(2, n_trunc)], n_trunc)
 
-    @pytest.mark.parametrize("engine", [hl.distance_to_span, hl.nested_distances])
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_bound_scales_with_target_norm(self, monkeypatch, engine):
         # ||target|| = 1e4: a 1e-8 gap is inside 1e-10 * 1e4 = 1e-6, a 1e-5 gap is not.
         n_trunc = 128
+        run = self.ENGINES[engine][0]
         target = hl.from_coeffs(1e4 * hl.one(n_trunc).coeffs)
-        problem = hl.SpanProblem(target, [hl.hk_closed_form(2, n_trunc)], n_trunc)
+        basis = [hl.hk_closed_form(2, n_trunc)]
         self.skew_residual_norm(monkeypatch, engine, 1e-8)
-        engine(problem)
+        run(target, basis, n_trunc)
         self.skew_residual_norm(monkeypatch, engine, 1e-5)
         with pytest.raises(ResidualMismatch):
-            engine(problem)
+            run(target, basis, n_trunc)
 
 
 class TestDifferenceSpanOrthogonality:
@@ -497,7 +504,7 @@ class TestCyclicityScan:
         targets.append(hl.from_coeffs(rng.standard_normal(n_trunc + 1)
                                       + 1j * rng.standard_normal(n_trunc + 1)))
         for rep, target in zip(hl.cyclicity_scan(f, 8, targets, n_trunc), targets):
-            alone = hl.nested_distances(hl.SpanProblem(target, orbit, n_trunc))[-1]
+            alone = hl.nested_distances(orbit, [target], n_trunc)[0][-1]
             assert rep.distance == pytest.approx(alone.distance, rel=1e-14)
             gap = np.linalg.norm(rep.coefficients - alone.coefficients)
             assert gap <= 1e-14 * np.linalg.norm(alone.coefficients)

@@ -96,7 +96,7 @@ class TestHkStructure:
             deep = hl.hk_closed_form(k, 8192).coeffs
             for n_trunc in (256, 1024):
                 actual = np.linalg.norm(deep[n_trunc + 1 :])
-                assert actual <= hl.hk_tail_norm_bound(k, n_trunc)
+                assert actual <= k / np.sqrt(n_trunc + 1)
 
 
 class TestDirichletEnergy:
@@ -155,7 +155,7 @@ class TestTruncationCertificate:
         n_trunc = 1024
         for k, rep in hl.baez_duarte_sequence(8, n_trunc):
             inline = sum(
-                abs(c) * hl.hk_tail_norm_bound(j, n_trunc)
+                abs(c) * (j / np.sqrt(n_trunc + 1))
                 for j, c in zip(range(2, k + 1), rep.coefficients)
             )
             assert hl.truncation_certificate(rep.coefficients, n_trunc) == inline
