@@ -19,6 +19,7 @@ typed laboratory error such as a degenerate basis).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -306,8 +307,14 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace,
     return 2
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process for :func:`main`; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     cfg, explicit = _effective_config(parser, args)
     try:

@@ -8,10 +8,13 @@ ends on a power of n, which is why truncation levels are specified as the
 exponent L (series built through degree n^L - 1): a ragged cut would break
 the outermost block identity.
 
-One builder, ``_eigen_bands``, makes the band values, one row per point.
-:func:`spectral_disk_scan` works on them alone and returns a columnar
-:class:`DiskScanReport`; its oracle :func:`adjoint_eigenvector` expands one
-row to the full vector and keeps its own adjoint and norms.
+:func:`spectral_disk_scan` works on the band values alone, one row per
+point, built by ``_eigen_bands`` in float64 arrays that round as CPython's
+complex arithmetic does, and sums each residual block in closed form, in
+O(points * level) time and memory whatever n.  It returns a columnar
+:class:`DiskScanReport`.  Its oracle :func:`adjoint_eigenvector` runs its
+own per-point complex recurrence, expands it to the full vector and keeps
+its own adjoint and norms.
 """
 
 from __future__ import annotations
@@ -59,29 +62,50 @@ class EigenPair:
     tail_mass: float
 
 
-def _checked_points(n: int, lams, level: int) -> np.ndarray:
-    """``lams`` as a 1-d complex array, once index, every point and the level are valid."""
-    lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
+def _checked_level(n: int, level: int) -> None:
+    """Raise unless n >= 2 and 1 <= level with n^level a finite float."""
     if n < 2:
         raise IndexOutOfRange(f"adjoint eigenvectors exist for index >= 2, got {n}")
+    if n > sys.float_info.max:  # named by its size: str(n) may exceed Python's digit limit
+        raise IndexOutOfRange(f"truncation level must be >= 1 with n^level a float, "
+                              f"got an index of {n.bit_length()} bits")
+    # n^1024 overflows for every n >= 2, so n**level stays a small power
+    if not 1 <= level < 1024 or n**level > sys.float_info.max:
+        raise IndexOutOfRange(f"truncation level must be >= 1 with {n}^level a float, got {level}")
+
+
+def _checked_points(n: int, lams, level: int) -> np.ndarray:
+    """``lams`` as a 1-d complex array, once index, level and every point are valid."""
+    lams = np.asarray(lams, dtype=np.complex128).reshape(-1)
+    _checked_level(n, level)
     # np.hypot rounds |lam| as Python's abs does; np.abs differs in the last bit
     inside = np.less(np.hypot(lams.real, lams.imag), math.sqrt(n))
     if np.count_nonzero(inside) < len(lams):
         raise OutsideSpectralBall(f"|lam| = {abs(lams[inside.argmin()]):.6g} is not inside "
                                   f"the open ball of radius sqrt({n})")
-    # n^1024 overflows for every n >= 2, so n**level stays a small power
-    if not 1 <= level < 1024 or n**level > sys.float_info.max:
-        raise IndexOutOfRange(f"truncation level must be >= 1 with {n}^level a float, got {level}")
     return lams
 
 
 def _eigen_bands(n: int, lams, level: int) -> np.ndarray:
-    """Band values b_0 .. b_{level-1} of the eigenvectors at ``lams``, one row per point."""
+    """Band values b_0 .. b_{level-1} of the eigenvectors at ``lams``, one row per point.
+
+    b_0 = (lam-1)/(n-1) and b_l = b_(l-1) * (lam/n), each rounded as CPython's
+    complex / and * round them: numpy's complex / and * fuse multiply-adds and
+    differ in the last bit.
+    """
     lams = _checked_points(n, lams, level)
-    # Python complex arithmetic: numpy's complex / and * differ in the last bit
-    rows = [list(accumulate(repeat(lam / n, level - 1), mul, initial=(lam - 1) / (n - 1)))
-            for lam in lams.tolist()]
-    return np.array(rows, dtype=np.complex128).reshape(len(lams), level)
+    re, im = lams.real, lams.imag
+    # CPython divides by the real n as by the complex (n, 0.0): ratio 0.0, denominator n
+    qr, qi = (re + im * 0.0) / float(n), (im - re * 0.0) / float(n)
+    parts = np.empty((len(lams), level, 2))
+    br, bi = parts[..., 0], parts[..., 1]
+    br[:, 0] = ((re - 1.0) + im * 0.0) / float(n - 1)
+    bi[:, 0] = (im - (re - 1.0) * 0.0) / float(n - 1)
+    for ell in range(1, level):
+        # each product rounded on its own, then the sum, as CPython multiplies
+        br[:, ell] = br[:, ell - 1] * qr - bi[:, ell - 1] * qi
+        bi[:, ell] = br[:, ell - 1] * qi + bi[:, ell - 1] * qr
+    return parts.view(np.complex128)[..., 0]
 
 
 def _band_vectors(n: int, lams, level: int) -> tuple[np.ndarray, list[int]]:
@@ -91,18 +115,16 @@ def _band_vectors(n: int, lams, level: int) -> tuple[np.ndarray, list[int]]:
     return vector, [1] + [n**ell * (n - 1) for ell in range(level)]
 
 
-def _eigen_rows(n: int, lams, level: int) -> np.ndarray:
-    """The eigenvectors at ``lams`` as the rows of a complex (len(lams), n^level) array."""
-    return np.repeat(*_band_vectors(n, lams, level), axis=1)
+def _residual_bands(n: int, lams: np.ndarray, bands: np.ndarray) -> np.ndarray:
+    """adjoint(v) - lam*v by window band, each block of equal values summed in closed form.
 
-
-def _residual_bands(n: int, lams: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """adjoint(v) - lam*v by window band, each block summed left to right as on full rows."""
-    res = vector[:, 1:].copy()  # the first entry of each block: v_0 = 1, then b_(l+1)
-    res[:, 0] = 1.0
-    for _ in range(n - 1):
-        res += vector[:, 1:]
-    return res - lams[:, None] * vector[:, :-1]
+    Degree 0 sums 1 and n-1 copies of b_0; every later block sums n copies
+    of b_l.  One rounding each, so neither the cost nor the error grows with n.
+    """
+    res = np.empty_like(bands)
+    res[:, 0] = 1.0 + float(n - 1) * bands[:, 0] - lams
+    res[:, 1:] = float(n) * bands[:, 1:] - lams[:, None] * bands[:, :-1]
+    return res
 
 
 def adjoint_eigenvector(n: int, lam: complex, level: int) -> EigenPair:
@@ -113,8 +135,10 @@ def adjoint_eigenvector(n: int, lam: complex, level: int) -> EigenPair:
     sums to lam times the coefficient it reports to, so the residual over
     the adjoint's window is at machine-precision scale.
     """
-    v = _eigen_rows(n, [lam], level)[0]
-    lam = complex(lam)
+    lam = complex(_checked_points(n, lam, level)[0])
+    # the scan's recurrence in Python complex arithmetic, kept apart as its oracle
+    bands = accumulate(repeat(lam / n, level - 1), mul, initial=(lam - 1) / (n - 1))
+    v = np.repeat([1.0, *bands], [1] + [n**ell * (n - 1) for ell in range(level)])
     vec = CoeffSeries(v)
     adj = weighted_dilation_adjoint(n, vec)
     window = n ** (level - 1)
@@ -202,9 +226,10 @@ def spectral_disk_scan(
 
     The eigenvectors and their residual vectors are constant on the bands
     [n^l, n^(l+1)), so the scan works on band values, in O(points * level)
-    memory and O(points * level * n) time: each residual entry sums its
-    block of n values as on full rows (equal to
-    :func:`adjoint_eigenvector`'s for n <= 3), and each norm is
+    time and memory whatever n and the truncation n^level.  Each residual
+    entry sums its block of n equal values in closed form with one rounding
+    (bit for bit :func:`adjoint_eigenvector`'s left-to-right block sums at
+    n = 2, apart in the last bits for n >= 3), and each norm is
     sqrt(sum of count * |value|^2), within an ulp of the exactly rounded norm.
     """
     if n < 2:
@@ -218,12 +243,18 @@ def spectral_disk_scan(
         if not 0.0 <= r < 1.0:
             raise OutsideSpectralBall(f"relative radius {r} is outside [0, 1)")
     level = level_for_degree(n, min_degree_count)
-    sqrt_n = float(np.sqrt(n))
-    turns = [np.exp(2j * np.pi * t / angles_count) for t in range(angles_count)]
-    lams = np.array([r * sqrt_n * turn for r in radii for turn in turns])
+    _checked_level(n, level)
+    turns = np.array([np.exp(2j * np.pi * t / angles_count) for t in range(angles_count)])
+    f = np.array(radii)[:, None] * math.sqrt(n)
+    # f * turn as numpy's float * complex rounds it, f taken as (f, 0.0); the
+    # 0.0 terms set the signs of the zeros at r = 0
+    lams = np.empty((len(radii), angles_count), dtype=np.complex128)
+    lams.real = f * turns.real - 0.0 * turns.imag
+    lams.imag = f * turns.imag + 0.0 * turns.real
+    lams = lams.reshape(-1)
     vector, counts = _band_vectors(n, lams, level)
     weights = np.array(counts, dtype=np.float64)
-    residual = _band_norms(_residual_bands(n, lams, vector), weights[:-1])
+    residual = _band_norms(_residual_bands(n, lams, vector[:, 1:]), weights[:-1])
     closed = np.sqrt(eigenvector_norm_sq(n, lams, level))
     return DiskScanReport(n, level, lams, residual, _band_norms(vector, weights), closed)
 

@@ -1,6 +1,8 @@
 """Reference computations that only the tests use."""
 
 import math
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 from scipy.linalg import solve_triangular, toeplitz
@@ -84,6 +86,17 @@ def solve_triangular_formal_log(f) -> np.ndarray:
         g = a / np.maximum(np.arange(n + 1), 1)
         g[0] = np.log(f0)
     return g
+
+
+def python_complex_bands(n: int, lams, level: int) -> np.ndarray:
+    """Eigenvector band values by the per-point Python complex recurrence.
+
+    The scan's band builder before it ran on float64 arrays: b_0 = (lam-1)/(n-1)
+    and b_l = b_(l-1) * (lam/n), one Python complex product at a time.
+    """
+    rows = [list(accumulate(repeat(lam / n, level - 1), mul, initial=(lam - 1) / (n - 1)))
+            for lam in np.asarray(lams, dtype=np.complex128).reshape(-1).tolist()]
+    return np.array(rows, dtype=np.complex128).reshape(-1, level)
 
 
 # ---------------------------------------------------------------------------

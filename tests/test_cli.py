@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hardylab as hl
+import hardylab.cli
 from hardylab.cli import LabConfig, _fmt, load_config_file, main
 from hardylab.series import _CSV_BLOCK_ROWS, write_columns
 
@@ -440,6 +441,30 @@ class TestSpectrum:
         assert "FAIL" in capsys.readouterr().err
         assert data_lines(out)[-1].split(",")[2] == "nan"
 
+    def test_million_index_passes_default_tolerance(self, tmp_path, capsys):
+        # each block of a million equal values is summed with one rounding
+        out = tmp_path / "spec.csv"
+        assert run(["spectrum", "--n", "1000000", "--out", str(out)]) == 0
+        assert "level=1" in out.read_text().splitlines()[1]
+        residuals = [float(r.split(",")[2]) for r in data_lines(out)[1:]]
+        assert len(residuals) == 5 * 8 and max(residuals) <= 1e-10
+        assert "FAIL" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [2**62, 2**70])
+    def test_index_beyond_int64_runs(self, tmp_path, n):
+        out = tmp_path / "spec.csv"
+        assert run(["spectrum", "--n", str(n), "--r-steps", "1", "--theta-steps", "2",
+                    "--out", str(out)]) == 0
+        assert len(data_lines(out)) == 1 + 2
+
+    def test_index_beyond_float64_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "spec.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["spectrum", "--n", str(10**400), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "IndexOutOfRange: truncation level" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_truncation_beyond_int64_runs(self, tmp_path):
         out = tmp_path / "spec.csv"
         assert run(["--truncation", str(10**30), "spectrum", "--n", "3", "--r-steps", "2",
@@ -472,6 +497,49 @@ class TestSpectrum:
         run(["spectrum", "--n", "3", "--r-steps", "2", "--theta-steps", "3",
              "--out", str(b)])
         assert a.read_text().splitlines()[1:] == b.read_text().splitlines()[1:]
+
+
+class TestParserReuse:
+    """main builds its parser once per process; calls in a row act as single calls."""
+
+    ARGVS = [
+        ["spectrum", "--n", "two"],
+        ["verify", "--suite", "kernel"],
+        ["gen-hk", "--k", "3", "--n", "40"],
+    ]
+
+    def outcomes(self, tmp_path, capsys, fresh):
+        found = []
+        for i, argv in enumerate(self.ARGVS):
+            if fresh:
+                hardylab.cli._parser.cache_clear()
+            out_dir = tmp_path / str(i)
+            try:
+                code = run(["--output-dir", str(out_dir)] + argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            files = {}
+            for path in sorted(out_dir.glob("*")):
+                files[path.name] = path.read_bytes().split(b"\n", 1)[1]
+                path.unlink()
+            found.append((code, captured.out, captured.err, files))
+        return found
+
+    def test_calls_in_a_row_match_single_calls(self, tmp_path, capsys, monkeypatch):
+        builds = []
+        build_parser = hardylab.cli.build_parser
+        monkeypatch.setattr(hardylab.cli, "build_parser",
+                            lambda: builds.append(1) or build_parser())
+        hardylab.cli._parser.cache_clear()
+        in_a_row = self.outcomes(tmp_path, capsys, fresh=False)
+        assert len(builds) == 1
+        single = self.outcomes(tmp_path, capsys, fresh=True)
+        assert len(builds) == 1 + len(self.ARGVS)
+        assert in_a_row == single
+        assert [code for code, *_ in single] == [2, 0, 0]
+        assert "argument --n: invalid int value" in single[0][2]
+        assert single[2][3] and single[1][1].endswith("checks passed\n")
 
 
 class TestConfig:

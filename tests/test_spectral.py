@@ -1,7 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from oracles import python_complex_bands
 
 import hardylab as hl
 from hardylab import spectral
@@ -59,7 +61,7 @@ class TestEigenvectorConstruction:
         with pytest.raises(OutsideSpectralBall):
             hl.eigenvector_norm_sq(2, lam, 3)
         with pytest.raises(OutsideSpectralBall):
-            spectral._eigen_rows(2, [0.5, lam], 3)
+            spectral._eigen_bands(2, [0.5, lam], 3)
 
     def test_bad_index_or_level(self):
         with pytest.raises(IndexOutOfRange):
@@ -78,6 +80,40 @@ class TestEigenvectorConstruction:
             )
             pair = hl.adjoint_eigenvector(n, lam, level)
             assert pair.residual <= 1e-10 * hl.norm(pair.vector)
+
+
+def top_level(n):
+    """The largest truncation level the float64 gate lets through at index n."""
+    level = 1
+    while level + 1 < 1024 and n ** (level + 1) <= sys.float_info.max:
+        level += 1
+    return level
+
+
+class TestBandRecurrence:
+    """The float64 band builder against the Python complex recurrence, byte for byte."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 70, 2**62])
+    def test_bands_match_python_complex_recurrence(self, n):
+        rng = np.random.default_rng(n % 1009)
+        radius = math.sqrt(n)
+        random = (
+            0.999 * radius * np.sqrt(rng.uniform(size=400))
+            * np.exp(2j * np.pi * rng.uniform(size=400))
+        )
+        # r = 0 with every sign of zero, lam = 1, and points on both axes
+        zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+        axes = [complex(x, z) for x in (0.5 * radius, -0.5 * radius, 1.0) for z in (0.0, -0.0)]
+        axes += [complex(z, y) for y in (0.5 * radius, -0.5 * radius) for z in (0.0, -0.0)]
+        points = np.concatenate([zeros, axes, random])
+        top = top_level(n)
+        for level in (1, 2, 8, top):
+            got = spectral._eigen_bands(n, points, level)
+            want = python_complex_bands(n, points, level)
+            assert got.shape == (len(points), level)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        with pytest.raises(IndexOutOfRange, match="truncation level"):
+            spectral._eigen_bands(n, points, top + 1)
 
 
 class TestNormClosedForm:
@@ -164,6 +200,22 @@ class TestDiskScan:
         with pytest.raises(IndexOutOfRange, match="radii"):
             hl.spectral_disk_scan(2, [], 4)
 
+    @pytest.mark.parametrize("n", [2**62, 2**70])
+    def test_index_beyond_int64_scans(self, n):
+        # the closed-form block sums take no step per block entry
+        report = hl.spectral_disk_scan(n, [0.5], 2)
+        assert report.level == 1 and report.lam.shape == (2,)
+        assert report.max_residual <= 1e-10
+        assert report.all_norms_finite
+        assert report.max_norm_mismatch <= 1e-12
+
+    @pytest.mark.parametrize("n", [10**400, 10**5000], ids=["10^400", "10^5000"])
+    def test_index_beyond_float64_is_typed(self, n):
+        with pytest.raises(IndexOutOfRange, match="truncation level .* index of"):
+            hl.spectral_disk_scan(n, [0.5], 2)
+        with pytest.raises(IndexOutOfRange, match="truncation level .* index of"):
+            hl.adjoint_eigenvector(n, 0.5, 1)
+
 
 class TestBatchedScanOracle:
     """The band-value scan against the per-point construction over full vectors."""
@@ -174,20 +226,21 @@ class TestBatchedScanOracle:
         report = hl.spectral_disk_scan(n, radii, angles)
         level = report.level
         sqrt_n = float(np.sqrt(n))
-        expected_lams = [
+        expected_lams = np.array([
             r * sqrt_n * np.exp(2j * np.pi * t / angles) for r in radii for t in range(angles)
-        ]
-        assert report.lam.tolist() == expected_lams
+        ])
+        # by bytes, so the signed zeros at r = 0 count
+        assert report.lam.tobytes() == expected_lams.tobytes()
         vector, counts = spectral._band_vectors(n, report.lam, level)
-        residual = np.repeat(spectral._residual_bands(n, report.lam, vector), counts[:-1], axis=1)
-        # bit for bit the residuals of the full rows, blocks summed as n strided slices
-        rows = spectral._eigen_rows(n, report.lam, level)
+        bands = vector[:, 1:]
+        residual_bands = spectral._residual_bands(n, report.lam, bands)
+        # bit for bit the closed form: 1 + (n-1)*b_0 - lam, then n*b_l - lam*b_(l-1)
+        closed = [1 + (n - 1) * bands[:, 0] - report.lam]
+        closed += [n * bands[:, ell] - report.lam * bands[:, ell - 1] for ell in range(1, level)]
+        assert residual_bands.tobytes() == np.column_stack(closed).tobytes()
+        residual = np.repeat(residual_bands, counts[:-1], axis=1)
+        rows = np.repeat(vector, counts, axis=1)
         window = n ** (level - 1)
-        row_residual = rows[:, 0::n].copy()
-        for j in range(1, n):
-            row_residual += rows[:, j::n]
-        row_residual -= report.lam[:, None] * rows[:, :window]
-        assert residual.tobytes() == row_residual.tobytes()
         for i, lam in enumerate(report.lam):
             pair = hl.adjoint_eigenvector(n, lam, level)
             v = pair.vector.coeffs
@@ -196,15 +249,15 @@ class TestBatchedScanOracle:
             for ell in range(level):
                 filled += [band_value] * (n**ell * (n - 1))
                 band_value *= complex(lam) / n
-            assert np.repeat(vector[i], counts).tobytes() == v.tobytes()
+            assert rows[i].tobytes() == v.tobytes()
             assert v.tobytes() == np.array(filled, dtype=complex).tobytes()
             entries = residual[i]
-            if n <= 3:
-                # equal values; the oracle's np.add.reduce may flip the sign of a zero
+            if n == 2:
+                # b + b == 2*b: equal values; the oracle's np.add.reduce may flip the sign of a zero
                 adj = weighted_dilation_adjoint(n, pair.vector).coeffs
                 assert np.array_equal(entries, adj - pair.lam * v[:window])
             else:
-                # only the summation order of the block sums differs
+                # the closed form rounds each block sum once, the oracle's adds n - 1 times
                 assert abs(report.residual[i] - pair.residual) <= 1e-15 * report.vector_norm[i]
             # both norms within (level + 2) * 2^-52 relative of an exactly rounded sum
             for got, full in [(report.vector_norm[i], v), (report.residual[i], entries)]:
