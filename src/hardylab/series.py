@@ -16,6 +16,7 @@ construction and safe to share.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -285,10 +286,12 @@ def write_columns(fh, columns) -> None:
     Each block of at most ``_CSV_BLOCK_ROWS`` rows is laid out as one uint8
     character matrix, in which a 0 byte marks a position the cell leaves
     out (a leading digit zero, a trailing fraction zero, an absent sign or
-    point), and is sent in one write of its kept bytes.  Floats with
-    1e-11 < |x| < 1e16 are encoded exactly with integer arithmetic
-    (:func:`_float_cells`); zeros, nan, inf and smaller or larger
-    magnitudes are formatted by ``format``, one cell at a time.  Tests pin the bytes to the per-value formatting.
+    point), and is sent in one write of its kept bytes.  Every finite
+    nonzero float is encoded exactly with integer arithmetic
+    (:func:`_float_cells`) and zeros are laid out directly; nan, inf and
+    the rare rows the wide kernel leaves uncertain are formatted by
+    ``format``, one cell at a time.  Tests pin the bytes to the per-value
+    formatting.
     """
     values = [(_cell_encoder(v.dtype), v) for v in map(np.asarray, columns)]
     seps = [ord(",")] * (len(values) - 1) + [ord("\n")]
@@ -311,14 +314,64 @@ def _cell_encoder(dtype: np.dtype):
     raise TypeError(f"write_columns encodes signed-integer and float64 columns, not {dtype}")
 
 
-# "0000" .. "9999" as native uint32 words, so that one gather writes four digits.
-_DIGITS4 = (
-    (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint16)
-     % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-)
+@functools.cache
+def _digits4() -> np.ndarray:
+    """The strings "0000" .. "9999" as native uint32 words, so that one gather writes four digits.
+
+    Built on first use and in place: digit i of each word is broadcast
+    along its own axis of a (10, 10, 10, 10, 4) byte array, so no
+    temporary outgrows the 40 KB table.
+    """
+    words = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for i in range(4):
+        words[..., i] = digits.reshape([10 if axis == i else 1 for axis in range(4)])
+    words.flags.writeable = False
+    return words.view(np.uint32).ravel()
+
+
 _POW5 = np.array([5**q for q in range(28)], dtype=np.uint64)
 _POW10 = np.array([10**e for e in range(20)], dtype=np.uint64)
 _LOW32 = np.uint64(0xFFFFFFFF)
+_ONES64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+# Decimal exponents the wide kernel takes: those of every finite nonzero
+# double, -324 .. 308, and one more decade each side for the fix-up loop.
+_P_MIN, _P_MAX = -325, 309
+
+
+@functools.cache
+def _pow5_table():
+    """5^q for q = 16 - p, p from ``_P_MAX`` down to ``_P_MIN``, as 128-bit truncations.
+
+    Returns ``(limbs, s, exact)``: row i (q = 16 - _P_MAX + i) holds T in
+    [2^127, 2^128) as four 32-bit limbs, least significant first, with
+    5^q = (T + delta) * 2^s and 0 <= delta < 1; ``exact`` marks delta = 0,
+    which holds for 0 <= q <= 55.  For q < 0, T = floor(2^-s / 5^-q).  Built
+    on first use by repeated division and multiplication by 5: floor(2^1024
+    / 5^k) shifted right keeps the top 128 bits of 2^1024 / 5^k, because
+    nested floors of quotients compose.
+    """
+    rows, exact = [], []
+    r = 1 << 1024
+    for _ in range(_P_MAX - 16):
+        r //= 5
+        j = r.bit_length() - 128
+        rows.append((r >> j, j - 1024))
+        exact.append(False)
+    rows.reverse()
+    f = 1
+    for _ in range(17 - _P_MIN):
+        j = f.bit_length() - 128
+        rows.append((f >> j, j) if j > 0 else (f << -j, j))
+        exact.append(j <= 0)
+        f *= 5
+    words = b"".join(t.to_bytes(16, "little") for t, _ in rows)
+    limbs = np.frombuffer(words, dtype="<u4").reshape(-1, 4).astype(np.uint64)
+    s = np.array([j for _, j in rows], dtype=np.int64)
+    table = limbs, s, np.array(exact)
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 def _digit_groups(d: np.ndarray, groups: int) -> np.ndarray:
@@ -328,7 +381,7 @@ def _digit_groups(d: np.ndarray, groups: int) -> np.ndarray:
         rest = d // np.uint64(10000)
         g[:, i] = d - rest * np.uint64(10000)
         d = rest
-    return _DIGITS4[g].view(np.uint8)
+    return _digits4()[g].view(np.uint8)
 
 
 def _int_cells(v: np.ndarray) -> np.ndarray:
@@ -357,6 +410,8 @@ def _scaled_decimal(m: np.ndarray, e: np.ndarray, p: np.ndarray):
     A shift of less than one bit is first raised to one by moving factors
     of 2 from the shift into m, which stays below 2^57; that happens only
     for |x| >= 2^51, where 16 - p <= 2 and the product still fits.
+    :func:`_float_cells` uses this kernel for 1e-11 < |x| < 1e16 and
+    :func:`_wide_decimal` for every other finite nonzero x.
     """
     q = 16 - p
     s = -(e + q)
@@ -378,38 +433,117 @@ def _scaled_decimal(m: np.ndarray, e: np.ndarray, p: np.ndarray):
     return floor, floor + up
 
 
-def _float_cells(x: np.ndarray) -> np.ndarray:
-    """``format(x, ".17g")`` of each float64 entry as one row, with 0 bytes in unused positions.
+def _wide_decimal(m: np.ndarray, e: np.ndarray, p: np.ndarray):
+    """Floor and round (ties to even) of m * 2^e * 10^(16 - p) for any p in ``_P_MIN .. _P_MAX``.
 
-    For 1e-11 < |x| < 1e16 the 17 significant digits are D = round(|x| *
-    10^(16 - p)), with p = floor(log10|x|) the decimal exponent, so that
-    10^16 <= floor(|x| * 10^(16 - p)) < 10^17.  p starts from the float
-    log10 and moves by one for each row that misses that range.  D never
-    rounds up to 10^17: the largest double below each power of ten in the
-    range is more than half a unit of the 17th digit below it (a test
-    checks this), so p is also the exponent %g prints.  The digits are
-    laid out by %g's rules, fixed notation for -4 <= p < 17 and d.ddde-XX
-    below, without trailing fraction zeros: the rows are sorted by p, each
-    run of equal p is placed with slice copies, and one row gather puts
-    the rows back in order.  Every other entry is formatted by ``format``
-    and copied over its row.
+    ``m`` is a uint64 array in [2^52, 2^53).  With 5^(16 - p) = (T + delta)
+    * 2^s from :func:`_pow5_table`, the product m * T (53 x 128 bits) is
+    formed exactly in 32-bit limbs, and floor(2 * m * 2^e * 10^(16 - p)) is
+    its bits from b = -(s + e + 16 - p) - 1 up; b lies in 121 .. 127 when
+    the floor is within a decade of [10^16, 10^17).  When delta > 0 the
+    true remainder below bit b lies in [low, low + m), low being that of
+    m * T.  If bits [64, b) of m * T are all ones it may reach 2^b: such a
+    row is *uncertain* and reads floor 10^16 (so the fix-up loop leaves
+    it) and round 0.  Any other row with delta > 0 has sticky bits and
+    cannot be a tie, so rounding on bit b is exact.
     """
-    x = x.astype(np.float64, copy=False)
-    a = np.abs(x)
-    fast = (a > 1e-11) & (a < 1e16)
-    slow = np.flatnonzero(~fast)
-    a[slow] = 1.0  # a stand-in for the integer path; its row is replaced below
-    frac, e = np.frexp(a)
-    m = (frac * 2.0**53).astype(np.uint64)
-    e = e.astype(np.int64) - 53
-    p = np.maximum(np.floor(np.log10(a)).astype(np.int64), -11)
-    floor, d = _scaled_decimal(m, e, p)
+    limbs, s, exact = _pow5_table()
+    i = _P_MAX - p
+    t = limbs[i]
+    m0, m1 = m & _LOW32, m >> np.uint64(32)
+    # m * t_j = m0 * t_j + (m1 * t_j) * 2^32: the low 32 bits of the first
+    # part go to limb j, the rest (below 2^54) is carried into limb j + 1.
+    u = m0 * t[:, 0]
+    low64 = u & _LOW32
+    carry = (u >> np.uint64(32)) + m1 * t[:, 0]
+    mid = []
+    for j in (1, 2, 3):
+        u = m0 * t[:, j]
+        acc = (u & _LOW32) + carry
+        carry = (u >> np.uint64(32)) + m1 * t[:, j] + (acc >> np.uint64(32))
+        mid.append(acc & _LOW32)
+    low64 |= mid[0]  # only its being nonzero matters
+    limb64 = (mid[2] << np.uint64(32)) | mid[1]  # bits 64 .. 127; carry holds bits 128 up
+    b = -(s[i] + e + (16 - p)) - 1
+    up_shift = (128 - b).astype(np.uint64)
+    shifted = (carry << up_shift) | (limb64 >> (b - 64).astype(np.uint64))
+    tail = limb64 << up_shift  # bits [64, b) at the top of the word
+    inexact = ~exact[i]
+    uncertain = inexact & (tail == (_ONES64 << up_shift))
+    sticky = inexact | (tail != 0) | (low64 != 0)
+    floor = shifted >> np.uint64(1)
+    up = (shifted & np.uint64(1)).astype(bool) & (sticky | (floor & np.uint64(1)).astype(bool))
+    floor[uncertain] = _POW10[16]
+    d = floor + up
+    d[uncertain] = 0
+    return floor, d
+
+
+def _decimal(m: np.ndarray, e: np.ndarray, p: np.ndarray, kernel) -> np.ndarray:
+    """D = round(m * 2^e * 10^(16 - p)) by ``kernel``, moving each p until 10^16 <= floor < 10^17.
+
+    ``p`` is updated in place; each row that misses that range moves by one
+    decade and is computed again.
+    """
+    floor, d = kernel(m, e, p)
     redo = np.flatnonzero((floor < _POW10[16]) | (floor >= _POW10[17]))
     while len(redo):
         p[redo] += np.where(floor[redo] < _POW10[16], -1, 1)
-        floor[redo], d[redo] = _scaled_decimal(m[redo], e[redo], p[redo])
+        floor[redo], d[redo] = kernel(m[redo], e[redo], p[redo])
         redo = redo[(floor[redo] < _POW10[16]) | (floor[redo] >= _POW10[17])]
-    order = np.argsort(p.astype(np.int8), kind="stable")
+    return d
+
+
+def _mantissas(a: np.ndarray):
+    """m in [2^52, 2^53) and e with a = m * 2^e, for positive finite float64 ``a``."""
+    frac, e = np.frexp(a)
+    return (frac * 2.0**53).astype(np.uint64), e.astype(np.int64) - 53
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """``format(x, ".17g")`` of each float64 entry as one row, with 0 bytes in unused positions.
+
+    For finite nonzero x the 17 significant digits are D = round(|x| *
+    10^(16 - p)), with p = floor(log10|x|) the decimal exponent, so that
+    10^16 <= floor(|x| * 10^(16 - p)) < 10^17.  p starts from the float
+    log10 and moves by one for each row that misses that range.  Rows with
+    1e-11 < |x| < 1e16 use :func:`_scaled_decimal`, all others
+    :func:`_wide_decimal`, which runs only when a block has such rows.  In
+    the first range D never rounds up to 10^17 (a test checks this); in the
+    second it can, for fourteen doubles just below a power of ten, and D =
+    10^17 is carried to D = 10^16 at p + 1, the exponent %g prints.  The
+    digits are laid out by %g's rules, fixed notation for -4 <= p < 17 and
+    d.ddde-XX or d.ddde+XX otherwise, without trailing fraction zeros: the
+    rows are sorted by p, each run of equal p is placed with slice copies,
+    and one row gather puts the rows back in order.  Zeros are laid out
+    directly; nan, inf and the rows :func:`_wide_decimal` leaves uncertain
+    are formatted by ``format`` and copied over their rows.
+    """
+    x = x.astype(np.float64, copy=False)
+    a = np.abs(x)
+    rest = np.flatnonzero(~((a > 1e-11) & (a < 1e16)))
+    a[rest] = 1.0  # a stand-in for the narrow kernel; these rows are replaced below
+    m, e = _mantissas(a)
+    p = np.maximum(np.floor(np.log10(a)).astype(np.int64), -11)
+    d = _decimal(m, e, p, _scaled_decimal)
+    zeros = slow = wide = rest[:0]
+    if len(rest):
+        ar = np.abs(x[rest])
+        finite = (ar > 0) & (ar < np.inf)
+        wide, aw = rest[finite], ar[finite]
+        if len(wide):
+            mw, ew = _mantissas(aw)
+            pw = np.floor(np.log10(aw)).astype(np.int64)
+            dw = _decimal(mw, ew, pw, _wide_decimal)
+            top = dw == _POW10[17]
+            dw[top] = _POW10[16]
+            pw[top] += 1
+            d[wide], p[wide] = dw, pw
+            slow = wide[dw == 0]
+        zeros = rest[ar == 0]
+        slow = np.concatenate([rest[~finite & (ar != 0)], slow])
+    # A one-byte key sorts faster, and p fits one byte when no row is wide.
+    order = np.argsort(p.astype(np.int16 if len(wide) else np.int8), kind="stable")
     p, d = p[order], d[order]
     digits = _digit_groups(d, 5)[:, 3:]
     ndig = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
@@ -420,23 +554,28 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     cuts = (np.flatnonzero(np.diff(p)) + 1).tolist()
     for lo, hi in zip([0] + cuts, cuts + [len(p)]):
         exp = int(p[lo])
-        c, dg = out[lo:hi], digits[lo:hi]
-        point = np.where(ndig[lo:hi] > max(exp, 0) + 1, ord("."), 0)
-        if exp >= 0:
+        c, dg, nd = out[lo:hi], digits[lo:hi], ndig[lo:hi]
+        if 0 <= exp < 17:
             c[:, 1:exp + 2] = dg[:, :exp + 1]
-            c[:, exp + 2] = point
+            c[:, exp + 2] = np.where(nd > exp + 1, ord("."), 0)
             c[:, exp + 3:19] = dg[:, exp + 1:]
-        elif exp >= -4:
+        elif -4 <= exp < 0:
             c[:, 1:2 - exp] = np.frombuffer(b"0." + b"0" * (-exp - 1), dtype=np.uint8)
             c[:, 2 - exp:19 - exp] = dg
         else:
+            if exp >= 17:  # the mask above kept p + 1 digits
+                dg = dg * (np.arange(17) < nd[:, None])
             c[:, 1] = dg[:, 0]
-            c[:, 2] = point
+            c[:, 2] = np.where(nd > 1, ord("."), 0)
             c[:, 3:19] = dg[:, 1:]
-            c[:, 19:23] = np.frombuffer(b"e-%02d" % -exp, dtype=np.uint8)
+            tag = b"e%+03d" % exp
+            c[:, 19:19 + len(tag)] = np.frombuffer(tag, dtype=np.uint8)
     back = np.empty_like(order)
     back[order] = np.arange(len(order))
     cells = np.take(out, back, axis=0)
+    if len(zeros):
+        cells[zeros, 0] = np.where(np.signbit(x[zeros]), ord("-"), 0)
+        cells[zeros, 1] = ord("0")
     if len(slow):
         text = [format(v, ".17g") for v in x[slow].tolist()]
         lens = np.fromiter(map(len, text), dtype=np.intp, count=len(text))

@@ -1,7 +1,8 @@
 """Identity suites: every operator fact the laboratory relies on.
 
 Each suite measures the worst violation of an identity and reports it
-against the identity's tolerance.  Exact identities run on fixed,
+against the identity's tolerance; a NaN anywhere in a check makes its
+worst value NaN, which fails.  Exact identities run on fixed,
 nontrivial input at tolerance 0.0; the others draw reproducible random
 input from the suite's seed, its only setting.  Sample sizes and inputs are
 fixed in each suite body.  The CLI `verify` subcommand prints one line per
@@ -25,6 +26,7 @@ whatever the block size.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,6 +92,20 @@ class CheckResult:
         return f"{status}  {self.name}: max_err={self.max_err:.3e} tol={self.tol:.1e}{extra}"
 
 
+def _worse(worst: float, value: float) -> float:
+    """``max(worst, value)``, except that a NaN on either side is kept.
+
+    Python's ``max`` keeps its first argument unless the second compares
+    greater, so it drops a NaN value; a check must fail on one instead.
+    """
+    return worst if worst >= value or worst != worst else value
+
+
+def _lower(best: float, value: float) -> float:
+    """``min(best, value)``, except that a NaN on either side is kept."""
+    return best if best <= value or best != best else value
+
+
 def _row_blocks(rows: int, row_bytes: int) -> list[int]:
     """Sizes of consecutive blocks of ``rows`` rows, each row stack within ``_STACK_BYTES``.
 
@@ -147,7 +163,7 @@ def suite_adjoint(seed: int = 0) -> list[CheckResult]:
         scales = [array_norm(a) * array_norm(b) for a, b in zip(f, g)]
         for n in (2, 3, 5, 7):
             for gap, scale in zip(adjoint_duality_gap(n, f, g), scales):
-                worst = max(worst, gap / scale)
+                worst = _worse(worst, gap / scale)
     return [CheckResult("adjoint duality <Wf,g> = <f,W*g>", worst, 1e-10)]
 
 
@@ -162,10 +178,10 @@ def suite_isometry(seed: int = 0) -> list[CheckResult]:
             wf = weighted_dilation_array(n, f)
             back = weighted_dilation_adjoint_array(n, wf)
             for w, d, nf in zip(wf, back - n * f, norms):
-                worst_iso = max(
+                worst_iso = _worse(
                     worst_iso, abs(array_norm(w) - math.sqrt(n) * nf) / (math.sqrt(n) * nf)
                 )
-                worst_wsw = max(worst_wsw, array_norm(d) / nf)
+                worst_wsw = _worse(worst_wsw, array_norm(d) / nf)
     return [
         CheckResult("isometry ||Wf|| = sqrt(n)||f||", worst_iso, 1e-12),
         CheckResult("adjoint inversion W*Wf = n f", worst_wsw, 1e-13),
@@ -179,7 +195,7 @@ def suite_semigroup(seed: int = 0) -> list[CheckResult]:
     for m, n in [(2, 2), (2, 5), (3, 2), (3, 5), (2, 3)]:
         lhs = weighted_dilation(m, weighted_dilation(n, f))
         rhs = weighted_dilation(m * n, f)
-        worst = max(worst, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
+        worst = _worse(worst, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
     results = [CheckResult("semigroup law W_m W_n = W_mn", worst, 0.0)]
 
     # Cauchy-Schwarz gap: the index-2 dilation moves every nonzero vector off
@@ -192,7 +208,7 @@ def suite_semigroup(seed: int = 0) -> list[CheckResult]:
             nf = array_norm(row)
             pairing = complex(np.vdot(row, wf[: len(row)]))  # <Wf, f>
             gap = array_norm(wf) ** 2 * nf**2 - abs(pairing) ** 2
-            min_gap = min(min_gap, gap / nf**4)
+            min_gap = _lower(min_gap, gap / nf**4)
     results.append(
         CheckResult("no-eigenvector gap (index 2) stays positive", 1e-12 - min_gap, 0.0,
                     note=f"min normalized gap {min_gap:.3e}")
@@ -204,7 +220,7 @@ def suite_semiconjugacy(seed: int = 0) -> list[CheckResult]:
     # Both sides put the same difference f_k - f_(k-1) at degree nk, and zeros
     # elsewhere, so the residual is exactly zero on any input.
     f = from_coeffs(np.exp(1j * np.arange(201)) / np.arange(1, 202))
-    worst = max(semiconjugacy_residual(n, f) for n in (2, 3, 5))
+    worst = functools.reduce(_worse, (semiconjugacy_residual(n, f) for n in (2, 3, 5)))
     return [CheckResult("semiconjugacy of plain and weighted dilations", worst, 0.0)]
 
 
@@ -217,11 +233,11 @@ def suite_hk(seed: int = 0) -> list[CheckResult]:
     for k in (2, 3, 5, 10, 30):
         closed = hk_closed_form(k, n_trunc)
         oracle = hk_oracle(k, n_trunc)
-        worst_osc = max(worst_osc, float(np.max(np.abs(closed.coeffs - oracle.coeffs))))
-        worst_decay = max(
+        worst_osc = _worse(worst_osc, float(np.max(np.abs(closed.coeffs - oracle.coeffs))))
+        worst_decay = _worse(
             worst_decay, float(np.max(np.abs(closed.coeffs[1:]) * (j + 1) / k))
         )
-        worst_first = max(worst_first, float(abs(closed.coeffs[0] - closed.coeffs[1] + 1.0)))
+        worst_first = _worse(worst_first, float(abs(closed.coeffs[0] - closed.coeffs[1] + 1.0)))
     results = [
         CheckResult("h_k closed form vs formal-log oracle", worst_osc, 1e-12),
         CheckResult("h_k decay |c_j| <= k/(j+1)", worst_decay, 1.0),
@@ -237,7 +253,7 @@ def suite_hk(seed: int = 0) -> list[CheckResult]:
             rhs = from_coeffs(
                 hk_closed_form(n * k, rhs_deg).coeffs - hk_closed_form(n, rhs_deg).coeffs
             )
-            worst_fun = max(worst_fun, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
+            worst_fun = _worse(worst_fun, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
     results.append(
         CheckResult("dilation identity W_n h_k = h_nk - h_n", worst_fun, 1e-12)
     )
@@ -251,10 +267,10 @@ def suite_kernel(seed: int = 0) -> list[CheckResult]:
         vecs = [kernel_vector(n, k) for k in range(6)]
         for v in vecs:
             img = weighted_dilation_adjoint(n, pad(v, n * 8))
-            worst_kill = max(worst_kill, float(np.max(np.abs(img.coeffs))))
+            worst_kill = _worse(worst_kill, float(np.max(np.abs(img.coeffs))))
         for i in range(len(vecs)):
             for j in range(i + 1, len(vecs)):
-                worst_orth = max(worst_orth, abs(inner(vecs[i], vecs[j])))
+                worst_orth = _worse(worst_orth, abs(inner(vecs[i], vecs[j])))
     results = [
         CheckResult("adjoint annihilates its kernel vectors", worst_kill, 0.0),
         CheckResult("kernel vectors pairwise orthogonal", worst_orth, 0.0),
@@ -265,7 +281,7 @@ def suite_kernel(seed: int = 0) -> list[CheckResult]:
         member = pad(kernel_intersection_basis(3)[j - 1], 16)
         for n in range(j + 1, 8):
             img = weighted_dilation_adjoint(n, member)
-            worst_basis = max(worst_basis, float(np.max(np.abs(img.coeffs))))
+            worst_basis = _worse(worst_basis, float(np.max(np.abs(img.coeffs))))
     results.append(
         CheckResult("1 - z^j killed by every adjoint of index > j", worst_basis, 0.0)
     )
@@ -292,14 +308,14 @@ def suite_dirichlet(seed: int = 0) -> list[CheckResult]:
             for acc in (c - c.mean(axis=-1, keepdims=True)).reshape(rows, 21 * n):
                 f = from_coeffs(acc)
                 energy = dirichlet_energy_at_one(f)
-                worst_ratio = max(worst_ratio, energy / (2**n * n * norm(f) ** 2))
-                if energy > n**2 * norm(f) ** 2:
+                worst_ratio = _worse(worst_ratio, energy / (2**n * n * norm(f) ** 2))
+                if not energy <= n**2 * norm(f) ** 2:  # a NaN energy fails it too
                     sharp_holds = False
     # The tails of kernel_vector(n, 0) are -1, -2, .., -(n-1), all exact.
-    closed_err = max(
+    closed_err = functools.reduce(_worse, (
         abs(dirichlet_energy_at_one(kernel_vector(n, 0)) - (n - 1) * n * (2 * n - 1) // 6)
         for n in range(2, 9)
-    )
+    ))
     return [
         CheckResult(
             "kernel combinations have energy <= 2^n n ||f||^2",
@@ -330,8 +346,8 @@ def suite_spectral(seed: int = 0) -> list[CheckResult]:
         for lam, closed in zip(lams, eigenvector_norm_sq(n, np.array(lams), level).tolist()):
             pair = adjoint_eigenvector(n, lam, level)
             vector_norm = norm(pair.vector)
-            worst_resid = max(worst_resid, pair.residual / vector_norm)
-            worst_norm = max(worst_norm, abs(vector_norm ** 2 - closed) / closed)
+            worst_resid = _worse(worst_resid, pair.residual / vector_norm)
+            worst_norm = _worse(worst_norm, abs(vector_norm ** 2 - closed) / closed)
     results = [
         CheckResult("adjoint eigenvector residual", worst_resid, 1e-10),
         CheckResult("eigenvector norm matches closed form", worst_norm, 1e-12),

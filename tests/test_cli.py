@@ -1,7 +1,11 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 
 import hardylab as hl
 import hardylab.cli
+from hardylab import series
 from hardylab.cli import LabConfig, _fmt, load_config_file, main
 from hardylab.series import _CSV_BLOCK_ROWS, write_columns
 
@@ -90,8 +95,8 @@ class TestBlockWriter:
         assert_same_after_line_one(out, ref)
 
     def test_spectrum_matches_per_row_writer(self, tmp_path):
-        # The second grid is the benchmark's: its exact zeros and residuals
-        # of about 1e-16 are formatted by the per-cell fallback.
+        # The second grid is the benchmark's: its exact zeros are laid out
+        # directly and its residuals of 1e-32 to 1e-15 go through the wide kernel.
         for n, r_steps, theta_steps in [(5, 3, 5), (3, 40, 64)]:
             out, ref = tmp_path / "spec.csv", tmp_path / "ref.csv"
             assert run(["spectrum", "--n", str(n), "--r-steps", str(r_steps),
@@ -182,6 +187,112 @@ class TestBlockWriter:
     def test_other_dtypes_raise_type_error(self, column):
         with pytest.raises(TypeError, match=str(column.dtype)):
             encoded([[0], column])
+
+
+def format_calls(monkeypatch):
+    """The values series.format is called with from now on (a shim over the builtin)."""
+    calls = []
+
+    def shim(value, spec):
+        calls.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(series, "format", shim, raising=False)
+    return calls
+
+
+def decade_neighbours(p):
+    """The two doubles on each side of 10^p, then 1.5 * 10^p and 9.999999999999999 * 10^p."""
+    power = Fraction(10) ** p
+    below = float(power)
+    if Fraction(below) >= power:
+        below = np.nextafter(below, 0.0)
+    above = np.nextafter(below, np.inf)
+    return [np.nextafter(below, 0.0), below, above, np.nextafter(above, np.inf),
+            1.5 * float(power), 9.999999999999999 * float(power)]
+
+
+# The doubles whose %.17g rounds up to the next power of ten: each is the
+# nearest double to that power, and lies below it.
+ROUND_UP = [
+    ("0x1.c16c5c5253575p-1014", "1e-305"), ("0x1.b4feb7eb212cdp-808", "1e-243"),
+    ("0x1.442e4fb671960p-585", "1e-176"), ("0x1.9539e3a40dfb8p-582", "1e-175"),
+    ("0x1.fa885c8d117a6p-579", "1e-174"), ("0x1.7b6d71d20b96cp-263", "1e-79"),
+    ("0x1.da48ce468e7c7p-260", "1e-78"), ("0x1.69d9abe034955p-243", "1e-73"),
+    ("0x1.615e91d8f359dp-233", "1e-70"), ("0x1.6849b86a12b9bp-47", "1e-14"),
+    ("0x1.7688bb5394c25p+325", "1e+98"), ("0x1.7151b377c247ep+428", "1e+129"),
+    ("0x1.317e5ef3ab327p+508", "1e+153"), ("0x1.c5416bb92e3e6p+730", "1e+220"),
+]
+
+
+class TestWideKernel:
+    """Finite nonzero doubles outside 1e-11 < |x| < 1e16, encoded from the 128-bit power table."""
+
+    def test_tables_are_built_on_first_use(self):
+        code = ("import hardylab, hardylab.series as s; "
+                "print(s._digits4.cache_info().currsize, s._pow5_table.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=str(Path(hl.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["0", "0"]
+        words = series._digits4().view(np.uint8).tobytes()
+        assert words == "".join("%04d" % i for i in range(10000)).encode()
+
+    def test_power_table_holds_the_top_128_bits_of_each_power_of_five(self):
+        limbs, shift, exact = series._pow5_table()
+        assert len(limbs) == len(shift) == len(exact) == series._P_MAX - series._P_MIN + 1
+        for row, s, flag, p in zip(limbs.tolist(), shift.tolist(), exact.tolist(),
+                                   range(series._P_MAX, series._P_MIN - 1, -1)):
+            t = sum(limb << (32 * j) for j, limb in enumerate(row))
+            assert 2**127 <= t < 2**128, p
+            q = 16 - p
+            if q < 0:
+                assert t == 2 ** -s // 5 ** -q, p
+            elif s <= 0:
+                assert t == 5**q << -s, p
+            else:
+                assert t == 5**q >> s, p
+            assert flag == (0 <= q <= 55), p
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_decade_neighbours_match_format_17g(self, sign):
+        values = [v for p in range(-323, 309) for v in decade_neighbours(p)]
+        floats = sign * np.array([v for v in values if np.isfinite(v)])
+        assert len(floats) == 6 * 632 - 1  # 9.999999999999999e308 overflows
+        ints = np.arange(len(floats))
+        assert encoded([ints, floats]) == formatted(ints, floats.tolist())
+
+    @pytest.mark.parametrize("bits, text", ROUND_UP, ids=[text for _, text in ROUND_UP])
+    def test_round_up_carries_to_the_next_power_of_ten(self, bits, text):
+        x = float.fromhex(bits)
+        power = Fraction(10) ** int(text.split("e")[1])
+        assert Fraction(x) < power and Fraction(np.nextafter(x, np.inf)) > power
+        assert format(x, ".17g") == text
+        assert encoded([[0, 1], [x, -x]]) == f"0,{text}\n1,-{text}\n".encode()
+
+    @pytest.mark.parametrize("x", [1e17, 1.5e17, 2.5e17, 2.0**60, 1e22, 1e23,
+                                   123456789012345678.0])
+    def test_uncertain_rows_match_format_17g(self, x):
+        assert encoded([[0, 1], [x, -x]]) == formatted([0, 1], [x, -x])
+
+    def test_uncertain_rows_leave_the_fix_up_loop(self, monkeypatch):
+        # 1e17 reads one below 10^16 at p = 17; a loop that moved it would not end.
+        calls = format_calls(monkeypatch)
+        assert encoded([[0], [1e17]]) == b"0,1e+17\n"
+        assert calls == [1e17]
+
+    def test_no_format_call_below_1e16(self, monkeypatch):
+        report = hl.spectral_disk_scan(3, np.linspace(0.0, 0.95, 40), 64, 4096)
+        residual = report.residual
+        assert len(residual) == 2560 and np.count_nonzero(residual == 0.0) == 65
+        assert residual.max() < 1e-11
+        x = 10.0 ** np.random.default_rng(0).uniform(-323.3, 16.0, 10**5)
+        x = np.clip(x, 5e-324, np.nextafter(1e16, 0.0))
+        calls = format_calls(monkeypatch)
+        assert encoded([residual]) == "".join(format(v, ".17g") + "\n"
+                                               for v in residual.tolist()).encode()
+        assert encoded([x]) == "".join(format(v, ".17g") + "\n" for v in x.tolist()).encode()
+        assert calls == []
 
 
 class TestGenHk:

@@ -1,5 +1,9 @@
 """The identity suites: stacked against one-series-at-a-time forms, and seed dependence."""
 
+import dataclasses
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -85,3 +89,72 @@ def test_seeded_checks_move_with_the_seed_and_fixed_checks_do_not():
             assert a.max_err != b.max_err, a.name
         else:
             assert a.max_err == b.max_err, a.name
+
+
+def poison_call(monkeypatch, name, call, poison):
+    """Make ``verify.<name>`` return ``poison(result)`` on its ``call``-th call only.
+
+    The calls after it return finite values again, so a NaN must also stay
+    once a suite has caught it.
+    """
+    original = getattr(verify, name)
+    count = []
+
+    def wrapper(*args, **kwargs):
+        out = original(*args, **kwargs)
+        count.append(None)
+        return poison(out) if len(count) == call else out
+
+    monkeypatch.setattr(verify, name, wrapper)
+
+
+def nan_first_row(rows):
+    rows = rows.copy()
+    rows[0] = np.nan
+    return rows
+
+
+def nan_coeffs(series):
+    # CoeffSeries refuses non-finite entries; the suites read only .coeffs.
+    return SimpleNamespace(coeffs=np.full_like(series.coeffs, np.nan))
+
+
+# suite, the name it calls, which call to poison, the poison, the checks that must fail
+NAN_CASES = [
+    ("adjoint", "weighted_dilation_adjoint_array", 1, nan_first_row,
+     ["adjoint duality <Wf,g> = <f,W*g>"]),
+    ("isometry", "weighted_dilation_array", 1, nan_first_row,
+     ["isometry ||Wf|| = sqrt(n)||f||", "adjoint inversion W*Wf = n f"]),
+    ("isometry", "weighted_dilation_adjoint_array", 1, nan_first_row,
+     ["adjoint inversion W*Wf = n f"]),
+    ("semigroup", "weighted_dilation", 3, nan_coeffs, ["semigroup law W_m W_n = W_mn"]),
+    ("semigroup", "weighted_dilation_array", 1, nan_first_row,
+     ["no-eigenvector gap (index 2) stays positive"]),
+    ("hk", "hk_oracle", 1, nan_coeffs, ["h_k closed form vs formal-log oracle"]),
+    ("kernel", "weighted_dilation_adjoint", 1, nan_coeffs,
+     ["adjoint annihilates its kernel vectors"]),
+    ("dirichlet", "dirichlet_energy_at_one", 1, lambda energy: math.nan,
+     ["kernel combinations have energy <= 2^n n ||f||^2"]),
+    ("spectral", "adjoint_eigenvector", 1,
+     lambda pair: dataclasses.replace(pair, residual=math.nan), ["adjoint eigenvector residual"]),
+]
+
+
+@pytest.mark.parametrize("suite, name, call, poison, failing", NAN_CASES,
+                         ids=[f"{case[0]}-{case[1]}" for case in NAN_CASES])
+def test_nan_fails_its_check(monkeypatch, suite, name, call, poison, failing):
+    clean = {c.name: c for c in verify.SUITES[suite](seed=0)}
+    poison_call(monkeypatch, name, call, poison)
+    checks = {c.name: c for c in verify.SUITES[suite](seed=0)}
+    assert set(failing) <= set(checks) and all(clean[check].passed for check in failing)
+    for check in failing:
+        assert math.isnan(checks[check].max_err), check
+        assert checks[check].line().startswith("FAIL"), check
+
+
+@pytest.mark.parametrize("pair", [(0.0, 1.0), (1.0, 0.0), (2.0, 2.0), (0.0, -0.0), (-0.0, 0.0)])
+def test_running_max_and_min_match_the_builtins_on_numbers(pair):
+    for ours, builtin in ((verify._worse, max), (verify._lower, min)):
+        got, want = ours(*pair), builtin(*pair)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert math.isnan(ours(math.nan, pair[0])) and math.isnan(ours(pair[0], math.nan))
