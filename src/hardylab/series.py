@@ -289,7 +289,7 @@ def write_columns(fh, columns) -> None:
     point), and is sent in one write of its kept bytes.  Every finite
     nonzero float is encoded exactly with integer arithmetic
     (:func:`_float_cells`) and zeros are laid out directly; nan, inf and
-    the rare rows the wide kernel leaves uncertain are formatted by
+    the rare rows :func:`_scaled_decimal` leaves uncertain are formatted by
     ``format``, one cell at a time.  Tests pin the bytes to the per-value
     formatting.
     """
@@ -330,11 +330,10 @@ def _digits4() -> np.ndarray:
     return words.view(np.uint32).ravel()
 
 
-_POW5 = np.array([5**q for q in range(28)], dtype=np.uint64)
 _POW10 = np.array([10**e for e in range(20)], dtype=np.uint64)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _ONES64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-# Decimal exponents the wide kernel takes: those of every finite nonzero
+# Decimal exponents the encoder takes: those of every finite nonzero
 # double, -324 .. 308, and one more decade each side for the fix-up loop.
 _P_MIN, _P_MAX = -325, 309
 
@@ -343,10 +342,11 @@ _P_MIN, _P_MAX = -325, 309
 def _pow5_table():
     """5^q for q = 16 - p, p from ``_P_MAX`` down to ``_P_MIN``, as 128-bit truncations.
 
-    Returns ``(limbs, s, exact)``: row i (q = 16 - _P_MAX + i) holds T in
-    [2^127, 2^128) as four 32-bit limbs, least significant first, with
-    5^q = (T + delta) * 2^s and 0 <= delta < 1; ``exact`` marks delta = 0,
-    which holds for 0 <= q <= 55.  For q < 0, T = floor(2^-s / 5^-q).  Built
+    Returns ``(hi, lo, s, inexact_hi, inexact)``: row i (q = 16 - _P_MAX +
+    i) holds T = hi * 2^64 + lo in [2^127, 2^128), with 5^q = (T + delta) *
+    2^s and 0 <= delta < 1.  ``inexact`` marks delta > 0, which holds
+    outside 0 <= q <= 55, and ``inexact_hi`` marks lo + delta > 0, which
+    holds outside 0 <= q <= 27.  For q < 0, T = floor(2^-s / 5^-q).  Built
     on first use by repeated division and multiplication by 5: floor(2^1024
     / 5^k) shifted right keeps the top 128 bits of 2^1024 / 5^k, because
     nested floors of quotients compose.
@@ -365,10 +365,11 @@ def _pow5_table():
         rows.append((f >> j, j) if j > 0 else (f << -j, j))
         exact.append(j <= 0)
         f *= 5
-    words = b"".join(t.to_bytes(16, "little") for t, _ in rows)
-    limbs = np.frombuffer(words, dtype="<u4").reshape(-1, 4).astype(np.uint64)
+    hi = np.array([t >> 64 for t, _ in rows], dtype=np.uint64)
+    lo = np.array([t & 0xFFFFFFFFFFFFFFFF for t, _ in rows], dtype=np.uint64)
     s = np.array([j for _, j in rows], dtype=np.int64)
-    table = limbs, s, np.array(exact)
+    inexact = ~np.array(exact)
+    table = hi, lo, s, inexact | (lo != 0), inexact
     for column in table:
         column.flags.writeable = False
     return table
@@ -400,104 +401,83 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _scaled_decimal(m: np.ndarray, e: np.ndarray, p: np.ndarray):
-    """Floor and round (ties to even) of m * 2^e * 10^(16 - p), computed exactly.
+def _mul64(m: np.ndarray, f: np.ndarray):
+    """(hi, lo) with m * f = hi * 2^64 + lo, for uint64 arrays ``m`` < 2^53 and ``f``.
 
-    ``m`` is a uint64 array below 2^53, ``e`` and ``p`` are int64 arrays
-    and 0 <= 16 - p <= 27, so that 5^(16 - p) < 2^63.  The product
-    m * 5^(16 - p) is formed as 128 bits from 32-bit limbs and shifted
-    right by -(e + 16 - p) bits; the bits shifted out decide the rounding.
-    A shift of less than one bit is first raised to one by moving factors
-    of 2 from the shift into m, which stays below 2^57; that happens only
-    for |x| >= 2^51, where 16 - p <= 2 and the product still fits.
-    :func:`_float_cells` uses this kernel for 1e-11 < |x| < 1e16 and
-    :func:`_wide_decimal` for every other finite nonzero x.
+    The product is formed exactly from 32-bit limbs.
     """
-    q = 16 - p
-    s = -(e + q)
-    k = np.maximum(1 - s, 0)
-    m = m << k.astype(np.uint64)
-    t = (s + k - 1).astype(np.uint64)
-    f = _POW5[q]
-    m0, m1, f0, f1 = m & _LOW32, m >> np.uint64(32), f & _LOW32, f >> np.uint64(32)
-    low = m0 * f0
-    mid = m1 * f0 + m0 * f1
-    lo = low + (mid << np.uint64(32))
-    hi = m1 * f1 + (mid >> np.uint64(32)) + (lo < low)
-    # t <= 62 in the range write_columns encodes, so the product shifted
-    # right by t bits (twice the floor plus the rounding bit) fits in 64.
-    shifted = ((hi << np.uint64(1)) << (np.uint64(63) - t)) | (lo >> t)
-    sticky = (lo & ((np.uint64(1) << t) - np.uint64(1))) != 0
-    floor = shifted >> np.uint64(1)
-    up = (shifted & np.uint64(1)).astype(bool) & (sticky | (floor & np.uint64(1)).astype(bool))
-    return floor, floor + up
+    m0, m1 = m & _LOW32, m >> np.uint64(32)
+    f0, f1 = f & _LOW32, f >> np.uint64(32)
+    u = m0 * f0
+    carry = (u >> np.uint64(32)) + m1 * f0  # below 2^54, as m1 < 2^21
+    v = m0 * f1
+    acc = (v & _LOW32) + carry
+    hi = (v >> np.uint64(32)) + m1 * f1 + (acc >> np.uint64(32))
+    return hi, (acc << np.uint64(32)) | (u & _LOW32)
 
 
-def _wide_decimal(m: np.ndarray, e: np.ndarray, p: np.ndarray):
+def _scaled_decimal(m: np.ndarray, e: np.ndarray, p: np.ndarray):
     """Floor and round (ties to even) of m * 2^e * 10^(16 - p) for any p in ``_P_MIN .. _P_MAX``.
 
-    ``m`` is a uint64 array in [2^52, 2^53).  With 5^(16 - p) = (T + delta)
-    * 2^s from :func:`_pow5_table`, the product m * T (53 x 128 bits) is
-    formed exactly in 32-bit limbs, and floor(2 * m * 2^e * 10^(16 - p)) is
-    its bits from b = -(s + e + 16 - p) - 1 up; b lies in 121 .. 127 when
-    the floor is within a decade of [10^16, 10^17).  When delta > 0 the
-    true remainder below bit b lies in [low, low + m), low being that of
-    m * T.  If bits [64, b) of m * T are all ones it may reach 2^b: such a
-    row is *uncertain* and reads floor 10^16 (so the fix-up loop leaves
-    it) and round 0.  Any other row with delta > 0 has sticky bits and
-    cannot be a tie, so rounding on bit b is exact.
+    ``m`` is a uint64 array in [2^52, 2^53).  With 5^(16 - p) = (hi * 2^64
+    + lo + delta) * 2^s from :func:`_pow5_table`, floor(2 * m * 2^e *
+    10^(16 - p)) is m * (hi + (lo + delta) / 2^64) shifted right by b = p
+    - s - e - 81 bits, and b lies in 57 .. 63 when the floor is within a
+    decade of [10^16, 10^17).  The 117-bit product m * hi is formed first.
+    What it leaves out is below m < 2^53, so it can carry into bit b only
+    where bits [53, b) of m * hi are all ones; only those rows, when lo or
+    delta is nonzero, add the top 64 bits of m * lo.  What is then left
+    out, the low 64 bits of m * lo and m * delta / 2^64, is below 2 units
+    of bit 0: where delta > 0 and bits [0, b) are all ones it may still
+    carry, and such a row is *uncertain* and reads floor 10^16 (so the
+    fix-up loop leaves it) and round 0.  Every other row whose product is
+    not exact has sticky bits below b and cannot be a tie, so rounding on
+    bit b is exact.
     """
-    limbs, s, exact = _pow5_table()
+    hi, lo, s, inexact_hi, inexact = _pow5_table()
     i = _P_MAX - p
-    t = limbs[i]
-    m0, m1 = m & _LOW32, m >> np.uint64(32)
-    # m * t_j = m0 * t_j + (m1 * t_j) * 2^32: the low 32 bits of the first
-    # part go to limb j, the rest (below 2^54) is carried into limb j + 1.
-    u = m0 * t[:, 0]
-    low64 = u & _LOW32
-    carry = (u >> np.uint64(32)) + m1 * t[:, 0]
-    mid = []
-    for j in (1, 2, 3):
-        u = m0 * t[:, j]
-        acc = (u & _LOW32) + carry
-        carry = (u >> np.uint64(32)) + m1 * t[:, j] + (acc >> np.uint64(32))
-        mid.append(acc & _LOW32)
-    low64 |= mid[0]  # only its being nonzero matters
-    limb64 = (mid[2] << np.uint64(32)) | mid[1]  # bits 64 .. 127; carry holds bits 128 up
-    b = -(s[i] + e + (16 - p)) - 1
-    up_shift = (128 - b).astype(np.uint64)
-    shifted = (carry << up_shift) | (limb64 >> (b - 64).astype(np.uint64))
-    tail = limb64 << up_shift  # bits [64, b) at the top of the word
-    inexact = ~exact[i]
-    uncertain = inexact & (tail == (_ONES64 << up_shift))
-    sticky = inexact | (tail != 0) | (low64 != 0)
+    top, low = _mul64(m, hi[i])
+    b = (p - s[i] - e - 81).astype(np.uint64)
+    up_shift = np.uint64(64) - b
+    shifted = (top << up_shift) | (low >> b)
+    tail = low << up_shift  # bits [0, b) at the top of the word
+    rough = inexact_hi[i]
+    sticky = rough | (tail != 0)
+    near = np.flatnonzero(rough)
+    near = near[(~tail[near] >> (np.uint64(117) - b[near])) == 0]
+    uncertain = near
+    if len(near):
+        j, shift, up = i[near], b[near], up_shift[near]
+        add, rest = _mul64(m[near], lo[j])
+        low = low[near] + add
+        top = top[near] + (low < add)
+        shifted[near] = (top << up) | (low >> shift)
+        tail = low << up
+        sticky[near] = inexact[j] | (tail != 0) | (rest != 0)
+        uncertain = near[inexact[j] & (tail == (_ONES64 << up))]
     floor = shifted >> np.uint64(1)
-    up = (shifted & np.uint64(1)).astype(bool) & (sticky | (floor & np.uint64(1)).astype(bool))
+    # shifted is 2 * floor + the half bit; adding 1 where sticky or floor
+    # is odd rounds half to even.
+    d = (shifted + ((floor & np.uint64(1)) | sticky)) >> np.uint64(1)
     floor[uncertain] = _POW10[16]
-    d = floor + up
     d[uncertain] = 0
     return floor, d
 
 
-def _decimal(m: np.ndarray, e: np.ndarray, p: np.ndarray, kernel) -> np.ndarray:
-    """D = round(m * 2^e * 10^(16 - p)) by ``kernel``, moving each p until 10^16 <= floor < 10^17.
+def _decimal(m: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """D = round(m * 2^e * 10^(16 - p)), moving each p until 10^16 <= floor < 10^17.
 
     ``p`` is updated in place; each row that misses that range moves by one
     decade and is computed again.
     """
-    floor, d = kernel(m, e, p)
-    redo = np.flatnonzero((floor < _POW10[16]) | (floor >= _POW10[17]))
+    floor, d = _scaled_decimal(m, e, p)
+    # floor - 10^16 wraps round for floor < 10^16, so one test finds both misses.
+    redo = np.flatnonzero(floor - _POW10[16] >= _POW10[17] - _POW10[16])
     while len(redo):
         p[redo] += np.where(floor[redo] < _POW10[16], -1, 1)
-        floor[redo], d[redo] = kernel(m[redo], e[redo], p[redo])
-        redo = redo[(floor[redo] < _POW10[16]) | (floor[redo] >= _POW10[17])]
+        floor[redo], d[redo] = _scaled_decimal(m[redo], e[redo], p[redo])
+        redo = redo[floor[redo] - _POW10[16] >= _POW10[17] - _POW10[16]]
     return d
-
-
-def _mantissas(a: np.ndarray):
-    """m in [2^52, 2^53) and e with a = m * 2^e, for positive finite float64 ``a``."""
-    frac, e = np.frexp(a)
-    return (frac * 2.0**53).astype(np.uint64), e.astype(np.int64) - 53
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
@@ -506,44 +486,31 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     For finite nonzero x the 17 significant digits are D = round(|x| *
     10^(16 - p)), with p = floor(log10|x|) the decimal exponent, so that
     10^16 <= floor(|x| * 10^(16 - p)) < 10^17.  p starts from the float
-    log10 and moves by one for each row that misses that range.  Rows with
-    1e-11 < |x| < 1e16 use :func:`_scaled_decimal`, all others
-    :func:`_wide_decimal`, which runs only when a block has such rows.  In
-    the first range D never rounds up to 10^17 (a test checks this); in the
-    second it can, for fourteen doubles just below a power of ten, and D =
-    10^17 is carried to D = 10^16 at p + 1, the exponent %g prints.  The
-    digits are laid out by %g's rules, fixed notation for -4 <= p < 17 and
-    d.ddde-XX or d.ddde+XX otherwise, without trailing fraction zeros: the
-    rows are sorted by p, each run of equal p is placed with slice copies,
-    and one row gather puts the rows back in order.  Zeros are laid out
-    directly; nan, inf and the rows :func:`_wide_decimal` leaves uncertain
-    are formatted by ``format`` and copied over their rows.
+    log10 and moves by one for each row that misses that range, and
+    :func:`_scaled_decimal` computes D exactly.  D rounds up to 10^17 for
+    fourteen doubles just below a power of ten (none in 1e-11 < |x| < 1e16,
+    a test checks this); it is carried to D = 10^16 at p + 1, the exponent
+    %g prints.  The digits are laid out by %g's rules, fixed notation for
+    -4 <= p < 17 and d.ddde-XX or d.ddde+XX otherwise, without trailing
+    fraction zeros: the rows are sorted by p, each run of equal p is placed
+    with slice copies, and one row gather puts the rows back in order.
+    Zeros are laid out directly; nan, inf and the rows
+    :func:`_scaled_decimal` leaves uncertain are formatted by ``format``
+    and copied over their rows.
     """
     x = x.astype(np.float64, copy=False)
     a = np.abs(x)
-    rest = np.flatnonzero(~((a > 1e-11) & (a < 1e16)))
-    a[rest] = 1.0  # a stand-in for the narrow kernel; these rows are replaced below
-    m, e = _mantissas(a)
-    p = np.maximum(np.floor(np.log10(a)).astype(np.int64), -11)
-    d = _decimal(m, e, p, _scaled_decimal)
-    zeros = slow = wide = rest[:0]
-    if len(rest):
-        ar = np.abs(x[rest])
-        finite = (ar > 0) & (ar < np.inf)
-        wide, aw = rest[finite], ar[finite]
-        if len(wide):
-            mw, ew = _mantissas(aw)
-            pw = np.floor(np.log10(aw)).astype(np.int64)
-            dw = _decimal(mw, ew, pw, _wide_decimal)
-            top = dw == _POW10[17]
-            dw[top] = _POW10[16]
-            pw[top] += 1
-            d[wide], p[wide] = dw, pw
-            slow = wide[dw == 0]
-        zeros = rest[ar == 0]
-        slow = np.concatenate([rest[~finite & (ar != 0)], slow])
-    # A one-byte key sorts faster, and p fits one byte when no row is wide.
-    order = np.argsort(p.astype(np.int16 if len(wide) else np.int8), kind="stable")
+    special = np.flatnonzero(~((a > 0) & (a < np.inf)))
+    a[special] = 1.0  # a stand-in for zeros, nan and inf, whose rows are replaced below
+    frac, e = np.frexp(a)
+    m, e = (frac * 2.0**53).astype(np.uint64), e.astype(np.int64) - 53
+    p = np.floor(np.log10(a)).astype(np.int64)
+    d = _decimal(m, e, p)
+    top = np.flatnonzero(d == _POW10[17])
+    d[top] = _POW10[16]
+    p[top] += 1
+    slow = np.flatnonzero(d == 0)
+    order = np.argsort(p.astype(np.int16), kind="stable")
     p, d = p[order], d[order]
     digits = _digit_groups(d, 5)[:, 3:]
     ndig = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
@@ -573,9 +540,11 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     back = np.empty_like(order)
     back[order] = np.arange(len(order))
     cells = np.take(out, back, axis=0)
-    if len(zeros):
+    if len(special):
+        zeros = special[x[special] == 0]
         cells[zeros, 0] = np.where(np.signbit(x[zeros]), ord("-"), 0)
         cells[zeros, 1] = ord("0")
+        slow = np.concatenate([special[x[special] != 0], slow])
     if len(slow):
         text = [format(v, ".17g") for v in x[slow].tolist()]
         lens = np.fromiter(map(len, text), dtype=np.intp, count=len(text))

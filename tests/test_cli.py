@@ -96,7 +96,8 @@ class TestBlockWriter:
 
     def test_spectrum_matches_per_row_writer(self, tmp_path):
         # The second grid is the benchmark's: its exact zeros are laid out
-        # directly and its residuals of 1e-32 to 1e-15 go through the wide kernel.
+        # directly, and its residuals of 1e-32 to 1e-15 need powers of five
+        # wider than 64 bits.
         for n, r_steps, theta_steps in [(5, 3, 5), (3, 40, 64)]:
             out, ref = tmp_path / "spec.csv", tmp_path / "ref.csv"
             assert run(["spectrum", "--n", str(n), "--r-steps", str(r_steps),
@@ -226,7 +227,7 @@ ROUND_UP = [
 
 
 class TestWideKernel:
-    """Finite nonzero doubles outside 1e-11 < |x| < 1e16, encoded from the 128-bit power table."""
+    """Finite nonzero doubles of every magnitude, encoded from the 128-bit power table."""
 
     def test_tables_are_built_on_first_use(self):
         code = ("import hardylab, hardylab.series as s; "
@@ -239,11 +240,11 @@ class TestWideKernel:
         assert words == "".join("%04d" % i for i in range(10000)).encode()
 
     def test_power_table_holds_the_top_128_bits_of_each_power_of_five(self):
-        limbs, shift, exact = series._pow5_table()
-        assert len(limbs) == len(shift) == len(exact) == series._P_MAX - series._P_MIN + 1
-        for row, s, flag, p in zip(limbs.tolist(), shift.tolist(), exact.tolist(),
-                                   range(series._P_MAX, series._P_MIN - 1, -1)):
-            t = sum(limb << (32 * j) for j, limb in enumerate(row))
+        table = [column.tolist() for column in series._pow5_table()]
+        assert {len(column) for column in table} == {series._P_MAX - series._P_MIN + 1}
+        for hi, lo, s, inexact_hi, inexact, p in zip(*table,
+                                                     range(series._P_MAX, series._P_MIN - 1, -1)):
+            t = hi << 64 | lo
             assert 2**127 <= t < 2**128, p
             q = 16 - p
             if q < 0:
@@ -252,7 +253,9 @@ class TestWideKernel:
                 assert t == 5**q << -s, p
             else:
                 assert t == 5**q >> s, p
-            assert flag == (0 <= q <= 55), p
+            assert inexact == (not 0 <= q <= 55), p
+            assert inexact_hi == (not 0 <= q <= 27), p
+            assert inexact_hi == (inexact or lo != 0), p
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_decade_neighbours_match_format_17g(self, sign):
