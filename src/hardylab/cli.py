@@ -151,11 +151,15 @@ def cmd_baez_duarte(k_max: int, n_trunc: int, path: Path, json_path: Path) -> in
     print(f"wrote {path} and {json_path}")
     print(f"d_{k_max} = {_fmt(distances[-1])} (condition {_fmt(sequence[-1][1].condition_estimate)})")
 
-    ok = bool(np.all(np.diff(distances) <= 1e-12) and np.all(distances > 1e-8))
-    if not ok:
-        print("FAIL: distance sequence is not nonincreasing and positive", file=sys.stderr)
-        return 1
-    return 0
+    # distances[i] is d_{i+2}; each failed property is named at its first K.
+    rises = np.flatnonzero(~(np.diff(distances) <= 1e-12)) + 1
+    lows = np.flatnonzero(~(distances > 1e-8))
+    for i in rises[:1]:
+        print(f"FAIL: d_{i + 2} = {_fmt(distances[i])} exceeds d_{i + 1} = "
+              f"{_fmt(distances[i - 1])} by more than 1e-12", file=sys.stderr)
+    for i in lows[:1]:
+        print(f"FAIL: d_{i + 2} = {_fmt(distances[i])} is not above 1e-8", file=sys.stderr)
+    return 1 if rises.size or lows.size else 0
 
 
 def cmd_verify(cfg: LabConfig, suite: str, seed: int | None) -> int:

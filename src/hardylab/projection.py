@@ -12,7 +12,7 @@ like any family of nested spans, come from one engine: one QR of the
 column-major matrix [b_1 .. b_m | t_1 .. t_r], the basis followed by every
 target.  Its one entry for series input is :func:`nested_distances`, which
 :func:`cyclicity_scan` calls; :func:`baez_duarte_sequence` fills the matrix
-in place from one harmonic table instead.  That QR is LAPACK's recursive
+from one harmonic table instead.  That QR is LAPACK's recursive
 compact-WY Householder factorization ``?geqrt`` (Elmroth & Gustavson),
 level-3 BLAS throughout; ``?geqrf``, behind ``scipy.linalg.qr``, falls back
 to the unblocked level-2 ``?geqr2`` below 128 columns.  The distance from t_i to
@@ -22,22 +22,31 @@ b_1..b_j, whatever the columns between the basis and t_i hold.  The
 leading blocks of R^-1 are the inverses of the leading blocks of R, so one
 inversion of R's basis block gives the coefficients of every prefix and
 target and the exact 1-norm condition number of every R[:j,:j], and the
-rank gate runs once, on that block.  Each target's residual norms are
-re-checked in one pass over row blocks of the basis, from the coefficients
-and the basis, never from Q or R.  Every BLAS call of the engine goes to
-scipy's OpenBLAS (``?geqrt``, ``?trtrs``, ``?gemm``) and target norms are
-summed elementwise: the numpy and scipy wheels each bundle their own
-OpenBLAS with its own thread pool, and a numpy BLAS call right after a
-scipy one wakes the second pool while the first still spins, three busy
-threads on two cores.  Pivoted QR (:func:`distance_to_span`) is kept only
-as the oracle of that engine.  Every report carries the optimal
-coefficients, an independently recomputed residual norm (enforced to agree
-with the distance), and a condition figure so a genuine distance plateau
-can be told apart from numerical rank collapse.
+rank gate runs once, on that block.  ``?geqrt`` factors the matrix in
+place, so the engine holds one (N+1) x (m+r) matrix plus the 2048-row
+blocks of its residual re-check: 8·(N+1)·K bytes for the d_K sequence,
+200 MiB at K = 200, N = 2^17, where a whole run peaks at 274 MiB of
+resident memory (469 MiB with a factored copy beside the matrix; 2-core
+x86-64, OpenBLAS).  Every target's residual norms are re-checked in one
+pass over the row blocks of the unfactored matrix, from the coefficients
+and the original rows, never from Q or R: a row source ``rows(lo, hi)``
+rebuilds each block bit for bit, from the harmonic table for the d_K
+sequence and from the members themselves for series input.  Every BLAS
+call of the engine goes to scipy's OpenBLAS (``?geqrt``, ``?trtrs``,
+``?gemm``) and target norms are summed elementwise: the numpy and scipy
+wheels each bundle their own OpenBLAS with its own thread pool, and a
+numpy BLAS call right after a scipy one wakes the second pool while the
+first still spins, three busy threads on two cores.  Pivoted QR
+(:func:`distance_to_span`) is kept only as the oracle of that engine.
+Every report carries the optimal coefficients, an independently
+recomputed residual norm (enforced to agree with the distance), and a
+condition figure so a genuine distance plateau can be told apart from
+numerical rank collapse.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +54,8 @@ import scipy.linalg
 
 from .errors import DegenerateBasis, HypothesisViolated, IndexOutOfRange, ResidualMismatch
 from .semigroup import weighted_dilation
-from .series import CoeffSeries, axpy, fit_degree, from_coeffs, inner, norm
-from .special import _check_hk_args, _fill_hk_columns
+from .series import CoeffSeries, _check_valid_degree, axpy, from_coeffs, inner, norm
+from .special import _check_hk_args, _fill_hk_columns, _harmonic_table
 
 __all__ = [
     "DistanceReport",
@@ -61,11 +70,13 @@ RANK_TOLERANCE = 1e-10
 # |distance - residual_norm_check| may not exceed this times max(1, ||target||).
 RESIDUAL_AGREEMENT = 1e-10
 # Rows per block of the nested residual re-check, one scipy ``?gemm`` per
-# block (never numpy's ``@``, which runs on numpy's own OpenBLAS pool): a
-# 2048 x 50 real block of temporaries is about 0.8 MiB.
+# block and target (never numpy's ``@``, which runs on numpy's own OpenBLAS
+# pool): at K = 50 the block of rows and the residual buffer are 0.8 MiB each.
 _RESIDUAL_BLOCK_ROWS = 2048
 # Column block size of the engine's ``?geqrt``, capped by the matrix shape.
 _QR_BLOCK_COLUMNS = 32
+# rows(lo, hi): rows lo..hi-1 of an unfactored engine matrix, column-major.
+RowSource = Callable[[int, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -121,7 +132,7 @@ def distance_to_span(target: CoeffSeries, basis: list[CoeffSeries],
         ResidualMismatch: when the residual re-check disagrees with the
             QR distance.
     """
-    aug = _augmented(basis, [target], n_trunc)
+    aug, _ = _augmented(basis, [target], n_trunc)
     a, rhs = aug[:, :-1], aug[:, -1]
     if a.shape[1] > a.shape[0]:
         raise DegenerateBasis(f"{a.shape[1]} basis members exceed {a.shape[0]} coefficients")
@@ -153,8 +164,11 @@ def nested_distances(basis: list[CoeffSeries], targets: list[CoeffSeries],
     1-norm condition number of ``R[:j,:j]``, nondecreasing in j, so the
     rank gate runs once, on the whole basis, even with no targets.  The
     residual norms of every prefix are re-checked together as ``target -
-    basis @ C`` over row blocks of the basis; column j - 1 of the
+    basis @ C`` over 2048-row blocks of the basis; column j - 1 of the
     upper-triangular m x m matrix C holds the coefficients of prefix j.
+    The engine holds one (n_trunc + 1) x (m + r) matrix, factored in place,
+    and copies each block of the re-check out of the members, so no
+    refitted copy of a member is made.
 
     Raises:
         ValueError: when the basis is empty or ``n_trunc`` is negative.
@@ -164,7 +178,7 @@ def nested_distances(basis: list[CoeffSeries], targets: list[CoeffSeries],
         ResidualMismatch: when a residual re-check disagrees with its
             distance.
     """
-    return _nested_reports(_augmented(basis, targets, n_trunc), len(basis))
+    return _nested_reports(*_augmented(basis, targets, n_trunc), len(basis))
 
 
 def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceReport]]:
@@ -172,28 +186,51 @@ def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceRe
 
     The spans are nested, so the sequence is nonincreasing and one QR of
     [h_2 .. h_kmax | 1] gives all of it; each entry carries its full report
-    so conditioning can be inspected alongside the distance.
+    so conditioning can be inspected alongside the distance.  That QR runs
+    in place on the one float64 matrix, 8 * (n_trunc + 1) * k_max bytes,
+    and the residual re-check regenerates its rows 2048 at a time from the
+    same harmonic table.
     """
     if k_max < 2:
         raise IndexOutOfRange(f"k_max must be >= 2, got {k_max}")
     _check_hk_args(k_max, n_trunc)
-    aug = np.zeros((n_trunc + 1, k_max), order="F")
-    _fill_hk_columns(aug[:, :-1])
-    aug[0, -1] = 1.0
-    return list(zip(range(2, k_max + 1), _nested_reports(aug, k_max - 1)[0]))
+    h = _harmonic_table(n_trunc)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 of [h_2 .. h_kmax | e_0], from the one harmonic table."""
+        block = np.zeros((hi - lo, k_max), order="F")
+        _fill_hk_columns(block[:, :-1], h, lo)
+        if lo == 0:
+            block[0, -1] = 1.0
+        return block
+
+    reports = _nested_reports(rows(0, n_trunc + 1), rows, k_max - 1)[0]
+    return list(zip(range(2, k_max + 1), reports))
 
 
 def _augmented(basis: list[CoeffSeries], targets: list[CoeffSeries],
-               n_trunc: int) -> np.ndarray:
-    """Column-major [b_1 .. b_m | t_1 .. t_r] refitted to degree ``n_trunc``, complex when any is."""
+               n_trunc: int) -> tuple[np.ndarray, RowSource]:
+    """Column-major [b_1 .. b_m | t_1 .. t_r] at degree ``n_trunc``, complex when any is.
+
+    Returned with its row source: ``rows(lo, hi)`` copies rows lo..hi-1 out
+    of the members themselves, zero past a member's valid degree (exact
+    truncation and padding), real members upcast exactly to a complex
+    matrix.  No refitted copy of a member is made or kept.
+    """
     if not basis:
         raise ValueError("basis must be nonempty")
-    columns = [fit_degree(c, n_trunc) for c in [*basis, *targets]]
-    dtype = complex if any(np.iscomplexobj(c.coeffs) for c in columns) else float
-    aug = np.empty((n_trunc + 1, len(columns)), dtype=dtype, order="F")
-    for i, c in enumerate(columns):
-        aug[:, i] = c.coeffs
-    return aug
+    _check_valid_degree(n_trunc)
+    columns = [c.coeffs for c in [*basis, *targets]]
+    dtype = complex if any(np.iscomplexobj(c) for c in columns) else float
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        block = np.zeros((hi - lo, len(columns)), dtype=dtype, order="F")
+        for i, c in enumerate(columns):
+            part = c[lo:hi]
+            block[: len(part), i] = part
+        return block
+
+    return rows(0, n_trunc + 1), rows
 
 
 def _condition_estimate(r: np.ndarray) -> float:
@@ -207,17 +244,24 @@ def _condition_estimate(r: np.ndarray) -> float:
     return float(diag[0] / diag[-1])
 
 
-def _nested_reports(aug: np.ndarray, m: int) -> list[list[DistanceReport]]:
-    """For each t_i of ``aug`` = [b_1 .. b_m | t_1 .. t_r], one report per prefix b_1..b_j."""
-    rows, cols = aug.shape
-    # ?geqrt returns a factored copy (R on and above the diagonal): the
-    # residual re-checks below read the original basis from ``aug``.
+def _nested_reports(aug: np.ndarray, rows: RowSource, m: int) -> list[list[DistanceReport]]:
+    """For each t_i of ``aug`` = [b_1 .. b_m | t_1 .. t_r], one report per prefix b_1..b_j.
+
+    The caller hands ``aug`` over, column-major: it is factored in place.
+    ``rows(lo, hi)`` gives rows lo..hi-1 of the unfactored matrix, bit for
+    bit, to the residual re-check.
+    """
+    n_rows, cols = aug.shape
+    # Summed elementwise, not by numpy's BLAS ``dot``: see the module docstring.
+    target_norms = [float(np.sqrt(np.sum(np.abs(aug[:, j]) ** 2))) for j in range(m, cols)]
+    # ?geqrt overwrites ``aug`` with R on and above the diagonal: f2py
+    # copies no column-major array of the routine's own dtype.
     (geqrt,) = scipy.linalg.lapack.get_lapack_funcs(("geqrt",), (aug,))
-    factored, _, _ = geqrt(min(_QR_BLOCK_COLUMNS, rows, cols), aug)
+    factored, _, _ = geqrt(min(_QR_BLOCK_COLUMNS, n_rows, cols), aug, overwrite_a=1)
     # With fewer rows than columns, R is padded with zero rows; in the
     # basis block they put zeros on the diagonal, which the gate refuses.
     r = np.zeros((cols, cols), dtype=aug.dtype)
-    r[: min(rows, cols)] = np.triu(factored[:cols])
+    r[: min(n_rows, cols)] = np.triu(factored[:cols])
     # distances[j, i] = ||R[j:, m + i]||, the distance from t_i to span{b_1..b_j}.
     distances = np.sqrt(np.cumsum(np.abs(r[::-1, m:]) ** 2, axis=0))[::-1]
 
@@ -239,32 +283,40 @@ def _nested_reports(aug: np.ndarray, m: int) -> list[list[DistanceReport]]:
             f"basis is numerically rank deficient: reciprocal condition "
             f"{1.0 / condition[-1]:.3e} below {RANK_TOLERANCE:.0e}"
         )
-    reports = []
-    for i in range(cols - m):
-        rhs = aug[:, m + i]
-        # Column j - 1 is R[:j,:j]^-1 R[:j,m+i]: the first j columns of
-        # R^-1, weighted by R[:j,m+i] and summed.
-        coeffs = np.cumsum(rinv * r[:m, m + i], axis=1)
-        checks = _residual_norms(aug[:, :m], rhs, coeffs)
-        # Summed elementwise, not by numpy's BLAS ``dot``: see the module docstring.
-        target_norm = float(np.sqrt(np.sum(np.abs(rhs) ** 2)))
-        reports.append([
-            _checked_report(float(distances[j, i]), coeffs[:j, j - 1], float(checks[j - 1]),
-                            target_norm, float(condition[j - 1]))
-            for j in range(1, m + 1)
-        ])
-    return reports
+    if cols == m:
+        return []
+    # Column j - 1 of coeffs[i] is R[:j,:j]^-1 R[:j,m+i]: the first j
+    # columns of R^-1, weighted by R[:j,m+i] and summed.
+    coeffs = [np.cumsum(rinv * r[:m, j], axis=1) for j in range(m, cols)]
+    checks = _residual_norms(rows, n_rows, coeffs)
+    return [
+        [_checked_report(float(distances[j, i]), c[:j, j - 1], float(check[j - 1]),
+                         target_norm, float(condition[j - 1]))
+         for j in range(1, m + 1)]
+        for i, (c, check, target_norm) in enumerate(zip(coeffs, checks, target_norms))
+    ]
 
 
-def _residual_norms(a: np.ndarray, rhs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """||rhs - a @ coeffs[:, j]|| for every column j, one scipy ``?gemm`` per row block of ``a``."""
-    (gemm,) = scipy.linalg.blas.get_blas_funcs(("gemm",), (a, coeffs))
-    sum_sq = np.zeros(coeffs.shape[1])
-    for lo in range(0, len(rhs), _RESIDUAL_BLOCK_ROWS):
-        hi = min(lo + _RESIDUAL_BLOCK_ROWS, len(rhs))
-        start = np.broadcast_to(rhs[lo:hi, None], (hi - lo, coeffs.shape[1]))
-        block = gemm(-1.0, a[lo:hi], coeffs, beta=1.0, c=start)
-        sum_sq += np.sum(np.abs(block) ** 2, axis=0)
+def _residual_norms(rows: RowSource, n_rows: int, coeffs: list[np.ndarray]) -> np.ndarray:
+    """||t_i - [b_1 .. b_m] @ coeffs[i][:, j]|| for every target i and column j.
+
+    Reads each block of ``rows`` once and runs one scipy ``?gemm`` per
+    target on it, into one buffer that then holds the squared moduli.
+    """
+    m = coeffs[0].shape[0]
+    (gemm,) = scipy.linalg.blas.get_blas_funcs(("gemm",), coeffs)
+    sum_sq = np.zeros((len(coeffs), m))
+    for lo in range(0, n_rows, _RESIDUAL_BLOCK_ROWS):
+        hi = min(lo + _RESIDUAL_BLOCK_ROWS, n_rows)
+        block = rows(lo, hi)
+        for i, c in enumerate(coeffs):
+            # f2py copies the broadcast target into a column-major buffer,
+            # and ?gemm writes the residuals over it.
+            start = np.broadcast_to(block[:, m + i, None], (hi - lo, m))
+            res = gemm(-1.0, block[:, :m], c, beta=1.0, c=start)
+            # np.square(np.abs(x)) rounds as np.abs(x) ** 2; a real |x| fits in res.
+            sq = np.abs(res, out=res if res.dtype.kind == "f" else None)
+            sum_sq[i] += np.sum(np.square(sq, out=sq), axis=0)
     return np.sqrt(sum_sq)
 
 

@@ -51,15 +51,17 @@ def hk_closed_form(k: int, n_trunc: int) -> CoeffSeries:
     return CoeffSeries(_hk_coeffs(_harmonic_table(n_trunc), k))
 
 
-def _fill_hk_columns(out: np.ndarray) -> np.ndarray:
-    """Write h_{i+2} through degree ``len(out) - 1`` into column i of ``out``.
+def _fill_hk_columns(out: np.ndarray, h: np.ndarray, first_row: int) -> np.ndarray:
+    """Write coefficients ``first_row`` onwards of h_{i+2} into column i of ``out``.
 
-    Every column comes from one shared harmonic table and is bit-identical
-    to ``hk_closed_form(i + 2, len(out) - 1).coeffs``.
+    ``h`` is the harmonic table through at least the last of those degrees.
+    Every column comes from that one table and is bit-identical to the same
+    rows of ``hk_closed_form(i + 2, N).coeffs`` for every N at or past the
+    last row.
     """
-    h = _harmonic_table(out.shape[0] - 1)
+    hi = first_row + out.shape[0]
     for i in range(out.shape[1]):
-        out[:, i] = _hk_coeffs(h, i + 2)
+        out[:, i] = _hk_coeffs(h, i + 2, first_row, hi)
     return out
 
 
@@ -71,14 +73,19 @@ def _harmonic_table(n_trunc: int) -> np.ndarray:
     return h
 
 
-def _hk_coeffs(h: np.ndarray, k: int) -> np.ndarray:
-    """H_j - H_{floor(j/k)} - log k for j < len(h); each H_{floor(j/k)} is a run of k copies.
+def _hk_coeffs(h: np.ndarray, k: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """H_j - H_{floor(j/k)} - log k for lo <= j < hi, where hi defaults to len(h).
 
-    Only the first len(h) entries of the runs are read, so a run is never
-    longer than len(h): for k > len(h) every floor(j/k) is 0.
+    Each H_{floor(j/k)} is one of a run of copies, min(k, hi - lo) of them,
+    and the window starts ``skip`` copies into the first run, so a run is
+    never longer than the window, however large k is: for k > hi - lo the
+    window holds at most two runs.
     """
-    n = len(h)
-    return h - np.repeat(h[: (n - 1) // k + 1], min(k, n))[:n] - np.log(float(k))
+    hi = len(h) if hi is None else hi
+    q_lo, run = lo // k, min(k, hi - lo)
+    skip = run - (min((q_lo + 1) * k, hi) - lo)
+    runs = np.repeat(h[q_lo : (hi - 1) // k + 1], run)[skip : skip + hi - lo]
+    return h[lo:hi] - runs - np.log(float(k))
 
 
 def hk_oracle(k: int, n_trunc: int) -> CoeffSeries:

@@ -432,6 +432,32 @@ class TestBaezDuarte:
         assert "DegenerateBasis: " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_zero_distance_names_the_failed_bound(self, tmp_path, capsys):
+        # 49 members over 49 coefficients span the target: d_50 = 0, and the
+        # sequence is still nonincreasing.
+        assert run(["--output-dir", str(tmp_path), "bd", "--kmax", "50", "--n", "48"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "FAIL: d_50 = 0 is not above 1e-8\n"
+        csv = tmp_path / "bd_k50_n48.csv"
+        k, d, cond = data_lines(csv)[-1].split(",")
+        assert (k, d) == ("50", "0")
+        assert captured.out == (f"wrote {csv} and {csv.with_suffix('.json')}\n"
+                                f"d_50 = 0 (condition {cond})\n")
+
+    def test_rising_distance_names_the_first_rise(self, tmp_path, monkeypatch, capsys):
+        def rising(k_max, n_trunc):
+            seq = hl.baez_duarte_sequence(k_max, n_trunc)
+            (k, rep), (_, before) = seq[2], seq[1]
+            seq[2] = (k, dataclasses.replace(rep, distance=before.distance + 1e-9))
+            return seq
+
+        monkeypatch.setattr(hardylab.cli, "baez_duarte_sequence", rising)
+        assert run(["--output-dir", str(tmp_path), "bd", "--kmax", "6", "--n", "256"]) == 1
+        d3 = hl.baez_duarte_sequence(6, 256)[1][1].distance
+        assert capsys.readouterr().err == (
+            f"FAIL: d_4 = {_fmt(d3 + 1e-9)} exceeds d_3 = {_fmt(d3)} by more than 1e-12\n"
+        )
+
     def test_deterministic_apart_from_timestamp(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from hardylab.errors import (
     IndexOutOfRange,
     ResidualMismatch,
 )
-from hardylab.projection import _residual_norms
+from hardylab import projection
+from hardylab.projection import _augmented, _residual_norms
 from oracles import difference_span_orthogonality
 
 
@@ -339,6 +342,98 @@ class TestBlockedResidualCheck:
         basis = [random_series() for _ in range(6)]
         reports = hl.nested_distances(basis, [target], n_trunc)[0]
         assert_residual_checks_match_direct_norm(reports, target, basis)
+
+
+class TestRowSources:
+    """rows(lo, hi) gives the re-check the unfactored rows, bit for bit and column-major."""
+
+    # 4201 rows: re-check blocks [0, 2048), [2048, 4096) and the partial [4096, 4201).
+    N_TRUNC = 4200
+    WINDOWS = [(0, 2048), (2047, 2049), (1000, 3100), (2048, 4096), (4095, 4097),
+               (4096, 4201), (4200, 4201)]
+
+    @classmethod
+    def assert_rows_match(cls, aug, rows):
+        for lo, hi in cls.WINDOWS:
+            block = rows(lo, hi)
+            assert block.flags.f_contiguous and block.dtype == aug.dtype
+            assert block.tobytes("F") == aug[lo:hi].tobytes("F"), (lo, hi)
+
+    def test_baez_duarte_rows_match_its_matrix(self, monkeypatch):
+        handed_over = {}
+
+        def capture(aug, rows, m):
+            handed_over.update(aug=aug.copy(), rows=rows)
+            return nested_reports(aug, rows, m)
+
+        nested_reports = projection._nested_reports
+        monkeypatch.setattr(projection, "_nested_reports", capture)
+        hl.baez_duarte_sequence(12, self.N_TRUNC)
+        aug = handed_over["aug"]
+        assert aug.shape == (self.N_TRUNC + 1, 11 + 1)
+        assert np.array_equal(aug[:, -1], hl.one(self.N_TRUNC).coeffs)
+        self.assert_rows_match(aug, handed_over["rows"])
+
+    def test_series_rows_with_mixed_real_and_complex_members(self):
+        rng = np.random.default_rng(11)
+        n = self.N_TRUNC
+        members = [
+            hl.from_coeffs(rng.standard_normal(n + 1)),
+            hl.from_coeffs(rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)),
+            hl.from_coeffs(-rng.standard_normal(3000)),  # zero-padded
+            hl.from_coeffs(rng.standard_normal(n + 500)),  # truncated
+            hl.from_coeffs([0.0, -0.0, 5e-324, 1.0]),  # signed zeros and a subnormal
+        ]
+        aug, rows = _augmented(members[:3], members[3:], n)
+        assert aug.dtype == np.complex128
+        for column, member in zip(aug.T, members):
+            fitted = hl.fit_degree(member, n).coeffs
+            assert column.real.tobytes() == fitted.real.tobytes()
+            assert column.imag.tobytes() == np.imag(fitted).tobytes()
+        self.assert_rows_match(aug, rows)
+
+    def test_real_series_rows_stay_real(self):
+        rng = np.random.default_rng(12)
+        members = [hl.from_coeffs(rng.standard_normal(self.N_TRUNC + 1)) for _ in range(3)]
+        aug, rows = _augmented(members[:2], members[2:], self.N_TRUNC)
+        assert aug.dtype == np.float64
+        self.assert_rows_match(aug, rows)
+
+
+class TestEngineMemory:
+    """The engine factors its one matrix in place and re-checks in 2048-row blocks.
+
+    tracemalloc sees every numpy buffer, so a second copy of the matrix,
+    such as one f2py makes when ?geqrt may not overwrite its input, shows.
+    """
+
+    @staticmethod
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_baez_duarte_holds_one_matrix(self):
+        k_max, n_trunc = 50, 2**14
+        peak = self.traced_peak(lambda: hl.baez_duarte_sequence(k_max, n_trunc))
+        assert peak < 1.5 * 8 * (n_trunc + 1) * k_max
+
+    def test_complex_series_hold_one_matrix(self):
+        rng = np.random.default_rng(13)
+        n_trunc, m = 2**14, 24
+
+        def random_series():
+            return hl.from_coeffs(
+                rng.standard_normal(n_trunc + 1) + 1j * rng.standard_normal(n_trunc + 1)
+            )
+
+        basis = [random_series() for _ in range(m)]
+        target = random_series()
+        peak = self.traced_peak(lambda: hl.nested_distances(basis, [target], n_trunc))
+        assert peak < 1.75 * 16 * (n_trunc + 1) * (m + 1)
 
 
 class TestResidualAgreement:

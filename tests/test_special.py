@@ -134,7 +134,7 @@ class TestDirichletEnergy:
 class TestHkMatrix:
     @pytest.mark.parametrize("n_trunc", [0, 1, 257, 2048])
     def test_columns_bit_identical_to_closed_form(self, n_trunc):
-        a = _fill_hk_columns(np.empty((n_trunc + 1, 11), order="F"))
+        a = _fill_hk_columns(np.empty((n_trunc + 1, 11), order="F"), _harmonic_table(n_trunc), 0)
         for k in range(2, 13):
             assert np.array_equal(a[:, k - 2], hl.hk_closed_form(k, n_trunc).coeffs)
 
@@ -144,6 +144,29 @@ class TestHkMatrix:
         for k in (2, 3, 64, n_trunc + 1, n_trunc + 5):
             by_index = h - h[np.arange(len(h)) // k] - np.log(k)
             assert np.array_equal(_hk_coeffs(h, k), by_index)
+
+    # Row windows lo..hi-1 of a 6201-row matrix: across the 2048-row edges of
+    # the residual re-check, lo off every multiple of k, windows narrower
+    # than k (up to 12 here), and the last partial block.
+    WINDOWS = [(0, 1), (0, 2048), (2047, 2049), (2047, 2050), (1000, 3100),
+               (2048, 4096), (4095, 4101), (6143, 6145), (6144, 6201), (6200, 6201)]
+
+    def test_row_windows_bit_identical_to_whole_columns(self):
+        h = _harmonic_table(6200)
+        whole = _fill_hk_columns(np.empty((6201, 11), order="F"), h, 0)
+        for lo, hi in self.WINDOWS:
+            # A table built only through the window's last row gives the same bits.
+            for table in (h, _harmonic_table(hi - 1)):
+                window = _fill_hk_columns(np.empty((hi - lo, 11), order="F"), table, lo)
+                assert window.tobytes("F") == whole[lo:hi].tobytes("F"), (lo, hi)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 2048, 2049, 6201, 2**70])
+    def test_windowed_runs_bit_identical_to_floor_index(self, k):
+        h = _harmonic_table(6200)
+        # Every j < len(h) has floor(j / k) = floor(j / len(h)) = 0 once k >= len(h).
+        by_index = h - h[np.arange(len(h)) // min(k, len(h))] - np.log(float(k))
+        for lo, hi in self.WINDOWS:
+            assert _hk_coeffs(h, k, lo, hi).tobytes() == by_index[lo:hi].tobytes(), (lo, hi)
 
     @pytest.mark.parametrize("k", [2, 3, 2**31 - 1, 2**53 + 1, 2**62 + 1, 2**63 - 1])
     def test_log_of_float_k_is_log_of_k(self, k):
