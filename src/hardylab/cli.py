@@ -13,7 +13,8 @@ digits and a '.' decimal separator so values round-trip exactly.  Exit
 codes: 0 success, 1 assertion failure, 2 usage error (a bad flag or
 config value, a negative seed, an output path that cannot be written,
 one path for both of bd's reports, a size too large for memory, or a
-typed laboratory error such as a degenerate basis).
+typed laboratory error such as an index out of range, an array past
+numpy's size limit or a degenerate basis).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import HardyLabError
 from .projection import baez_duarte_sequence
-from .series import write_columns
+from .series import _check_array_bytes, write_columns
 from .special import hk_closed_form, truncation_certificate
 from .spectral import spectral_disk_scan
 from .verify import SUITES, run_suites
@@ -41,13 +42,14 @@ __all__ = ["LabConfig", "load_config_file", "build_parser", "main"]
 
 @dataclass
 class LabConfig:
-    truncation_degree: int = 16384
+    # None: each command's own default, 16384 for gen-hk and bd, 4096 for spectrum
+    truncation_degree: int | None = None
     tolerance: float = 1e-10
     output_dir: str = "."
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.truncation_degree < 1:
+        if self.truncation_degree is not None and self.truncation_degree < 1:
             raise ValueError("truncation_degree must be >= 1")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
@@ -162,9 +164,9 @@ def cmd_baez_duarte(k_max: int, n_trunc: int, path: Path, json_path: Path) -> in
     return 1 if rises.size or lows.size else 0
 
 
-def cmd_verify(cfg: LabConfig, suite: str, seed: int | None) -> int:
+def cmd_verify(cfg: LabConfig, suite: str) -> int:
     names = list(SUITES) if suite == "all" else [suite]
-    results = run_suites(names, seed=cfg.seed if seed is None else seed)
+    results = run_suites(names, seed=cfg.seed)
     for res in results:
         print(res.line())
     failed = [res for res in results if not res.passed]
@@ -174,6 +176,7 @@ def cmd_verify(cfg: LabConfig, suite: str, seed: int | None) -> int:
 
 def cmd_spectrum(cfg: LabConfig, n: int, r_steps: int, theta_steps: int,
                  out: str | None, min_degree_count: int) -> int:
+    _check_array_bytes(8 * r_steps, f"a list of {r_steps} radii")
     radii = np.linspace(0.0, 0.95, r_steps)
     report = spectral_disk_scan(n, radii, theta_steps, min_degree_count)
     path = Path(out) if out else Path(cfg.output_dir) / f"spectrum_n{n}.csv"
@@ -206,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--truncation", type=int, default=None,
-                        help="default truncation degree (default 16384); for spectrum, "
-                        "the least number of eigenvector coefficients (default 4096)")
+                        help="truncation degree of gen-hk and bd (default 16384); for "
+                        "spectrum, the least number of eigenvector coefficients (default 4096)")
     parser.add_argument("--tolerance", type=float, default=None,
                         help="residual gate for spectrum (default 1e-10)")
     parser.add_argument("--output-dir", default=None,
@@ -228,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", dest="json_out", default=None, help="output JSON path")
 
     p = sub.add_parser("verify", help="run the operator-identity suites")
-    p.add_argument("--suite", default="all", help="one of: all, " + ", ".join(SUITES))
+    p.add_argument("--suite", default="all", choices=["all", *SUITES])
     p.add_argument("--seed", dest="suite_seed", type=int, default=None)
 
     p = sub.add_parser("spectrum", help="eigenvector residual scan in the spectral ball")
@@ -240,10 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _effective_config(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> tuple[LabConfig, set[str]]:
-    """The merged config and the names of the keys set by a flag or the config file."""
+def _effective_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> LabConfig:
+    """The config file, overridden by the global flags, then by ``verify --seed``."""
     values: dict = {}
     if args.config:
         try:
@@ -255,29 +256,25 @@ def _effective_config(
         ("tolerance", "tolerance"),
         ("output_dir", "output_dir"),
         ("seed", "seed"),
+        ("suite_seed", "seed"),
     ]:
-        if getattr(args, flag) is not None:
+        if getattr(args, flag, None) is not None:
             values[key] = getattr(args, flag)
     try:
-        return LabConfig(**values), set(values)
+        return LabConfig(**values)
     except ValueError as exc:
         parser.error(str(exc))
 
 
-def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace,
-              cfg: LabConfig, explicit: set[str]) -> int:
+def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace, cfg: LabConfig) -> int:
+    # Each index and size is checked where it is used, mostly in the library;
+    # only the checks that have no such owner are made here.
     if args.command == "gen-hk":
-        if args.k < 2:
-            parser.error("gen-hk requires --k >= 2")
-        n_trunc = cfg.truncation_degree if args.n is None else args.n
-        if n_trunc < 0:
-            parser.error("gen-hk requires --n >= 0")
+        n_trunc = args.n if args.n is not None else cfg.truncation_degree or 16384
         return cmd_gen_hk(cfg, args.k, n_trunc, args.out)
 
     if args.command == "bd":
-        if args.kmax < 2:
-            parser.error("bd requires --kmax >= 2")
-        n_trunc = cfg.truncation_degree if args.n is None else args.n
+        n_trunc = args.n if args.n is not None else cfg.truncation_degree or 16384
         if n_trunc < 1:
             parser.error("bd requires --n >= 1")
         default = Path(cfg.output_dir) / f"bd_k{args.kmax}_n{n_trunc}.csv"
@@ -289,23 +286,14 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace,
         return cmd_baez_duarte(args.kmax, n_trunc, path, json_path)
 
     if args.command == "verify":
-        if args.suite != "all" and args.suite not in SUITES:
-            parser.error(f"unknown suite {args.suite!r}; choose from all, {', '.join(SUITES)}")
-        if args.suite_seed is not None and args.suite_seed < 0:
-            parser.error(f"verify requires --seed >= 0, got {args.suite_seed}")
-        return cmd_verify(cfg, args.suite, args.suite_seed)
+        return cmd_verify(cfg, args.suite)
 
     if args.command == "spectrum":
-        if args.n < 2:
-            parser.error("spectrum requires --n >= 2")
-        if args.r_steps < 1 or args.theta_steps < 1:
-            parser.error("spectrum requires positive --r-steps and --theta-steps")
-        # the degree floor stays 4096 unless a truncation was asked for
-        min_degree_count = (
-            cfg.truncation_degree if "truncation_degree" in explicit else 4096
-        )
+        # np.linspace would refuse a negative count with a ValueError
+        if args.r_steps < 0:
+            parser.error(f"spectrum requires --r-steps >= 0, got {args.r_steps}")
         return cmd_spectrum(cfg, args.n, args.r_steps, args.theta_steps, args.out,
-                            min_degree_count)
+                            cfg.truncation_degree or 4096)
 
     parser.error(f"unknown command {args.command!r}")
     return 2
@@ -320,9 +308,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    cfg, explicit = _effective_config(parser, args)
+    cfg = _effective_config(parser, args)
     try:
-        return _dispatch(parser, args, cfg, explicit)
+        return _dispatch(parser, args, cfg)
     except OSError as exc:
         parser.error(str(exc))
     except MemoryError as exc:

@@ -22,21 +22,23 @@ b_1..b_j, whatever the columns between the basis and t_i hold.  The
 leading blocks of R^-1 are the inverses of the leading blocks of R, so one
 inversion of R's basis block gives the coefficients of every prefix and
 target and the exact 1-norm condition number of every R[:j,:j], and the
-rank gate runs once, on that block.  ``?geqrt`` factors the matrix in
-place, so the engine holds one (N+1) x (m+r) matrix plus the 2048-row
-blocks of its residual re-check: 8·(N+1)·K bytes for the d_K sequence,
-200 MiB at K = 200, N = 2^17, where a whole run peaks at 274 MiB of
-resident memory (469 MiB with a factored copy beside the matrix; 2-core
-x86-64, OpenBLAS).  Every target's residual norms are re-checked in one
-pass over the row blocks of the unfactored matrix, from the coefficients
-and the original rows, never from Q or R: a row source ``rows(lo, hi)``
-rebuilds each block bit for bit, from the harmonic table for the d_K
-sequence and from the members themselves for series input.  Every BLAS
-call of the engine goes to scipy's OpenBLAS (``?geqrt``, ``?trtrs``,
-``?gemm``) and target norms are summed elementwise: the numpy and scipy
-wheels each bundle their own OpenBLAS with its own thread pool, and a
-numpy BLAS call right after a scipy one wakes the second pool while the
-first still spins, three busy threads on two cores.  Pivoted QR
+rank gate runs once, on that block.  The engine's one input is a row
+source ``rows(lo, hi)``, which gives any block of rows of the matrix bit
+for bit, from the harmonic table for the d_K sequence and from the
+members themselves for series input.  The engine builds the whole matrix
+from it and ``?geqrt`` factors that in place, so the engine holds one
+(N+1) x (m+r) matrix plus the 2048-row blocks of its residual re-check:
+8·(N+1)·K bytes for the d_K sequence, 200 MiB at K = 200, N = 2^17, where
+a whole run peaks at 274 MiB of resident memory (469 MiB with a factored
+copy beside the matrix; 2-core x86-64, OpenBLAS).  Every target's
+residual norms are re-checked in one pass over the row blocks, read from
+the row source again: from the coefficients and the original rows, never
+from Q or R.  Every BLAS call of the engine goes to scipy's OpenBLAS
+(``?geqrt``, ``?trtrs``, ``?gemm``) and target norms are summed
+elementwise: the numpy and scipy wheels each bundle their own OpenBLAS
+with its own thread pool, and a numpy BLAS call right after a scipy one
+wakes the second pool while the first still spins, three busy threads on
+two cores.  Pivoted QR
 (:func:`distance_to_span`) is kept only as the oracle of that engine.
 Every report carries the optimal coefficients, an independently
 recomputed residual norm (enforced to agree with the distance), and a
@@ -54,7 +56,8 @@ import scipy.linalg
 
 from .errors import DegenerateBasis, HypothesisViolated, IndexOutOfRange, ResidualMismatch
 from .semigroup import weighted_dilation
-from .series import CoeffSeries, _check_valid_degree, axpy, from_coeffs, inner, norm
+from .series import (CoeffSeries, _check_array_bytes, _check_valid_degree, axpy, from_coeffs,
+                     inner, norm)
 from .special import _check_hk_args, _fill_hk_columns, _harmonic_table
 
 __all__ = [
@@ -132,7 +135,7 @@ def distance_to_span(target: CoeffSeries, basis: list[CoeffSeries],
         ResidualMismatch: when the residual re-check disagrees with the
             QR distance.
     """
-    aug, _ = _augmented(basis, [target], n_trunc)
+    aug = _augmented(basis, [target], n_trunc)(0, n_trunc + 1)
     a, rhs = aug[:, :-1], aug[:, -1]
     if a.shape[1] > a.shape[0]:
         raise DegenerateBasis(f"{a.shape[1]} basis members exceed {a.shape[0]} coefficients")
@@ -178,7 +181,7 @@ def nested_distances(basis: list[CoeffSeries], targets: list[CoeffSeries],
         ResidualMismatch: when a residual re-check disagrees with its
             distance.
     """
-    return _nested_reports(*_augmented(basis, targets, n_trunc), len(basis))
+    return _nested_reports(_augmented(basis, targets, n_trunc), n_trunc + 1, len(basis))
 
 
 def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceReport]]:
@@ -191,9 +194,9 @@ def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceRe
     and the residual re-check regenerates its rows 2048 at a time from the
     same harmonic table.
     """
-    if k_max < 2:
-        raise IndexOutOfRange(f"k_max must be >= 2, got {k_max}")
     _check_hk_args(k_max, n_trunc)
+    _check_array_bytes(8 * (n_trunc + 1) * k_max,
+                       f"the d_K matrix of {n_trunc + 1} x {k_max} float64 entries")
     h = _harmonic_table(n_trunc)
 
     def rows(lo: int, hi: int) -> np.ndarray:
@@ -204,24 +207,26 @@ def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceRe
             block[0, -1] = 1.0
         return block
 
-    reports = _nested_reports(rows(0, n_trunc + 1), rows, k_max - 1)[0]
+    reports = _nested_reports(rows, n_trunc + 1, k_max - 1)[0]
     return list(zip(range(2, k_max + 1), reports))
 
 
 def _augmented(basis: list[CoeffSeries], targets: list[CoeffSeries],
-               n_trunc: int) -> tuple[np.ndarray, RowSource]:
-    """Column-major [b_1 .. b_m | t_1 .. t_r] at degree ``n_trunc``, complex when any is.
+               n_trunc: int) -> RowSource:
+    """Row source of column-major [b_1 .. b_m | t_1 .. t_r] at degree ``n_trunc``.
 
-    Returned with its row source: ``rows(lo, hi)`` copies rows lo..hi-1 out
-    of the members themselves, zero past a member's valid degree (exact
-    truncation and padding), real members upcast exactly to a complex
-    matrix.  No refitted copy of a member is made or kept.
+    ``rows(lo, hi)`` copies rows lo..hi-1 out of the members themselves,
+    zero past a member's valid degree (exact truncation and padding), into
+    a complex block when any member is complex, real members upcast
+    exactly.  No refitted copy of a member is made or kept.
     """
     if not basis:
         raise ValueError("basis must be nonempty")
     _check_valid_degree(n_trunc)
     columns = [c.coeffs for c in [*basis, *targets]]
-    dtype = complex if any(np.iscomplexobj(c) for c in columns) else float
+    dtype = np.dtype(complex if any(np.iscomplexobj(c) for c in columns) else float)
+    _check_array_bytes(dtype.itemsize * (n_trunc + 1) * len(columns),
+                       f"a matrix of {n_trunc + 1} x {len(columns)} {dtype} entries")
 
     def rows(lo: int, hi: int) -> np.ndarray:
         block = np.zeros((hi - lo, len(columns)), dtype=dtype, order="F")
@@ -230,7 +235,7 @@ def _augmented(basis: list[CoeffSeries], targets: list[CoeffSeries],
             block[: len(part), i] = part
         return block
 
-    return rows(0, n_trunc + 1), rows
+    return rows
 
 
 def _condition_estimate(r: np.ndarray) -> float:
@@ -244,14 +249,16 @@ def _condition_estimate(r: np.ndarray) -> float:
     return float(diag[0] / diag[-1])
 
 
-def _nested_reports(aug: np.ndarray, rows: RowSource, m: int) -> list[list[DistanceReport]]:
-    """For each t_i of ``aug`` = [b_1 .. b_m | t_1 .. t_r], one report per prefix b_1..b_j.
+def _nested_reports(rows: RowSource, n_rows: int, m: int) -> list[list[DistanceReport]]:
+    """For each t_i of [b_1 .. b_m | t_1 .. t_r], one report per prefix b_1..b_j.
 
-    The caller hands ``aug`` over, column-major: it is factored in place.
-    ``rows(lo, hi)`` gives rows lo..hi-1 of the unfactored matrix, bit for
-    bit, to the residual re-check.
+    ``rows(lo, hi)`` gives rows lo..hi-1 of that matrix, column-major.  The
+    engine builds the whole matrix, ``rows(0, n_rows)``, and factors it in
+    place; the residual re-check reads the unfactored rows from ``rows``
+    again, bit for bit.
     """
-    n_rows, cols = aug.shape
+    aug = rows(0, n_rows)
+    cols = aug.shape[1]
     # Summed elementwise, not by numpy's BLAS ``dot``: see the module docstring.
     target_norms = [float(np.sqrt(np.sum(np.abs(aug[:, j]) ** 2))) for j in range(m, cols)]
     # ?geqrt overwrites ``aug`` with R on and above the diagonal: f2py

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import get_lapack_funcs, toeplitz
 
-from .errors import NearZeroConstantTerm
+from .errors import IndexOutOfRange, NearZeroConstantTerm
 
 __all__ = [
     "CoeffSeries",
@@ -105,6 +105,12 @@ class CoeffSeries:
 def _check_valid_degree(valid_degree: int) -> None:
     if valid_degree < 0:
         raise ValueError(f"valid degree must be >= 0, got {valid_degree}")
+
+
+def _check_array_bytes(nbytes: int, what: str) -> None:
+    """Refuse, as a typed error, an array numpy refuses: one of more than intp's max bytes."""
+    if nbytes > np.iinfo(np.intp).max:
+        raise IndexOutOfRange(f"{what} is past numpy's array size limit")
 
 
 def from_coeffs(values) -> CoeffSeries:

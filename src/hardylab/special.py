@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .errors import IndexOutOfRange
-from .series import CoeffSeries, cumsum, formal_log
+from .series import CoeffSeries, _check_array_bytes, cumsum, formal_log
 
 __all__ = [
     "hk_closed_form",
@@ -33,6 +33,7 @@ def _check_hk_args(k: int, n_trunc: int) -> None:
         )
     if n_trunc < 0:
         raise IndexOutOfRange(f"truncation degree must be >= 0, got {n_trunc}")
+    _check_array_bytes(8 * (n_trunc + 1), f"h_k through degree {n_trunc}")
 
 
 def hk_closed_form(k: int, n_trunc: int) -> CoeffSeries:

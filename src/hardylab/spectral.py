@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, OutsideSpectralBall
 from .semigroup import weighted_dilation_adjoint
-from .series import CoeffSeries, norm
+from .series import CoeffSeries, _check_array_bytes, norm
 
 __all__ = [
     "EigenPair",
@@ -173,7 +173,7 @@ def eigenvector_norm_sq(n: int, lam: complex | np.ndarray, level: int) -> float 
 def level_for_degree(n: int, min_degree_count: int = 4096) -> int:
     """Smallest level L with n^L >= min_degree_count coefficients; needs n >= 2."""
     if n < 2:
-        raise IndexOutOfRange(f"level_for_degree needs index >= 2, got {n}")
+        raise IndexOutOfRange(f"index n must be >= 2, got {n}")
     level = 1
     while n**level < min_degree_count:
         level += 1
@@ -232,8 +232,6 @@ def spectral_disk_scan(
     n = 2, apart in the last bits for n >= 3), and each norm is
     sqrt(sum of count * |value|^2), within an ulp of the exactly rounded norm.
     """
-    if n < 2:
-        raise IndexOutOfRange(f"spectral scan needs index >= 2, got {n}")
     if angles_count < 1:
         raise IndexOutOfRange(f"angles_count must be >= 1, got {angles_count}")
     radii = [float(r) for r in radii]
@@ -244,7 +242,14 @@ def spectral_disk_scan(
             raise OutsideSpectralBall(f"relative radius {r} is outside [0, 1)")
     level = level_for_degree(n, min_degree_count)
     _checked_level(n, level)
-    turns = np.array([np.exp(2j * np.pi * t / angles_count) for t in range(angles_count)])
+    # the eigenvectors' band table, level + 1 complex values a point, is the largest array
+    _check_array_bytes(16 * (level + 1) * len(radii) * angles_count,
+                       f"a scan of {len(radii)} x {angles_count} points at level {level}")
+    # e^(2j*pi*t/N) from 2j*pi*t/N as CPython's complex arithmetic rounds it:
+    # its real part is exactly +0.0 and its imaginary part (2*pi*t)/N
+    turns = np.zeros(angles_count, dtype=np.complex128)
+    turns.imag = 2 * np.pi * np.arange(angles_count) / angles_count
+    turns = np.exp(turns)
     f = np.array(radii)[:, None] * math.sqrt(n)
     # f * turn as numpy's float * complex rounds it, f taken as (f, 0.0); the
     # 0.0 terms set the signs of the zeros at r = 0

@@ -759,3 +759,46 @@ class TestConfig:
             run(["--output-dir", str(blocker / "sub")] + argv)
         assert exc.value.code == 2
         assert str(blocker) in capsys.readouterr().err
+
+
+def assert_usage_error(tmp_path, capsys, argv, message):
+    """argv exits 2 naming ``message``, with no traceback and no file written."""
+    with pytest.raises(SystemExit) as exc:
+        run(["--output-dir", str(tmp_path)] + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+class TestInputOwners:
+    """Each input is checked once, where it is used, and bad input exits 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen-hk", "--k", "1"], "IndexOutOfRange: h_k is defined for k >= 2, got 1"),
+        (["gen-hk", "--k", "3", "--n", "-1"],
+         "IndexOutOfRange: truncation degree must be >= 0, got -1"),
+        (["bd", "--kmax", "1"], "IndexOutOfRange: h_k is defined for k >= 2, got 1"),
+        (["spectrum", "--n", "1"], "IndexOutOfRange: index n must be >= 2, got 1"),
+        (["spectrum", "--n", "3", "--theta-steps", "0"],
+         "IndexOutOfRange: angles_count must be >= 1, got 0"),
+        (["verify", "--suite", "bogus"], "argument --suite: invalid choice: 'bogus'"),
+        (["verify", "--suite", "kernel", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["gen-hk-k", "gen-hk-n", "bd-kmax", "spectrum-n", "spectrum-theta-steps",
+            "verify-suite", "verify-seed"])
+    def test_relocated_check_is_usage_error(self, tmp_path, capsys, argv, message):
+        assert_usage_error(tmp_path, capsys, argv, message)
+
+    # 10^30 entries: numpy refuses any size of 2^63 or more before allocating.
+    @pytest.mark.parametrize("argv, what", [
+        (["gen-hk", "--k", "3", "--n", str(10**30)], f"h_k through degree {10**30}"),
+        (["bd", "--kmax", str(10**30)], f"the d_K matrix of 16385 x {10**30} float64 entries"),
+        (["bd", "--kmax", "3", "--n", str(10**30)], f"h_k through degree {10**30}"),
+        (["spectrum", "--n", "3", "--r-steps", str(10**30)], f"a list of {10**30} radii"),
+        (["spectrum", "--n", "3", "--theta-steps", str(10**30)],
+         f"a scan of 5 x {10**30} points at level 8"),
+    ], ids=["gen-hk-n", "bd-kmax", "bd-n", "spectrum-r-steps", "spectrum-theta-steps"])
+    def test_size_past_numpy_array_limit_is_usage_error(self, tmp_path, capsys, argv, what):
+        message = f"IndexOutOfRange: {what} is past numpy's array size limit"
+        assert_usage_error(tmp_path, capsys, argv, message)

@@ -151,6 +151,11 @@ class TestBaezDuarteSequence:
         with pytest.raises(IndexOutOfRange):
             hl.baez_duarte_sequence(1, 64)
 
+    @pytest.mark.parametrize("k_max, n_trunc", [(2**63, 64), (3, 2**63)])
+    def test_rejects_matrix_past_numpy_array_limit(self, k_max, n_trunc):
+        with pytest.raises(IndexOutOfRange, match="array size limit"):
+            hl.baez_duarte_sequence(k_max, n_trunc)
+
 
 def basis_matrix(basis, n_trunc):
     """The (n_trunc + 1) x j matrix of the basis refitted to degree ``n_trunc``."""
@@ -242,6 +247,12 @@ class TestNestedDistances:
         h2, h3 = hl.hk_closed_form(2, n_trunc), hl.hk_closed_form(3, n_trunc)
         with pytest.raises(DegenerateBasis, match="zero on its diagonal"):
             hl.nested_distances([h2, hl.zero(n_trunc), h3], [hl.one(n_trunc)], n_trunc)
+
+    def test_rejects_matrix_past_numpy_array_limit(self):
+        with pytest.raises(IndexOutOfRange, match="array size limit"):
+            hl.nested_distances([hl.one(4)], [hl.one(4)], 2**63)
+        with pytest.raises(IndexOutOfRange, match="array size limit"):
+            hl.distance_to_span(hl.one(4), [hl.one(4)], 2**63)
 
     def test_repeated_member_fails_condition_gate(self):
         n_trunc = 128
@@ -362,9 +373,9 @@ class TestRowSources:
     def test_baez_duarte_rows_match_its_matrix(self, monkeypatch):
         handed_over = {}
 
-        def capture(aug, rows, m):
-            handed_over.update(aug=aug.copy(), rows=rows)
-            return nested_reports(aug, rows, m)
+        def capture(rows, n_rows, m):
+            handed_over.update(aug=rows(0, n_rows), rows=rows)
+            return nested_reports(rows, n_rows, m)
 
         nested_reports = projection._nested_reports
         monkeypatch.setattr(projection, "_nested_reports", capture)
@@ -384,7 +395,8 @@ class TestRowSources:
             hl.from_coeffs(rng.standard_normal(n + 500)),  # truncated
             hl.from_coeffs([0.0, -0.0, 5e-324, 1.0]),  # signed zeros and a subnormal
         ]
-        aug, rows = _augmented(members[:3], members[3:], n)
+        rows = _augmented(members[:3], members[3:], n)
+        aug = rows(0, n + 1)
         assert aug.dtype == np.complex128
         for column, member in zip(aug.T, members):
             fitted = hl.fit_degree(member, n).coeffs
@@ -395,7 +407,8 @@ class TestRowSources:
     def test_real_series_rows_stay_real(self):
         rng = np.random.default_rng(12)
         members = [hl.from_coeffs(rng.standard_normal(self.N_TRUNC + 1)) for _ in range(3)]
-        aug, rows = _augmented(members[:2], members[2:], self.N_TRUNC)
+        rows = _augmented(members[:2], members[2:], self.N_TRUNC)
+        aug = rows(0, self.N_TRUNC + 1)
         assert aug.dtype == np.float64
         self.assert_rows_match(aug, rows)
 

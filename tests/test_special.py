@@ -51,6 +51,12 @@ class TestHkValues:
         assert np.array_equal(got, _harmonic_table(5) - np.log(k))
         assert peak < 1 << 20
 
+    def test_rejects_degree_past_numpy_array_limit(self):
+        # 2^63 coefficients: numpy itself would refuse them with a ValueError
+        for make in (hl.hk_closed_form, hl.hk_oracle):
+            with pytest.raises(IndexOutOfRange, match="array size limit"):
+                make(3, 2**63)
+
     @pytest.mark.parametrize("k", [2**1024, 10**400])
     def test_rejects_k_beyond_double_precision(self, k):
         for make in (hl.hk_closed_form, hl.hk_oracle):

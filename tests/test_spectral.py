@@ -196,6 +196,17 @@ class TestDiskScan:
         with pytest.raises(IndexOutOfRange):
             hl.spectral_disk_scan(1, [0.5], 4)
 
+    def test_angles_match_python_complex_arithmetic(self):
+        # at n = 4 and r = 0.5 the radius is exactly 1.0, so each point is its turn
+        for count in [*range(1, 300), 1000, 4096, 10007]:
+            turns = [np.exp(2j * np.pi * t / count) for t in range(count)]
+            lam = hl.spectral_disk_scan(4, [0.5], count).lam
+            assert lam.tobytes() == np.array(turns).tobytes(), count
+
+    def test_angle_count_past_numpy_array_limit_rejected(self):
+        with pytest.raises(IndexOutOfRange, match="array size limit"):
+            hl.spectral_disk_scan(3, [0.5], 2**63)
+
     def test_empty_radii_rejected(self):
         with pytest.raises(IndexOutOfRange, match="radii"):
             hl.spectral_disk_scan(2, [], 4)
