@@ -55,6 +55,7 @@ from .series import (
 )
 from .special import (
     dirichlet_energy_at_one,
+    dirichlet_energy_at_one_array,
     hk_closed_form,
     hk_oracle,
     truncation_certificate,
@@ -91,6 +92,7 @@ __all__ = [
     "cyclicity_scan",
     "dilation",
     "dirichlet_energy_at_one",
+    "dirichlet_energy_at_one_array",
     "distance_to_span",
     "eigenvector_norm_sq",
     "fit_degree",

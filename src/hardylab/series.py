@@ -296,17 +296,23 @@ def write_columns(fh, columns) -> None:
     nonzero float is encoded exactly with integer arithmetic
     (:func:`_float_cells`) and zeros are laid out directly; nan, inf and
     the rare rows :func:`_scaled_decimal` leaves uncertain are formatted by
-    ``format``, one cell at a time.  Tests pin the bytes to the per-value
-    formatting.
+    ``format``, one cell at a time.  The float columns of a block share one
+    encoder call, whose cost is mostly fixed.  Tests pin the bytes to the
+    per-value formatting.
     """
     values = [(_cell_encoder(v.dtype), v) for v in map(np.asarray, columns)]
     seps = [ord(",")] * (len(values) - 1) + [ord("\n")]
     nrows = len(values[0][1])
     for start in range(0, nrows, _CSV_BLOCK_ROWS):
         rows = min(_CSV_BLOCK_ROWS, nrows - start)
+        block = [v[start:start + rows] for _, v in values]
+        floats = [v for (encode, _), v in zip(values, block) if encode is _float_cells]
+        float_cells = iter(_float_cells(np.concatenate(floats)).reshape(len(floats), rows, -1)
+                           if floats else ())
         parts = []
-        for (encode, v), sep in zip(values, seps):
-            parts += [encode(v[start:start + rows]), np.full((rows, 1), sep, dtype=np.uint8)]
+        for (encode, _), v, sep in zip(values, block, seps):
+            cells = next(float_cells) if encode is _float_cells else encode(v)
+            parts += [cells, np.full((rows, 1), sep, dtype=np.uint8)]
         mat = np.concatenate(parts, axis=1)
         fh.write(mat[mat != 0].tobytes())
 

@@ -21,6 +21,7 @@ __all__ = [
     "hk_oracle",
     "truncation_certificate",
     "dirichlet_energy_at_one",
+    "dirichlet_energy_at_one_array",
 ]
 
 
@@ -117,13 +118,22 @@ def truncation_certificate(coefficients, n_trunc: int) -> float:
     return float(sum(abs(c) * (k / root) for k, c in enumerate(coefficients, start=2)))
 
 
+def dirichlet_energy_at_one_array(c: np.ndarray) -> np.ndarray:
+    """:func:`dirichlet_energy_at_one` of each coefficient row on the last axis of ``c``.
+
+    One cumulative pass over the whole stack; each row's energy is the
+    same, bit for bit, as the lone series gets.
+    """
+    partial = np.cumsum(c, axis=-1)
+    tails = partial[..., -1:] - partial
+    return np.sum(np.abs(tails) ** 2, axis=-1)
+
+
 def dirichlet_energy_at_one(f: CoeffSeries) -> float:
     """Tail-sum energy sum_i |sum_{j>i} f_j|^2 truncated at the valid degree.
 
     Equals the local Dirichlet energy at the boundary point 1 exactly
     whenever f is a polynomial of degree <= valid_degree.  Computed with a
-    single cumulative pass, O(N).
+    single cumulative pass, O(N), by :func:`dirichlet_energy_at_one_array`.
     """
-    partial = np.cumsum(f.coeffs)
-    tails = partial[-1] - partial
-    return float(np.sum(np.abs(tails) ** 2))
+    return float(dirichlet_energy_at_one_array(f.coeffs))

@@ -28,8 +28,8 @@ from operator import mul
 import numpy as np
 
 from .errors import IndexOutOfRange, OutsideSpectralBall
-from .semigroup import weighted_dilation_adjoint
-from .series import CoeffSeries, _check_array_bytes, norm
+from .semigroup import weighted_dilation_adjoint, weighted_dilation_adjoint_array
+from .series import CoeffSeries, _check_array_bytes, array_norm, norm
 
 __all__ = [
     "EigenPair",
@@ -139,12 +139,11 @@ def adjoint_eigenvector(n: int, lam: complex, level: int) -> EigenPair:
     # the scan's recurrence in Python complex arithmetic, kept apart as its oracle
     bands = accumulate(repeat(lam / n, level - 1), mul, initial=(lam - 1) / (n - 1))
     v = np.repeat([1.0, *bands], [1] + [n**ell * (n - 1) for ell in range(level)])
-    vec = CoeffSeries(v)
-    adj = weighted_dilation_adjoint(n, vec)
     window = n ** (level - 1)
-    residual = float(np.linalg.norm(adj.coeffs - lam * v[:window]))
-    tail_mass = float(np.linalg.norm(v[window:]))
-    return EigenPair(n=n, lam=lam, level=level, vector=vec, residual=residual, tail_mass=tail_mass)
+    residual = array_norm(weighted_dilation_adjoint_array(n, v) - lam * v[:window])
+    tail_mass = array_norm(v[window:])
+    return EigenPair(n=n, lam=lam, level=level, vector=CoeffSeries(v), residual=residual,
+                     tail_mass=tail_mass)
 
 
 def eigenvector_norm_sq(n: int, lam: complex | np.ndarray, level: int) -> float | np.ndarray:

@@ -17,11 +17,24 @@ of one series at a time.  Rows come in blocks whose widest array holds at
 most ``_STACK_BYTES``; each block takes its inputs in one
 ``rng.standard_normal((rows, 2 * series, length))`` call, which is the
 same stream, in the same order, as one :func:`random_series` call per
-series.  Transforms run once per block through the array kernels of
-:mod:`hardylab.semigroup`, while every norm and inner product is still
-taken per row (:func:`~hardylab.series.array_norm`, ``np.vdot``) on the
-same numbers as before, so every check value is the same bit for bit
-whatever the block size.
+series.  Each quantity is one call per block: the transforms go through
+the array kernels of :mod:`hardylab.semigroup` and
+:func:`~hardylab.special.dirichlet_energy_at_one_array`, and every row
+norm and pairing through ``np.vecdot``, which runs the same BLAS dot per
+row as :func:`~hardylab.series.array_norm` and ``np.vdot``.  The scalar
+rounding rules carry over to the rows: the modulus of a complex value is
+``np.hypot``, as Python's ``abs`` rounds it (``np.abs`` differs in the
+last bit), and a power of a float is ``np.float_power``, libm ``pow`` as
+Python's ``**`` (``x * x`` differs).  The running ``_worse``/``_lower``
+is folded over each block's values in row order, so every check value is
+the same bit for bit whatever the block size, and the same as one series
+at a time gives.
+
+``_STACK_BYTES`` is 128 KiB.  At that budget the adjoint suite, the
+largest, peaks at 0.33 MiB of traced allocations (``tracemalloc``, seed 1),
+under the 0.73 MiB of ``suite_hk``'s fixed tables.  256 KiB halves the
+number of blocks and made ``verify --suite all`` about 10% faster still,
+but raised the benchmark's peak RSS by about 0.5 MiB.
 """
 
 from __future__ import annotations
@@ -42,8 +55,13 @@ from .semigroup import (
     weighted_dilation_adjoint_array,
     weighted_dilation_array,
 )
-from .series import CoeffSeries, array_norm, from_coeffs, inner, norm, one, pad
-from .special import dirichlet_energy_at_one, hk_closed_form, hk_oracle
+from .series import CoeffSeries, from_coeffs, inner, norm, one, pad
+from .special import (
+    dirichlet_energy_at_one,
+    dirichlet_energy_at_one_array,
+    hk_closed_form,
+    hk_oracle,
+)
 from .spectral import (
     adjoint_eigenvector,
     eigenvector_norm_sq,
@@ -70,8 +88,8 @@ __all__ = [
 
 
 # Upper bound on the bytes of the widest row stack a suite holds at once.
-# Several stacks of that size are live together, so 128 KiB keeps the
-# suites' extra peak memory near half a MiB.
+# Several stacks of that size are live together; see the module docstring
+# for the peak this budget gives.
 _STACK_BYTES = 1 << 17
 
 
@@ -106,6 +124,19 @@ def _lower(best: float, value: float) -> float:
     return best if best <= value or best != best else value
 
 
+def _fold(step, start: float, values: np.ndarray) -> float:
+    """``step`` (``_worse`` or ``_lower``) folded over ``values`` in row order from ``start``."""
+    return functools.reduce(step, values.tolist(), start)
+
+
+def _row_norms(c: np.ndarray) -> np.ndarray:
+    """:func:`~hardylab.series.array_norm` of each row on the last axis of ``c``, bit for bit."""
+    if c.dtype.kind == "c":
+        re, im = c.real, c.imag
+        return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    return np.sqrt(np.vecdot(c, c))
+
+
 def _row_blocks(rows: int, row_bytes: int) -> list[int]:
     """Sizes of consecutive blocks of ``rows`` rows, each row stack within ``_STACK_BYTES``.
 
@@ -137,22 +168,51 @@ def random_series(rng: np.random.Generator, valid_degree: int) -> CoeffSeries:
     return from_coeffs(_random_rows(rng, 1, 1, valid_degree)[0, 0])
 
 
-def adjoint_duality_gap(n: int, f: np.ndarray, g: np.ndarray) -> list[float]:
+def adjoint_duality_gap(n: int, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """|<Wf, g> - <f, W*g>| for each row pair of ``f`` and ``g``, on matched exact windows.
 
-    ``f`` and ``g`` are 2-d arrays holding one pair per row; the result has
-    one float per pair, each inner product taken on its pair.  The adjoint
-    of g only reports complete blocks, so the left pairing is restricted to
-    the degrees those blocks cover; without that matching a dangling partial
-    block would show up as a spurious duality violation.
+    ``f`` and ``g`` are stacks holding one pair per row on their last axis;
+    the result has one float per pair, each inner product taken on its
+    pair.  The adjoint of g only reports complete blocks, so the left
+    pairing is restricted to the degrees those blocks cover; without that
+    matching a dangling partial block would show up as a spurious duality
+    violation.
     """
     adj = weighted_dilation_adjoint_array(n, g)
     m = min(f.shape[-1], adj.shape[-1])
-    head = f[:, :m]
-    return [
-        abs(complex(np.vdot(b[: len(w)], w)) - complex(np.vdot(a[:m], h)))
-        for h, w, b, a in zip(head, weighted_dilation_array(n, head), g, adj)
-    ]
+    head = f[..., :m]
+    wf = weighted_dilation_array(n, head)
+    # np.vecdot conjugates its first argument, as np.vdot does
+    d = np.vecdot(g[..., : wf.shape[-1]], wf) - np.vecdot(adj[..., :m], head)
+    return np.hypot(d.real, d.imag)
+
+
+def _isometry_errors(n: int, f: np.ndarray, nf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Relative errors of ||Wf|| = sqrt(n)||f|| and W*Wf = n f for each row of ``f``.
+
+    ``nf`` holds the rows' norms.
+    """
+    wf = weighted_dilation_array(n, f)
+    back = weighted_dilation_adjoint_array(n, wf)
+    root = math.sqrt(n) * nf
+    return np.abs(_row_norms(wf) - root) / root, _row_norms(back - n * f) / nf
+
+
+def _cauchy_schwarz_gaps(f: np.ndarray) -> np.ndarray:
+    """(||Wf||^2||f||^2 - |<Wf,f>|^2) / ||f||^4 at index 2 for each row of ``f``."""
+    wf = weighted_dilation_array(2, f)
+    nf = _row_norms(f)
+    pairing = np.vecdot(f, wf[..., : f.shape[-1]])  # <Wf, f>
+    gap = (np.float_power(_row_norms(wf), 2) * np.float_power(nf, 2)
+           - np.float_power(np.hypot(pairing.real, pairing.imag), 2))
+    return gap / np.float_power(nf, 4)
+
+
+def _dirichlet_ratios(n: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """energy / (2^n n ||f||^2) for each row f of ``c``, and whether energy <= n^2 ||f||^2."""
+    energy = dirichlet_energy_at_one_array(c)
+    norm_sq = np.float_power(_row_norms(c), 2)
+    return energy / (2**n * n * norm_sq), energy <= n**2 * norm_sq
 
 
 def suite_adjoint(seed: int = 0) -> list[CheckResult]:
@@ -160,10 +220,9 @@ def suite_adjoint(seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     for rows in _row_blocks(200, 2 * 513 * 16):
         f, g = _random_rows(rng, rows, 2, 512).transpose(1, 0, 2)
-        scales = [array_norm(a) * array_norm(b) for a, b in zip(f, g)]
+        scales = _row_norms(f) * _row_norms(g)
         for n in (2, 3, 5, 7):
-            for gap, scale in zip(adjoint_duality_gap(n, f, g), scales):
-                worst = _worse(worst, gap / scale)
+            worst = _fold(_worse, worst, adjoint_duality_gap(n, f, g) / scales)
     return [CheckResult("adjoint duality <Wf,g> = <f,W*g>", worst, 1e-10)]
 
 
@@ -173,15 +232,11 @@ def suite_isometry(seed: int = 0) -> list[CheckResult]:
     worst_wsw = 0.0
     for rows in _row_blocks(100, 10 * 257 * 16):
         f = _random_rows(rng, rows, 1, 256)[:, 0]
-        norms = [array_norm(row) for row in f]
+        nf = _row_norms(f)
         for n in range(2, 11):
-            wf = weighted_dilation_array(n, f)
-            back = weighted_dilation_adjoint_array(n, wf)
-            for w, d, nf in zip(wf, back - n * f, norms):
-                worst_iso = _worse(
-                    worst_iso, abs(array_norm(w) - math.sqrt(n) * nf) / (math.sqrt(n) * nf)
-                )
-                worst_wsw = _worse(worst_wsw, array_norm(d) / nf)
+            iso, wsw = _isometry_errors(n, f, nf)
+            worst_iso = _fold(_worse, worst_iso, iso)
+            worst_wsw = _fold(_worse, worst_wsw, wsw)
     return [
         CheckResult("isometry ||Wf|| = sqrt(n)||f||", worst_iso, 1e-12),
         CheckResult("adjoint inversion W*Wf = n f", worst_wsw, 1e-13),
@@ -204,11 +259,7 @@ def suite_semigroup(seed: int = 0) -> list[CheckResult]:
     min_gap = np.inf
     for rows in _row_blocks(100, 2 * 65 * 16):
         f = _random_rows(rng, rows, 1, 64)[:, 0]
-        for row, wf in zip(f, weighted_dilation_array(2, f)):
-            nf = array_norm(row)
-            pairing = complex(np.vdot(row, wf[: len(row)]))  # <Wf, f>
-            gap = array_norm(wf) ** 2 * nf**2 - abs(pairing) ** 2
-            min_gap = _lower(min_gap, gap / nf**4)
+        min_gap = _fold(_lower, min_gap, _cauchy_schwarz_gaps(f))
     results.append(
         CheckResult("no-eigenvector gap (index 2) stays positive", 1e-12 - min_gap, 0.0,
                     note=f"min normalized gap {min_gap:.3e}")
@@ -305,12 +356,10 @@ def suite_dirichlet(seed: int = 0) -> list[CheckResult]:
         for rows in _row_blocks(50, 21 * n * 16):
             # random members of ker W_n* on 21 blocks: each block minus its mean
             c = _random_rows(rng, rows, 1, 21 * n - 1).reshape(rows, 21, n)
-            for acc in (c - c.mean(axis=-1, keepdims=True)).reshape(rows, 21 * n):
-                f = from_coeffs(acc)
-                energy = dirichlet_energy_at_one(f)
-                worst_ratio = _worse(worst_ratio, energy / (2**n * n * norm(f) ** 2))
-                if not energy <= n**2 * norm(f) ** 2:  # a NaN energy fails it too
-                    sharp_holds = False
+            members = (c - c.mean(axis=-1, keepdims=True)).reshape(rows, 21 * n)
+            ratios, sharp = _dirichlet_ratios(n, members)
+            worst_ratio = _fold(_worse, worst_ratio, ratios)
+            sharp_holds = sharp_holds and bool(sharp.all())  # a NaN energy fails it too
     # The tails of kernel_vector(n, 0) are -1, -2, .., -(n-1), all exact.
     closed_err = functools.reduce(_worse, (
         abs(dirichlet_energy_at_one(kernel_vector(n, 0)) - (n - 1) * n * (2 * n - 1) // 6)

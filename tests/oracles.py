@@ -9,7 +9,7 @@ from scipy.linalg import solve_triangular, toeplitz
 
 import hardylab as hl
 from hardylab.errors import IndexOutOfRange
-from hardylab.series import _LOG_BLOCK
+from hardylab.series import _LOG_BLOCK, array_norm
 from hardylab.verify import CheckResult
 
 
@@ -99,6 +99,71 @@ def python_complex_bands(n: int, lams, level: int) -> np.ndarray:
     return np.array(rows, dtype=np.complex128).reshape(-1, level)
 
 
+def series_adjoint_eigenvector(n: int, lam: complex, level: int):
+    """(vector, residual, tail mass) of ``hl.adjoint_eigenvector`` through series operations.
+
+    Its earlier form: the adjoint of the vector as a ``CoeffSeries`` and both
+    norms by ``np.linalg.norm``.
+    """
+    lam = complex(lam)
+    bands = accumulate(repeat(lam / n, level - 1), mul, initial=(lam - 1) / (n - 1))
+    v = np.repeat([1.0, *bands], [1] + [n**ell * (n - 1) for ell in range(level)])
+    vec = hl.CoeffSeries(v)
+    adj = hl.weighted_dilation_adjoint(n, vec)
+    window = n ** (level - 1)
+    residual = float(np.linalg.norm(adj.coeffs - lam * v[:window]))
+    return vec.coeffs, residual, float(np.linalg.norm(v[window:]))
+
+
+# ---------------------------------------------------------------------------
+# One row at a time: the loop bodies the row-stack suites reduce in one call
+# ---------------------------------------------------------------------------
+
+
+def row_duality_gap(n: int, f: np.ndarray, g: np.ndarray) -> float:
+    """|<Wf, g> - <f, W*g>| for one pair of 1-d rows, with ``np.vdot`` and Python's ``abs``."""
+    adj = hl.weighted_dilation_adjoint_array(n, g)
+    head = f[: min(len(f), len(adj))]
+    w = hl.weighted_dilation_array(n, head)
+    return abs(complex(np.vdot(g[: len(w)], w)) - complex(np.vdot(adj[: len(head)], head)))
+
+
+def row_adjoint_scale(f: np.ndarray, g: np.ndarray) -> float:
+    """||f|| ||g||, the scale the adjoint suite divides each gap by."""
+    return array_norm(f) * array_norm(g)
+
+
+def row_isometry_errors(n: int, f: np.ndarray) -> tuple[float, float]:
+    """The isometry and inversion errors of one row, in Python float arithmetic."""
+    nf = array_norm(f)
+    w = hl.weighted_dilation_array(n, f)
+    d = hl.weighted_dilation_adjoint_array(n, w) - n * f
+    return abs(array_norm(w) - math.sqrt(n) * nf) / (math.sqrt(n) * nf), array_norm(d) / nf
+
+
+def row_cauchy_schwarz_gap(f: np.ndarray) -> float:
+    """(||Wf||^2||f||^2 - |<Wf,f>|^2) / ||f||^4 at index 2, with Python's ``**`` and ``abs``."""
+    wf = hl.weighted_dilation_array(2, f)
+    nf = array_norm(f)
+    pairing = complex(np.vdot(f, wf[: len(f)]))
+    gap = array_norm(wf) ** 2 * nf**2 - abs(pairing) ** 2
+    return gap / nf**4
+
+
+def scalar_dirichlet_energy(c: np.ndarray) -> float:
+    """``hl.dirichlet_energy_at_one`` of one row, in its earlier 1-d form."""
+    partial = np.cumsum(c)
+    tails = partial[-1] - partial
+    return float(np.sum(np.abs(tails) ** 2))
+
+
+def row_dirichlet_ratio(n: int, c: np.ndarray) -> tuple[float, bool]:
+    """energy / (2^n n ||f||^2) of one row, and whether energy <= n^2 ||f||^2."""
+    energy = scalar_dirichlet_energy(c)
+    nf = hl.norm(hl.from_coeffs(c))
+    return energy / (2**n * n * nf**2), bool(energy <= n**2 * nf**2)
+
+
 # ---------------------------------------------------------------------------
 # One-series-at-a-time forms of the identity suites that run on row stacks
 # ---------------------------------------------------------------------------
@@ -173,8 +238,35 @@ def series_suite_semigroup(seed: int = 0):
     return results
 
 
+def series_suite_dirichlet(seed: int = 0):
+    rng = np.random.default_rng(seed)
+    worst_ratio = 0.0
+    sharp_holds = True
+    for n in (3, 4):
+        for _ in range(50):
+            c = series_random(rng, 21 * n - 1).coeffs.reshape(21, n)
+            f = hl.from_coeffs((c - c.mean(axis=-1, keepdims=True)).ravel())
+            energy = scalar_dirichlet_energy(f.coeffs)
+            worst_ratio = max(worst_ratio, energy / (2**n * n * hl.norm(f) ** 2))
+            sharp_holds = sharp_holds and energy <= n**2 * hl.norm(f) ** 2
+    closed_err = max(
+        abs(scalar_dirichlet_energy(hl.kernel_vector(n, 0).coeffs) - (n - 1) * n * (2 * n - 1) // 6)
+        for n in range(2, 9)
+    )
+    return [
+        CheckResult("kernel combinations have energy <= 2^n n ||f||^2", worst_ratio, 1.0,
+                    note=f"sharper n^2 bound held: {sharp_holds}"),
+        CheckResult("energy of kernel_vector(n, 0) is (n-1)n(2n-1)/6", closed_err, 0.0,
+                    note="n = 2..8"),
+        CheckResult("energy of 1 - z is exactly 1",
+                    abs(scalar_dirichlet_energy(np.array([1.0, -1.0])) - 1.0), 0.0),
+        CheckResult("energy of the constant is 0", scalar_dirichlet_energy(np.ones(1)), 0.0),
+    ]
+
+
 SERIES_SUITES = {
     "adjoint": series_suite_adjoint,
+    "dirichlet": series_suite_dirichlet,
     "isometry": series_suite_isometry,
     "semigroup": series_suite_semigroup,
 }

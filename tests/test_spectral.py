@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import python_complex_bands
+from oracles import python_complex_bands, series_adjoint_eigenvector
 
 import hardylab as hl
 from hardylab import spectral
@@ -80,6 +80,20 @@ class TestEigenvectorConstruction:
             )
             pair = hl.adjoint_eigenvector(n, lam, level)
             assert pair.residual <= 1e-10 * hl.norm(pair.vector)
+
+    def test_matches_its_series_form_bit_for_bit(self):
+        rng = np.random.default_rng(400)
+        for _ in range(400):
+            n = int(rng.integers(2, 8))
+            level = int(rng.integers(1, hl.level_for_degree(n, 2048) + 1))
+            lam = 0.99 * np.sqrt(n) * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+            pair = hl.adjoint_eigenvector(n, lam, level)
+            vector, residual, tail_mass = series_adjoint_eigenvector(n, lam, level)
+            assert pair.vector.coeffs.dtype == vector.dtype
+            assert pair.vector.coeffs.tobytes() == vector.tobytes()
+            assert type(pair.residual) is float and type(pair.tail_mass) is float
+            got = (pair.residual.hex(), pair.tail_mass.hex())
+            assert got == (residual.hex(), tail_mass.hex()), (n, lam, level)
 
 
 def top_level(n):

@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 from hardylab import verify
-from oracles import SERIES_SUITES, series_random
+from oracles import (
+    SERIES_SUITES,
+    row_adjoint_scale,
+    row_cauchy_schwarz_gap,
+    row_dirichlet_ratio,
+    row_duality_gap,
+    row_isometry_errors,
+    scalar_dirichlet_energy,
+    series_random,
+)
 
 SEEDS = [0, 7, 20240817, 20240826, 2**31 - 1]
 
@@ -54,6 +63,100 @@ def test_random_rows_assemble_the_parts_bit_for_bit(shape):
     want = parts[:, 0::2] + 1j * parts[:, 1::2]
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def squares_apart(rng, count):
+    """``count`` doubles x whose x * x differs from Python's x ** 2 (libm pow)."""
+    found = []
+    while len(found) < count:
+        x = rng.standard_normal(4096) * 10.0
+        found += [v for v, sq in zip(x.tolist(), (x * x).tolist()) if v**2 != sq]
+    return found[:count]
+
+
+def row_stack(kind, rows, length, seed=3):
+    """Random rows, the first few of which have a norm x with x * x != x ** 2.
+
+    The row [x, 0, .., 0] has norm sqrt(x * x), which is |x| exactly.
+    """
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((rows, length))
+    if kind == "complex":
+        stack = stack + 1j * rng.standard_normal((rows, length))
+    planted = squares_apart(rng, 4)
+    stack[: len(planted)] = 0.0
+    stack[: len(planted), 0] = planted
+    return stack
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def rounding_rules_differ(values):
+    """Whether ``values`` hold an x with x * x != x ** 2, and a z with np.abs(z) != abs(z)."""
+    values = np.asarray(values)
+    squares = [v for v in values.real.tolist() if v * v != v**2]
+    moduli = [z for z in values.tolist() if complex(np.abs(z)) != abs(complex(z))]
+    return bool(squares), bool(moduli)
+
+
+KINDS = ["float", "complex"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_adjoint_rows_match_the_scalar_loop(kind, n):
+    f, g = row_stack(kind, 300, 40), row_stack(kind, 300, 37, seed=4)
+    gaps = verify.adjoint_duality_gap(n, f, g)
+    scales = verify._row_norms(f) * verify._row_norms(g)
+    assert same_bits(gaps, [row_duality_gap(n, a, b) for a, b in zip(f, g)])
+    assert same_bits(scales, [row_adjoint_scale(a, b) for a, b in zip(f, g)])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_isometry_rows_match_the_scalar_loop(kind, n):
+    f = row_stack(kind, 300, 33)
+    iso, wsw = verify._isometry_errors(n, f, verify._row_norms(f))
+    want = [row_isometry_errors(n, row) for row in f]
+    assert same_bits(iso, [w[0] for w in want]) and same_bits(wsw, [w[1] for w in want])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cauchy_schwarz_rows_match_the_scalar_loop(kind):
+    # enough rows that each squared quantity meets an x with x * x != x ** 2
+    f = row_stack(kind, 6000, 16)
+    assert same_bits(verify._cauchy_schwarz_gaps(f), [row_cauchy_schwarz_gap(row) for row in f])
+    wf = verify.weighted_dilation_array(2, f)
+    pairings = np.vecdot(f, wf[:, :16])
+    moduli = np.hypot(pairings.real, pairings.imag)
+    for values in (verify._row_norms(f), verify._row_norms(wf), moduli):
+        assert rounding_rules_differ(values)[0]
+    assert kind == "float" or rounding_rules_differ(pairings)[1]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [3, 4])
+def test_dirichlet_rows_match_the_scalar_loop(kind, n):
+    c = row_stack(kind, 300, 21 * n)
+    energy = verify.dirichlet_energy_at_one_array(c)
+    assert same_bits(energy, [scalar_dirichlet_energy(row) for row in c])
+    ratios, sharp = verify._dirichlet_ratios(n, c)
+    want = [row_dirichlet_ratio(n, row) for row in c]
+    assert same_bits(ratios, [w[0] for w in want])
+    assert sharp.tolist() == [w[1] for w in want]
+
+
+def test_adjoint_gaps_exercise_both_rounding_rules():
+    f, g = row_stack("complex", 300, 40), row_stack("complex", 300, 37, seed=4)
+    adj = verify.weighted_dilation_adjoint_array(3, g)
+    head = f[:, : adj.shape[-1]]
+    wf = verify.weighted_dilation_array(3, head)
+    diffs = np.vecdot(g[:, : wf.shape[-1]], wf) - np.vecdot(adj, head)
+    assert rounding_rules_differ(diffs)[1]
+    assert rounding_rules_differ(verify._row_norms(f))[0]
 
 
 @pytest.mark.parametrize("rows, row_bytes", [(200, 16416), (100, 1), (7, 1 << 20), (1, 5)])
@@ -133,7 +236,7 @@ NAN_CASES = [
     ("hk", "hk_oracle", 1, nan_coeffs, ["h_k closed form vs formal-log oracle"]),
     ("kernel", "weighted_dilation_adjoint", 1, nan_coeffs,
      ["adjoint annihilates its kernel vectors"]),
-    ("dirichlet", "dirichlet_energy_at_one", 1, lambda energy: math.nan,
+    ("dirichlet", "dirichlet_energy_at_one_array", 1, nan_first_row,
      ["kernel combinations have energy <= 2^n n ||f||^2"]),
     ("spectral", "adjoint_eigenvector", 1,
      lambda pair: dataclasses.replace(pair, residual=math.nan), ["adjoint eigenvector residual"]),
