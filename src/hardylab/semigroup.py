@@ -173,11 +173,11 @@ def semiconjugacy_residual(n: int, f: CoeffSeries) -> float:
     f_k - f_{k-1} at degree nk, and exact zeros elsewhere.
     """
     _check_index(n)
-    m = n * f.valid_degree
+    # (1 - z^n) f(z^n) is the plain dilation minus itself moved up n degrees.
+    fz = dilation(n, f).coeffs
+    lhs = fz - np.pad(fz, (n, 0))[: len(fz)]
     # np.diff(c, prepend=0) is c times (1 - z) on its valid window.
-    lhs = np.zeros(m + 1, dtype=f.coeffs.dtype)
-    lhs[::n] = np.diff(f.coeffs, prepend=0)
-    rhs = np.diff(weighted_dilation_array(n, f.coeffs), prepend=0)[: m + 1]
+    rhs = np.diff(weighted_dilation_array(n, f.coeffs), prepend=0)[: len(fz)]
     return array_norm(lhs - rhs)
 
 

@@ -298,11 +298,15 @@ def write_columns(fh, columns) -> None:
     the rare rows :func:`_scaled_decimal` leaves uncertain are formatted by
     ``format``, one cell at a time.  The float columns of a block share one
     encoder call, whose cost is mostly fixed.  Tests pin the bytes to the
-    per-value formatting.
+    per-value formatting.  No columns, or columns of unequal length, raise
+    :class:`ValueError`.
     """
     values = [(_cell_encoder(v.dtype), v) for v in map(np.asarray, columns)]
+    lengths = sorted({len(v) for _, v in values})
+    if len(lengths) != 1:
+        raise ValueError(f"write_columns needs columns of one length, got lengths {lengths}")
     seps = [ord(",")] * (len(values) - 1) + [ord("\n")]
-    nrows = len(values[0][1])
+    nrows = lengths[0]
     for start in range(0, nrows, _CSV_BLOCK_ROWS):
         rows = min(_CSV_BLOCK_ROWS, nrows - start)
         block = [v[start:start + rows] for _, v in values]

@@ -189,6 +189,15 @@ class TestBlockWriter:
         with pytest.raises(TypeError, match=str(column.dtype)):
             encoded([[0], column])
 
+    @pytest.mark.parametrize("columns", [[], [np.arange(3), np.array([0.5, 0.25])],
+                                         [np.arange(2), np.array([0.5, 0.25, 0.125])]],
+                             ids=["none", "shorter-later", "longer-later"])
+    def test_no_columns_or_unequal_lengths_raise_value_error(self, columns):
+        fh = io.BytesIO()
+        with pytest.raises(ValueError, match="one length"):
+            write_columns(fh, columns)
+        assert fh.getvalue() == b""
+
 
 def format_calls(monkeypatch):
     """The values series.format is called with from now on (a shim over the builtin)."""

@@ -211,9 +211,30 @@ def poison_call(monkeypatch, name, call, poison):
     monkeypatch.setattr(verify, name, wrapper)
 
 
+def count_calls(suite, name):
+    """How many times a clean run of ``suite`` at seed 0 calls ``verify.<name>``."""
+    calls = []
+    original = getattr(verify, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, name, counted)
+        verify.SUITES[suite](seed=0)
+    return len(calls)
+
+
 def nan_first_row(rows):
     rows = rows.copy()
     rows[0] = np.nan
+    return rows
+
+
+def nan_last_row(rows):
+    rows = rows.copy()
+    rows[-1] = np.nan
     return rows
 
 
@@ -222,7 +243,9 @@ def nan_coeffs(series):
     return SimpleNamespace(coeffs=np.full_like(series.coeffs, np.nan))
 
 
-# suite, the name it calls, which call to poison, the poison, the checks that must fail
+# suite, the name it calls, which call to poison (from 1; -1 is the last),
+# the poison, the checks that must fail.  A NaN in the last row of the last
+# block is the last value a check sees, the one Python's max would drop.
 NAN_CASES = [
     ("adjoint", "weighted_dilation_adjoint_array", 1, nan_first_row,
      ["adjoint duality <Wf,g> = <f,W*g>"]),
@@ -240,12 +263,24 @@ NAN_CASES = [
      ["kernel combinations have energy <= 2^n n ||f||^2"]),
     ("spectral", "adjoint_eigenvector", 1,
      lambda pair: dataclasses.replace(pair, residual=math.nan), ["adjoint eigenvector residual"]),
+    ("adjoint", "weighted_dilation_adjoint_array", -1, nan_last_row,
+     ["adjoint duality <Wf,g> = <f,W*g>"]),
+    ("isometry", "weighted_dilation_array", -1, nan_last_row,
+     ["isometry ||Wf|| = sqrt(n)||f||", "adjoint inversion W*Wf = n f"]),
+    ("semigroup", "weighted_dilation_array", -1, nan_last_row,
+     ["no-eigenvector gap (index 2) stays positive"]),
+    ("dirichlet", "dirichlet_energy_at_one_array", -1, nan_last_row,
+     ["kernel combinations have energy <= 2^n n ||f||^2"]),
 ]
 
 
 @pytest.mark.parametrize("suite, name, call, poison, failing", NAN_CASES,
-                         ids=[f"{case[0]}-{case[1]}" for case in NAN_CASES])
+                         ids=[f"{case[0]}-{case[1]}" + ("-last" if case[2] == -1 else "")
+                              for case in NAN_CASES])
 def test_nan_fails_its_check(monkeypatch, suite, name, call, poison, failing):
+    if call == -1:
+        call = count_calls(suite, name)
+        assert call > 1  # the last block, not the first
     clean = {c.name: c for c in verify.SUITES[suite](seed=0)}
     poison_call(monkeypatch, name, call, poison)
     checks = {c.name: c for c in verify.SUITES[suite](seed=0)}
@@ -253,11 +288,3 @@ def test_nan_fails_its_check(monkeypatch, suite, name, call, poison, failing):
     for check in failing:
         assert math.isnan(checks[check].max_err), check
         assert checks[check].line().startswith("FAIL"), check
-
-
-@pytest.mark.parametrize("pair", [(0.0, 1.0), (1.0, 0.0), (2.0, 2.0), (0.0, -0.0), (-0.0, 0.0)])
-def test_running_max_and_min_match_the_builtins_on_numbers(pair):
-    for ours, builtin in ((verify._worse, max), (verify._lower, min)):
-        got, want = ours(*pair), builtin(*pair)
-        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
-        assert math.isnan(ours(math.nan, pair[0])) and math.isnan(ours(pair[0], math.nan))
