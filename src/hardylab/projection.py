@@ -389,7 +389,6 @@ def non_cyclicity_witness(f: CoeffSeries, n_max: int) -> float:
     tol = 1e-14 * max(1.0, abs(f.coeffs[0]))
     if gap > tol:
         raise HypothesisViolated(f"first two coefficients differ by {gap:.3e} > {tol:.3e}")
+    head = from_coeffs(f.coeffs[:2])  # W_n f at degrees 0 and 1, all the pairing reads
     one_minus_z = from_coeffs([1.0, -1.0])
-    return max(
-        abs(inner(weighted_dilation(n, f), one_minus_z)) for n in range(1, n_max + 1)
-    )
+    return max(abs(inner(weighted_dilation(n, head), one_minus_z)) for n in range(1, n_max + 1))

@@ -13,8 +13,9 @@ point, built by ``_eigen_bands`` in float64 arrays that round as CPython's
 complex arithmetic does, and sums each residual block in closed form, in
 O(points * level) time and memory whatever n.  It returns a columnar
 :class:`DiskScanReport`.  Its oracle :func:`adjoint_eigenvector` runs its
-own per-point complex recurrence, expands it to the full vector and keeps
-its own adjoint and norms.
+own per-point complex recurrence in ``_eigenvector``, which expands it to
+the full vector and takes its own adjoint and residual; the spectral
+identity suite calls ``_eigenvector`` directly, for those two alone.
 """
 
 from __future__ import annotations
@@ -127,6 +128,20 @@ def _residual_bands(n: int, lams: np.ndarray, bands: np.ndarray) -> np.ndarray:
     return res
 
 
+def _eigenvector(n: int, lam: complex, counts) -> tuple[np.ndarray, float]:
+    """:func:`adjoint_eigenvector`'s vector and residual at a checked ``lam``.
+
+    ``counts`` (a list or an int array) is each band's entry count, 1 then n^l (n-1) for
+    l < level.  Raises IndexOutOfRange past numpy's array size limit.
+    """
+    level = len(counts) - 1
+    _check_array_bytes(16 * n**level, f"an eigenvector of {n}^{level} coefficients")
+    # the scan's recurrence in Python complex arithmetic, kept apart as its oracle
+    bands = accumulate(repeat(lam / n, level - 1), mul, initial=(lam - 1) / (n - 1))
+    v = np.repeat(np.array([1.0, *bands]), counts)
+    return v, array_norm(weighted_dilation_adjoint_array(n, v) - lam * v[: n ** (level - 1)])
+
+
 def adjoint_eigenvector(n: int, lam: complex, level: int) -> EigenPair:
     """Construct the explicit adjoint eigenvector at ``lam``, |lam| < sqrt(n).
 
@@ -136,14 +151,9 @@ def adjoint_eigenvector(n: int, lam: complex, level: int) -> EigenPair:
     the adjoint's window is at machine-precision scale.
     """
     lam = complex(_checked_points(n, lam, level)[0])
-    # the scan's recurrence in Python complex arithmetic, kept apart as its oracle
-    bands = accumulate(repeat(lam / n, level - 1), mul, initial=(lam - 1) / (n - 1))
-    v = np.repeat([1.0, *bands], [1] + [n**ell * (n - 1) for ell in range(level)])
-    window = n ** (level - 1)
-    residual = array_norm(weighted_dilation_adjoint_array(n, v) - lam * v[:window])
-    tail_mass = array_norm(v[window:])
+    v, residual = _eigenvector(n, lam, [1] + [n**ell * (n - 1) for ell in range(level)])
     return EigenPair(n=n, lam=lam, level=level, vector=CoeffSeries(v), residual=residual,
-                     tail_mass=tail_mass)
+                     tail_mass=array_norm(v[n ** (level - 1):]))
 
 
 def eigenvector_norm_sq(n: int, lam: complex | np.ndarray, level: int) -> float | np.ndarray:

@@ -1,44 +1,45 @@
 """Identity suites: every operator fact the laboratory relies on.
 
 Each suite measures the worst violation of an identity and reports it
-against the identity's tolerance; a NaN anywhere in a check makes its
-worst value NaN, which fails.  Exact identities run on fixed,
+against the identity's tolerance.  Exact identities run on fixed,
 nontrivial input at tolerance 0.0; the others draw reproducible random
 input from the suite's seed, its only setting.  Sample sizes and inputs are
 fixed in each suite body.  The CLI `verify` subcommand prints one line per
 check, and the acceptance criteria that share a check with a suite
 (tests/test_acceptance.py: c01 to c07, c09, c10, c11, c14 and c15) call
-that suite with the criterion's seed and assert that the checks they share
-pass.
+that suite with the criterion's seed and assert the checks they share pass.
 
 The adjoint, isometry and Dirichlet suites and the Cauchy-Schwarz loop of
-the semigroup suite work on row stacks, one random series per row, instead
-of one series at a time.  Rows come in blocks whose widest array holds at
-most ``_STACK_BYTES``; each block takes its inputs in one
-``rng.standard_normal((rows, 2 * series, length))`` call, which is the
-same stream, in the same order, as one :func:`random_series` call per
-series.  Each quantity is one call per block: the transforms go through
-the array kernels of :mod:`hardylab.semigroup` and
+the semigroup suite work on row stacks, one random series per row.  Rows
+come in blocks whose widest array holds at most ``_STACK_BYTES``; each
+block takes its inputs in one ``rng.standard_normal((rows, 2 * series,
+length))`` call, the same stream, in the same order, as one
+:func:`random_series` call per series.  The isometry suite sizes its draws
+for its index-2 stack and cuts each draw, per index n, into the rows the
+index-n stack fits.  Each quantity is one call per block: the transforms go
+through the array kernels of :mod:`hardylab.semigroup` and
 :func:`~hardylab.special.dirichlet_energy_at_one_array`, and every row
 norm and pairing through ``np.vecdot``, which runs the same BLAS dot per
 row as :func:`~hardylab.series.array_norm` and ``np.vdot``.  The scalar
 rounding rules carry over to the rows: the modulus of a complex value is
 ``np.hypot``, as Python's ``abs`` rounds it (``np.abs`` differs in the
 last bit), and a power of a float is ``np.float_power``, libm ``pow`` as
-Python's ``**`` (``x * x`` differs).
+Python's ``**`` (``x * x`` differs).  The spectral suite takes each
+eigenvector and residual from the one per-point path behind
+:func:`~hardylab.spectral.adjoint_eigenvector`, without its series copy.
 
 Each check is the NaN-propagating ``np.max`` (or ``np.min``) of the values
 it collects: the per-block arrays of a row-stack suite, the per-case
 arrays or floats of a fixed-input one.  Python's ``max`` would drop a NaN;
-numpy's keeps it.  Max and min are exact, so every check value is the
-same bit for bit whatever the block size or the order, and the same as
-one series at a time gives.
+numpy's keeps it, so the check fails.  Max and min are exact, so every
+check value is the same bit for bit whatever the block size or the order,
+and the same as one series at a time gives.
 
-``_STACK_BYTES`` is 128 KiB.  At that budget the adjoint suite, the
-largest, peaks at 0.33 MiB of traced allocations (``tracemalloc``, seed 1),
-under the 0.73 MiB of ``suite_hk``'s fixed tables.  256 KiB halves the
-number of blocks and made ``verify --suite all`` about 10% faster still,
-but raised the benchmark's peak RSS by about 0.5 MiB.
+``_STACK_BYTES`` is 128 KiB.  There the isometry suite, the largest, peaks
+at 0.40 MiB of traced allocations (``tracemalloc``, seed 1), under the 0.73
+MiB of ``suite_hk``'s fixed tables.  256 KiB (512 KiB) made ``verify --suite
+all`` about 10% (15%) faster still, but raised the identity-suites
+benchmark's peak RSS by 0.4-0.5 MiB (1.1-1.2 MiB) in two 8 s runs each.
 """
 
 from __future__ import annotations
@@ -58,19 +59,14 @@ from .semigroup import (
     weighted_dilation_adjoint_array,
     weighted_dilation_array,
 )
-from .series import CoeffSeries, from_coeffs, inner, norm, one, pad
+from .series import CoeffSeries, array_norm, from_coeffs, inner, norm, one, pad
 from .special import (
     dirichlet_energy_at_one,
     dirichlet_energy_at_one_array,
     hk_closed_form,
     hk_oracle,
 )
-from .spectral import (
-    adjoint_eigenvector,
-    eigenvector_norm_sq,
-    level_for_degree,
-    shift_decay,
-)
+from .spectral import _eigenvector, eigenvector_norm_sq, level_for_degree, shift_decay
 
 __all__ = [
     "CheckResult",
@@ -220,10 +216,13 @@ def suite_adjoint(seed: int = 0) -> list[CheckResult]:
 def suite_isometry(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     errors = []
-    for rows in _row_blocks(100, 10 * 257 * 16):
+    for rows in _row_blocks(100, 2 * 257 * 16):
         f = _random_rows(rng, rows, 1, 256)[:, 0]
         nf = _row_norms(f)
-        errors += [_isometry_errors(n, f, nf) for n in range(2, 11)]
+        for n in range(2, 11):
+            step = _row_blocks(rows, n * 257 * 16)[0]
+            errors += [_isometry_errors(n, f[i : i + step], nf[i : i + step])
+                       for i in range(0, rows, step)]
     iso, wsw = zip(*errors)
     return [
         CheckResult("isometry ||Wf|| = sqrt(n)||f||", _worst(iso), 1e-12),
@@ -351,13 +350,15 @@ def suite_spectral(seed: int = 0) -> list[CheckResult]:
     resid, norm_err = [], []
     for n in (2, 3):
         level = level_for_degree(n, 4096)
+        counts = np.array([1] + [n**ell * (n - 1) for ell in range(level)])
         # the same stream, in the same order, as one rng.uniform() call at a time
         draws = rng.uniform(size=(100, 2)).tolist()
-        lams = [0.95 * np.sqrt(n) * np.sqrt(u) * np.exp(2j * np.pi * t) for u, t in draws]
-        for lam, closed in zip(lams, eigenvector_norm_sq(n, np.array(lams), level).tolist()):
-            pair = adjoint_eigenvector(n, lam, level)
-            vector_norm = norm(pair.vector)
-            resid.append(pair.residual / vector_norm)
+        lams = np.array([0.95 * np.sqrt(n) * np.sqrt(u) * np.exp(2j * np.pi * t) for u, t in draws])
+        # eigenvector_norm_sq checks every point once, for _eigenvector too
+        for lam, closed in zip(lams.tolist(), eigenvector_norm_sq(n, lams, level).tolist()):
+            v, residual = _eigenvector(n, lam, counts)
+            vector_norm = array_norm(v)
+            resid.append(residual / vector_norm)
             norm_err.append(abs(vector_norm ** 2 - closed) / closed)
 
     decay = shift_decay(2, one(2**10 - 1), 10)

@@ -264,9 +264,35 @@ def series_suite_dirichlet(seed: int = 0):
     ]
 
 
+def series_suite_spectral(seed: int = 0):
+    rng = np.random.default_rng(seed)
+    worst_resid = worst_norm = 0.0
+    for n in (2, 3):
+        level = hl.level_for_degree(n, 4096)
+        for _ in range(100):
+            lam = 0.95 * np.sqrt(n) * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+            vector, residual, _ = series_adjoint_eigenvector(n, lam, level)
+            vector_norm = float(np.linalg.norm(vector))
+            closed = hl.eigenvector_norm_sq(n, lam, level)
+            worst_resid = max(worst_resid, residual / vector_norm)
+            worst_norm = max(worst_norm, abs(vector_norm**2 - closed) / closed)
+    decay = hl.shift_decay(2, hl.one(2**10 - 1), 10)
+    decay_err = max(abs(d - 2 ** (-m / 2)) for m, d in enumerate(decay, start=1))
+    f = series_random(rng, 3**6 - 1)
+    d = [hl.norm(f)] + hl.shift_decay(3, f, 5)
+    return [
+        CheckResult("adjoint eigenvector residual", worst_resid, 1e-10),
+        CheckResult("eigenvector norm matches closed form", worst_norm, 1e-12),
+        CheckResult("rescaled adjoint decay on the constant is 2^(-m/2)", decay_err, 1e-14),
+        CheckResult("shift decay sequence is nonincreasing",
+                    max(b - a for a, b in zip(d, d[1:])), 1e-12),
+    ]
+
+
 SERIES_SUITES = {
     "adjoint": series_suite_adjoint,
     "dirichlet": series_suite_dirichlet,
     "isometry": series_suite_isometry,
     "semigroup": series_suite_semigroup,
+    "spectral": series_suite_spectral,
 }

@@ -69,6 +69,12 @@ class TestEigenvectorConstruction:
         with pytest.raises(IndexOutOfRange):
             hl.adjoint_eigenvector(2, 0.0, 0)
 
+    # 2^62 coefficients ask for more bytes than intp holds; 2^70 does not fit an int64
+    @pytest.mark.parametrize("level", [62, 70])
+    def test_level_past_numpy_array_limit_rejected(self, level):
+        with pytest.raises(IndexOutOfRange, match="array size limit"):
+            hl.adjoint_eigenvector(2, 0.5, level)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_random_eigenvalues_small_residual(self, n):
         rng = np.random.default_rng(31 + n)

@@ -1,6 +1,5 @@
 """The identity suites: stacked against one-series-at-a-time forms, and seed dependence."""
 
-import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -35,7 +34,8 @@ def test_stacked_suite_matches_series_form(name, seed):
 @pytest.mark.parametrize("name", ["adjoint", "dirichlet", "isometry", "semigroup"])
 def test_block_size_does_not_change_results(name, monkeypatch):
     default = reprs(verify.SUITES[name](seed=20240826))
-    for budget in (1, 1 << 40):  # one row per block, then every row in one block
+    # one row per block; several rows at index 2 but one at index 10; every row in one block
+    for budget in (1, 4 * 2 * 257 * 16, 1 << 40):
         monkeypatch.setattr(verify, "_STACK_BYTES", budget)
         assert reprs(verify.SUITES[name](seed=20240826)) == default
 
@@ -238,6 +238,11 @@ def nan_last_row(rows):
     return rows
 
 
+def nan_residual(pair):
+    vector, _ = pair
+    return vector, math.nan
+
+
 def nan_coeffs(series):
     # CoeffSeries refuses non-finite entries; the suites read only .coeffs.
     return SimpleNamespace(coeffs=np.full_like(series.coeffs, np.nan))
@@ -261,8 +266,7 @@ NAN_CASES = [
      ["adjoint annihilates its kernel vectors"]),
     ("dirichlet", "dirichlet_energy_at_one_array", 1, nan_first_row,
      ["kernel combinations have energy <= 2^n n ||f||^2"]),
-    ("spectral", "adjoint_eigenvector", 1,
-     lambda pair: dataclasses.replace(pair, residual=math.nan), ["adjoint eigenvector residual"]),
+    ("spectral", "_eigenvector", 1, nan_residual, ["adjoint eigenvector residual"]),
     ("adjoint", "weighted_dilation_adjoint_array", -1, nan_last_row,
      ["adjoint duality <Wf,g> = <f,W*g>"]),
     ("isometry", "weighted_dilation_array", -1, nan_last_row,
@@ -271,6 +275,7 @@ NAN_CASES = [
      ["no-eigenvector gap (index 2) stays positive"]),
     ("dirichlet", "dirichlet_energy_at_one_array", -1, nan_last_row,
      ["kernel combinations have energy <= 2^n n ||f||^2"]),
+    ("spectral", "_eigenvector", -1, nan_residual, ["adjoint eigenvector residual"]),
 ]
 
 
