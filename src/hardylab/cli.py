@@ -10,11 +10,15 @@ spectrum  eigenvector residual scan over a polar grid in the spectral ball
 All output files are deterministic for a fixed (flags, seed) apart from a
 single timestamp header line.  Floats are printed with 17 significant
 digits and a '.' decimal separator so values round-trip exactly.  Exit
-codes: 0 success, 1 assertion failure, 2 usage error (a bad flag or
-config value, a negative seed, an output path that cannot be written,
-one path for both of bd's reports, a size too large for memory, or a
-typed laboratory error such as an index out of range, an array past
-numpy's size limit or a degenerate basis).
+codes: 0 success, 1 assertion failure, 2 usage error (a bad flag value,
+a missing ``@file``, an output path that cannot be written, one path for
+both of bd's reports, a size too large for memory, or a typed laboratory
+error such as an index out of range, an array past numpy's size limit or
+a degenerate basis).
+
+Each setting is one flag of the command that reads it, apart from the
+global ``--output-dir``.  ``hardylab @FILE ...`` reads arguments from FILE,
+one per line, and a flag given after it wins.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,46 +40,7 @@ from .special import hk_closed_form, truncation_certificate
 from .spectral import spectral_disk_scan
 from .verify import SUITES, run_suites
 
-__all__ = ["LabConfig", "load_config_file", "build_parser", "main"]
-
-
-@dataclass
-class LabConfig:
-    # None: each command's own default, 16384 for gen-hk and bd, 4096 for spectrum
-    truncation_degree: int | None = None
-    tolerance: float = 1e-10
-    output_dir: str = "."
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.truncation_degree is not None and self.truncation_degree < 1:
-            raise ValueError("truncation_degree must be >= 1")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-
-def load_config_file(path: str) -> dict:
-    """Parse a key=value config file ('#' starts a comment)."""
-    known = {f.name: f.type for f in fields(LabConfig)}
-    out: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in ("truncation_degree", "seed"):
-            out[key] = int(value)
-        elif key == "tolerance":
-            out[key] = float(value)
-        else:
-            out[key] = value
-    return out
+__all__ = ["build_parser", "main"]
 
 
 def _fmt(x: float) -> str:
@@ -107,9 +71,8 @@ def _write_rows(path: Path, meta: list[str], header: list[str], columns) -> None
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_hk(cfg: LabConfig, k: int, n_trunc: int, out: str | None) -> int:
+def cmd_gen_hk(k: int, n_trunc: int, path: Path) -> int:
     series = hk_closed_form(k, n_trunc)
-    path = Path(out) if out else Path(cfg.output_dir) / f"hk_{k}_n{n_trunc}.csv"
     columns = [np.arange(n_trunc + 1), series.coeffs]
     _write_rows(path, [f"command=gen-hk k={k} n={n_trunc}"], ["j", "value"], columns)
     print(f"wrote {path} ({n_trunc + 1} coefficients, c_0 = {_fmt(series.coeffs[0])})")
@@ -164,9 +127,9 @@ def cmd_baez_duarte(k_max: int, n_trunc: int, path: Path, json_path: Path) -> in
     return 1 if rises.size or lows.size else 0
 
 
-def cmd_verify(cfg: LabConfig, suite: str) -> int:
+def cmd_verify(suite: str, seed: int) -> int:
     names = list(SUITES) if suite == "all" else [suite]
-    results = run_suites(names, seed=cfg.seed)
+    results = run_suites(names, seed=seed)
     for res in results:
         print(res.line())
     failed = [res for res in results if not res.passed]
@@ -174,12 +137,11 @@ def cmd_verify(cfg: LabConfig, suite: str) -> int:
     return 1 if failed else 0
 
 
-def cmd_spectrum(cfg: LabConfig, n: int, r_steps: int, theta_steps: int,
-                 out: str | None, min_degree_count: int) -> int:
+def cmd_spectrum(n: int, r_steps: int, theta_steps: int, path: Path,
+                 min_degree_count: int, tolerance: float) -> int:
     _check_array_bytes(8 * r_steps, f"a list of {r_steps} radii")
     radii = np.linspace(0.0, 0.95, r_steps)
     report = spectral_disk_scan(n, radii, theta_steps, min_degree_count)
-    path = Path(out) if out else Path(cfg.output_dir) / f"spectrum_n{n}.csv"
     columns = [report.lam.real, report.lam.imag, report.residual, report.vector_norm]
     _write_rows(
         path,
@@ -190,8 +152,8 @@ def cmd_spectrum(cfg: LabConfig, n: int, r_steps: int, theta_steps: int,
     print(f"wrote {path} ({len(report.lam)} grid points, level {report.level})")
     print(f"max residual = {_fmt(report.max_residual)}")
     print(f"max norm mismatch vs closed form = {_fmt(report.max_norm_mismatch)}")
-    if not report.all_norms_finite or report.max_residual > cfg.tolerance:
-        print(f"FAIL: max residual above tolerance {_fmt(cfg.tolerance)}", file=sys.stderr)
+    if not report.all_norms_finite or report.max_residual > tolerance:
+        print(f"FAIL: max residual above tolerance {_fmt(tolerance)}", file=sys.stderr)
         return 1
     return 0
 
@@ -201,99 +163,89 @@ def cmd_spectrum(cfg: LabConfig, n: int, r_steps: int, theta_steps: int,
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _tolerance(text: str) -> float:
+    tolerance = float(text)
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, got {tolerance}")
+    return tolerance
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hardylab",
         description="Numerical laboratory for dilation semigroups on truncated "
         "Hardy-space coefficient series.",
+        fromfile_prefix_chars="@",
     )
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--truncation", type=int, default=None,
-                        help="truncation degree of gen-hk and bd (default 16384); for "
-                        "spectrum, the least number of eigenvector coefficients (default 4096)")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="residual gate for spectrum (default 1e-10)")
-    parser.add_argument("--output-dir", default=None,
-                        help="directory for output files (default '.')")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized suites (default 0)")
+    parser.add_argument("--output-dir", default=".",
+                        help="directory for output files without --out (default '.')")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-hk", help="write one h_k coefficient table as CSV")
     p.add_argument("--k", type=int, required=True, help="family index, k >= 2")
-    p.add_argument("--n", type=int, default=None, help="truncation degree, >= 0")
+    p.add_argument("--n", type=int, default=16384,
+                   help="truncation degree, >= 0 (default %(default)s)")
     p.add_argument("--out", default=None, help="output CSV path")
 
     p = sub.add_parser("bd", help="distance sequence from 1 to span{h_2..h_K}")
     p.add_argument("--kmax", type=int, required=True, help="largest K, >= 2")
-    p.add_argument("--n", type=int, default=None, help="truncation degree")
+    p.add_argument("--n", type=int, default=16384,
+                   help="truncation degree, >= 1 (default %(default)s)")
     p.add_argument("--out", default=None, help="output CSV path")
     p.add_argument("--json", dest="json_out", default=None, help="output JSON path")
 
     p = sub.add_parser("verify", help="run the operator-identity suites")
     p.add_argument("--suite", default="all", choices=["all", *SUITES])
-    p.add_argument("--seed", dest="suite_seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="seed for randomized suites, >= 0 (default %(default)s)")
 
     p = sub.add_parser("spectrum", help="eigenvector residual scan in the spectral ball")
     p.add_argument("--n", type=int, required=True, help="semigroup index, >= 2")
     p.add_argument("--r-steps", type=int, default=5, help="radial grid points in [0, 0.95]")
     p.add_argument("--theta-steps", type=int, default=8, help="angular grid points")
+    p.add_argument("--min-degree-count", type=int, default=4096,
+                   help="least number of eigenvector coefficients, >= 1 (default %(default)s)")
+    p.add_argument("--tolerance", type=_tolerance, default=1e-10,
+                   help="largest passing residual (default %(default)s)")
     p.add_argument("--out", default=None, help="output CSV path")
 
     return parser
 
 
-def _effective_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> LabConfig:
-    """The config file, overridden by the global flags, then by ``verify --seed``."""
-    values: dict = {}
-    if args.config:
-        try:
-            values.update(load_config_file(args.config))
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
-    for flag, key in [
-        ("truncation", "truncation_degree"),
-        ("tolerance", "tolerance"),
-        ("output_dir", "output_dir"),
-        ("seed", "seed"),
-        ("suite_seed", "seed"),
-    ]:
-        if getattr(args, flag, None) is not None:
-            values[key] = getattr(args, flag)
-    try:
-        return LabConfig(**values)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace, cfg: LabConfig) -> int:
+def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     # Each index and size is checked where it is used, mostly in the library;
     # only the checks that have no such owner are made here.
     if args.command == "gen-hk":
-        n_trunc = args.n if args.n is not None else cfg.truncation_degree or 16384
-        return cmd_gen_hk(cfg, args.k, n_trunc, args.out)
+        path = Path(args.out or Path(args.output_dir) / f"hk_{args.k}_n{args.n}.csv")
+        return cmd_gen_hk(args.k, args.n, path)
 
     if args.command == "bd":
-        n_trunc = args.n if args.n is not None else cfg.truncation_degree or 16384
-        if n_trunc < 1:
+        if args.n < 1:
             parser.error("bd requires --n >= 1")
-        default = Path(cfg.output_dir) / f"bd_k{args.kmax}_n{n_trunc}.csv"
-        path = Path(args.out) if args.out else default
+        path = Path(args.out or Path(args.output_dir) / f"bd_k{args.kmax}_n{args.n}.csv")
         json_path = Path(args.json_out) if args.json_out else path.with_suffix(".json")
         # One file cannot hold both reports: the CSV would overwrite the JSON.
         if path.resolve() == json_path.resolve():
             parser.error(f"bd would write its CSV and its JSON report to the same file {path}")
-        return cmd_baez_duarte(args.kmax, n_trunc, path, json_path)
+        return cmd_baez_duarte(args.kmax, args.n, path, json_path)
 
     if args.command == "verify":
-        return cmd_verify(cfg, args.suite)
+        return cmd_verify(args.suite, args.seed)
 
     if args.command == "spectrum":
         # np.linspace would refuse a negative count with a ValueError
         if args.r_steps < 0:
             parser.error(f"spectrum requires --r-steps >= 0, got {args.r_steps}")
-        return cmd_spectrum(cfg, args.n, args.r_steps, args.theta_steps, args.out,
-                            cfg.truncation_degree or 4096)
+        path = Path(args.out or Path(args.output_dir) / f"spectrum_n{args.n}.csv")
+        return cmd_spectrum(args.n, args.r_steps, args.theta_steps, path,
+                            args.min_degree_count, args.tolerance)
 
     parser.error(f"unknown command {args.command!r}")
     return 2
@@ -308,9 +260,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    cfg = _effective_config(parser, args)
     try:
-        return _dispatch(parser, args, cfg)
+        return _dispatch(parser, args)
     except OSError as exc:
         parser.error(str(exc))
     except MemoryError as exc:

@@ -183,6 +183,8 @@ def level_for_degree(n: int, min_degree_count: int = 4096) -> int:
     """Smallest level L with n^L >= min_degree_count coefficients; needs n >= 2."""
     if n < 2:
         raise IndexOutOfRange(f"index n must be >= 2, got {n}")
+    if min_degree_count < 1:
+        raise IndexOutOfRange(f"min_degree_count must be >= 1, got {min_degree_count}")
     level = 1
     while n**level < min_degree_count:
         level += 1

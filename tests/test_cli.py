@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import hardylab as hl
 import hardylab.cli
 from hardylab import series
-from hardylab.cli import LabConfig, _fmt, load_config_file, main
+from hardylab.cli import _fmt, main
 from hardylab.series import _CSV_BLOCK_ROWS, write_columns
 
 
@@ -554,7 +554,7 @@ class TestSpectrum:
 
     def test_residual_above_tolerance_fails_but_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "spec.csv"
-        assert run(["--tolerance", "1e-300", "spectrum", "--n", "2", "--out", str(out)]) == 1
+        assert run(["spectrum", "--n", "2", "--tolerance", "1e-300", "--out", str(out)]) == 1
         assert "FAIL: max residual above tolerance" in capsys.readouterr().err
         assert len(data_lines(out)) == 1 + 5 * 8
 
@@ -616,26 +616,26 @@ class TestSpectrum:
 
     def test_truncation_beyond_int64_runs(self, tmp_path):
         out = tmp_path / "spec.csv"
-        assert run(["--truncation", str(10**30), "spectrum", "--n", "3", "--r-steps", "2",
-                    "--theta-steps", "2", "--out", str(out)]) == 0
+        assert run(["spectrum", "--n", "3", "--r-steps", "2", "--theta-steps", "2",
+                    "--min-degree-count", str(10**30), "--out", str(out)]) == 0
         assert "level=63" in out.read_text().splitlines()[1]
         assert len(data_lines(out)) == 1 + 4
 
     def test_truncation_beyond_float64_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "spec.csv"
         with pytest.raises(SystemExit) as exc:
-            run(["--truncation", str(10**400), "spectrum", "--n", "3", "--out", str(out)])
+            run(["spectrum", "--n", "3", "--min-degree-count", str(10**400), "--out", str(out)])
         assert exc.value.code == 2
         assert "IndexOutOfRange: truncation level" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("source, level", [("default", 8), ("flag", 5), ("config", 5)])
     def test_truncation_sets_level(self, tmp_path, source, level):
-        cfg = tmp_path / "lab.cfg"
-        cfg.write_text("truncation_degree = 100\n")
-        flags = {"default": [], "flag": ["--truncation", "100"], "config": ["--config", str(cfg)]}
+        cfg = tmp_path / "lab.args"
+        cfg.write_text("--min-degree-count=100\n")
+        flags = {"default": [], "flag": ["--min-degree-count", "100"], "config": [f"@{cfg}"]}
         out = tmp_path / "spec.csv"
-        assert run(flags[source] + ["spectrum", "--n", "3", "--out", str(out)]) == 0
+        assert run(["spectrum", "--n", "3", "--out", str(out)] + flags[source]) == 0
         assert f"level={level}" in out.read_text().splitlines()[1]
 
     def test_deterministic_apart_from_timestamp(self, tmp_path):
@@ -692,68 +692,80 @@ class TestParserReuse:
 
 
 class TestConfig:
+    """An ``@file`` holds arguments one per line; a flag given after it wins."""
+
     def test_config_file_sets_defaults(self, tmp_path):
-        cfg = tmp_path / "lab.cfg"
-        cfg.write_text(
-            "# experiment defaults\n"
-            "truncation_degree = 32\n"
-            f"output_dir = {tmp_path}\n"
-            "seed = 3\n"
-        )
-        assert run(["--config", str(cfg), "gen-hk", "--k", "2"]) == 0
+        cfg = tmp_path / "lab.args"
+        cfg.write_text(f"--output-dir\n{tmp_path}\ngen-hk\n--n=32\n")
+        assert run([f"@{cfg}", "--k", "2"]) == 0
         rows = data_lines(tmp_path / "hk_2_n32.csv")
         assert len(rows) == 34  # header + 33 coefficients
 
     def test_flag_overrides_config(self, tmp_path):
-        cfg = tmp_path / "lab.cfg"
-        cfg.write_text("truncation_degree = 32\n")
-        assert run(["--config", str(cfg), "--truncation", "16", "--output-dir",
-                    str(tmp_path), "gen-hk", "--k", "2"]) == 0
+        dirs, degree = tmp_path / "dirs.args", tmp_path / "degree.args"
+        dirs.write_text(f"--output-dir={tmp_path / 'from_file'}\n")
+        degree.write_text("--n=32\n")
+        assert run([f"@{dirs}", "--output-dir", str(tmp_path), "gen-hk", "--k", "2",
+                    f"@{degree}", "--n", "16"]) == 0
         rows = data_lines(tmp_path / "hk_2_n16.csv")
         assert len(rows) == 18
+        assert not (tmp_path / "from_file").exists()
 
-    def test_unknown_key_is_usage_error(self, tmp_path):
-        cfg = tmp_path / "lab.cfg"
-        cfg.write_text("not_a_key = 1\n")
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "lab.args"
+        cfg.write_text("--truncation=100\n")
         with pytest.raises(SystemExit) as exc:
-            run(["--config", str(cfg), "gen-hk", "--k", "2"])
+            run([f"@{cfg}", "gen-hk", "--k", "2"])
         assert exc.value.code == 2
+        assert "unrecognized arguments: --truncation=100" in capsys.readouterr().err
 
-    def test_load_config_file_parses_types(self, tmp_path):
-        cfg = tmp_path / "lab.cfg"
-        cfg.write_text("tolerance = 1e-9\nseed = 11\n")
-        values = load_config_file(str(cfg))
-        assert values == {"tolerance": 1e-9, "seed": 11}
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.args"
+        with pytest.raises(SystemExit) as exc:
+            run([f"@{missing}", "gen-hk", "--k", "2"])
+        assert exc.value.code == 2
+        assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
 
-    def test_labconfig_validation(self):
-        with pytest.raises(ValueError):
-            LabConfig(truncation_degree=0)
-        with pytest.raises(ValueError):
-            LabConfig(tolerance=0.0)
+    @pytest.mark.parametrize("flag, value, command", [
+        ("--config", "lab.cfg", ["gen-hk", "--k", "2", "--n", "4"]),
+        ("--truncation", "100", ["spectrum", "--n", "3", "--r-steps", "1"]),
+        ("--tolerance", "1e-3", ["spectrum", "--n", "3", "--r-steps", "1"]),
+        ("--seed", "1", ["verify", "--suite", "kernel"]),
+    ], ids=["config", "truncation", "tolerance", "seed"])
+    @pytest.mark.parametrize("joined", [False, True], ids=["split", "joined"])
+    def test_removed_global_flag_is_usage_error(self, tmp_path, capsys, flag, value, command,
+                                                joined):
+        # "--flag value" reads value as the command; "--flag=value" is left over
+        head, message = (
+            ([f"{flag}={value}"], f"unrecognized arguments: {flag}={value}") if joined
+            else ([flag, value], f"argument command: invalid choice: '{value}'")
+        )
+        assert_usage_error(tmp_path, capsys, head + command, message)
 
-    @pytest.mark.parametrize("source", ["global-flag", "verify-flag", "config"])
-    def test_negative_seed_is_usage_error(self, tmp_path, source):
-        cfg = tmp_path / "lab.cfg"
-        cfg.write_text("seed = -1\n")
+    @pytest.mark.parametrize("source", ["verify-flag", "config"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, source):
+        cfg = tmp_path / "lab.args"
+        cfg.write_text("--seed=-1\n")
         argv = {
-            "global-flag": ["--seed", "-1", "verify", "--suite", "kernel"],
             "verify-flag": ["verify", "--suite", "kernel", "--seed", "-1"],
-            "config": ["--config", str(cfg), "verify", "--suite", "kernel"],
+            "config": ["verify", "--suite", "kernel", f"@{cfg}"],
         }[source]
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_tolerance_is_usage_error(self, tmp_path, source, value):
-        cfg = tmp_path / "lab.cfg"
-        cfg.write_text(f"tolerance = {value}\n")
-        flags = {"flag": ["--tolerance", value], "config": ["--config", str(cfg)]}[source]
+    def test_non_finite_tolerance_is_usage_error(self, tmp_path, capsys, source, value):
+        cfg = tmp_path / "lab.args"
+        cfg.write_text(f"--tolerance={value}\n")
+        flags = {"flag": ["--tolerance", value], "config": [f"@{cfg}"]}[source]
         out = tmp_path / "spec.csv"
         with pytest.raises(SystemExit) as exc:
-            run(flags + ["spectrum", "--n", "2", "--out", str(out)])
+            run(["spectrum", "--n", "2", "--out", str(out)] + flags)
         assert exc.value.code == 2
+        assert f"tolerance must be finite and > 0, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -792,9 +804,13 @@ class TestInputOwners:
         (["spectrum", "--n", "1"], "IndexOutOfRange: index n must be >= 2, got 1"),
         (["spectrum", "--n", "3", "--theta-steps", "0"],
          "IndexOutOfRange: angles_count must be >= 1, got 0"),
+        (["spectrum", "--n", "3", "--min-degree-count", "0"],
+         "IndexOutOfRange: min_degree_count must be >= 1, got 0"),
+        (["spectrum", "--n", "3", "--tolerance", "0"], "tolerance must be finite and > 0, got 0.0"),
         (["verify", "--suite", "bogus"], "argument --suite: invalid choice: 'bogus'"),
         (["verify", "--suite", "kernel", "--seed", "-1"], "seed must be >= 0, got -1"),
     ], ids=["gen-hk-k", "gen-hk-n", "bd-kmax", "spectrum-n", "spectrum-theta-steps",
+            "spectrum-min-degree-count", "spectrum-tolerance-zero",
             "verify-suite", "verify-seed"])
     def test_relocated_check_is_usage_error(self, tmp_path, capsys, argv, message):
         assert_usage_error(tmp_path, capsys, argv, message)

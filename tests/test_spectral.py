@@ -198,6 +198,14 @@ class TestLevelForDegree:
         with pytest.raises(IndexOutOfRange):
             hl.level_for_degree(n, 4096)
 
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_count_below_one_rejected(self, count):
+        # level 1 already meets such a count, so it must raise, not return 1
+        with pytest.raises(IndexOutOfRange, match=f"min_degree_count must be >= 1, got {count}"):
+            hl.level_for_degree(3, count)
+        with pytest.raises(IndexOutOfRange, match="min_degree_count"):
+            hl.spectral_disk_scan(3, [0.5], 2, count)
+
 
 class TestDiskScan:
     def test_small_grid_residuals(self):
