@@ -27,10 +27,12 @@ source ``rows(lo, hi)``, which gives any block of rows of the matrix bit
 for bit, from the harmonic table for the d_K sequence and from the
 members themselves for series input.  The engine builds the whole matrix
 from it and ``?geqrt`` factors that in place, so the engine holds one
-(N+1) x (m+r) matrix plus the 2048-row blocks of its residual re-check:
-8·(N+1)·K bytes for the d_K sequence, 200 MiB at K = 200, N = 2^17, where
-a whole run peaks at 274 MiB of resident memory (469 MiB with a factored
-copy beside the matrix; 2-core x86-64, OpenBLAS).  Every target's
+(N+1) x (m+r) matrix, and frees it once R's top rows are copied out,
+before the 2048-row blocks of its residual re-check: 8·(N+1)·K bytes for
+the d_K sequence, 200 MiB at K = 200, N = 2^17, where a whole run peaks at
+261 MiB of resident memory, its growth 1.02 times the matrix (274 MiB with
+the blocks read beside the matrix, 469 MiB with a factored copy beside it;
+2-core x86-64, OpenBLAS).  Every target's
 residual norms are re-checked in one pass over the row blocks, read from
 the row source again: from the coefficients and the original rows, never
 from Q or R.  Every BLAS call of the engine goes to scipy's OpenBLAS
@@ -269,6 +271,9 @@ def _nested_reports(rows: RowSource, n_rows: int, m: int) -> list[list[DistanceR
     # basis block they put zeros on the diagonal, which the gate refuses.
     r = np.zeros((cols, cols), dtype=aug.dtype)
     r[: min(n_rows, cols)] = np.triu(factored[:cols])
+    # R is all the engine reads of the factored matrix: the re-check's row
+    # blocks reuse its memory instead of sitting beside it.
+    del aug, factored
     # distances[j, i] = ||R[j:, m + i]||, the distance from t_i to span{b_1..b_j}.
     distances = np.sqrt(np.cumsum(np.abs(r[::-1, m:]) ** 2, axis=0))[::-1]
 

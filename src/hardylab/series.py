@@ -207,6 +207,18 @@ def array_norm(c: np.ndarray) -> float:
     return math.sqrt(c.dot(c))
 
 
+def _row_norms(c: np.ndarray) -> np.ndarray:
+    """:func:`array_norm` of each row on the last axis of ``c``, bit for bit.
+
+    ``np.vecdot`` runs the same BLAS dot per row as ``ndarray.dot`` does on
+    one row.
+    """
+    if c.dtype.kind == "c":
+        re, im = c.real, c.imag
+        return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    return np.sqrt(np.vecdot(c, c))
+
+
 def axpy(a: complex, f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
     """a*f + g coefficientwise; valid degree is the minimum of the inputs."""
     m = min(f.valid_degree, g.valid_degree) + 1

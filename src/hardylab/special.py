@@ -110,12 +110,18 @@ def truncation_certificate(coefficients, n_trunc: int) -> float:
     sequence.  The coefficients of h_k decay like |c_j| <= k/(j+1), so the
     tail of h_k beyond degree N has norm at most
     sqrt(sum_{j>N} k^2/(j+1)^2) <= k/sqrt(N+1), and the bound is
-    sum_k |c_k| * k/sqrt(N+1), summed in the order of the coefficients.
-    It certifies how far the truncation can move a distance d_K.
+    sum_k |c_k| * k/sqrt(N+1), summed left to right in the order of the
+    coefficients (the last partial sum of ``np.cumsum``, bit for bit
+    Python's ``sum``).  It certifies how far the truncation can move a
+    distance d_K.
     """
     _check_hk_args(2, n_trunc)
-    root = np.sqrt(n_trunc + 1)
-    return float(sum(abs(c) * (k / root) for k, c in enumerate(coefficients, start=2)))
+    c = np.asarray(coefficients)
+    if c.size == 0:
+        return 0.0
+    # np.hypot rounds |c| as Python's abs does; np.abs differs in the last bit
+    terms = np.hypot(c.real, c.imag) * (np.arange(2, c.size + 2) / np.sqrt(n_trunc + 1))
+    return float(np.cumsum(terms)[-1])
 
 
 def dirichlet_energy_at_one_array(c: np.ndarray) -> np.ndarray:

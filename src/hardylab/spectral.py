@@ -13,9 +13,10 @@ point, built by ``_eigen_bands`` in float64 arrays that round as CPython's
 complex arithmetic does, and sums each residual block in closed form, in
 O(points * level) time and memory whatever n.  It returns a columnar
 :class:`DiskScanReport`.  Its oracle :func:`adjoint_eigenvector` runs its
-own per-point complex recurrence in ``_eigenvector``, which expands it to
-the full vector and takes its own adjoint and residual; the spectral
-identity suite calls ``_eigenvector`` directly, for those two alone.
+own per-point complex recurrence in ``_eigenvectors``, which expands it to
+full vectors, one row per point, and takes their adjoint and residuals in
+one call each; the spectral identity suite calls ``_eigenvectors`` directly,
+on blocks of its points, for those two alone.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, OutsideSpectralBall
 from .semigroup import weighted_dilation_adjoint, weighted_dilation_adjoint_array
-from .series import CoeffSeries, _check_array_bytes, array_norm, norm
+from .series import CoeffSeries, _check_array_bytes, _row_norms, array_norm, norm
 
 __all__ = [
     "EigenPair",
@@ -128,18 +129,23 @@ def _residual_bands(n: int, lams: np.ndarray, bands: np.ndarray) -> np.ndarray:
     return res
 
 
-def _eigenvector(n: int, lam: complex, counts) -> tuple[np.ndarray, float]:
-    """:func:`adjoint_eigenvector`'s vector and residual at a checked ``lam``.
+def _eigenvectors(n: int, lams: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`adjoint_eigenvector`'s vectors and residuals at checked ``lams``, one row per point.
 
     ``counts`` (a list or an int array) is each band's entry count, 1 then n^l (n-1) for
-    l < level.  Raises IndexOutOfRange past numpy's array size limit.
+    l < level.  Each row is the same, bit for bit, as a one-row call gives.
+    Raises IndexOutOfRange past numpy's array size limit.
     """
     level = len(counts) - 1
-    _check_array_bytes(16 * n**level, f"an eigenvector of {n}^{level} coefficients")
+    _check_array_bytes(16 * len(lams) * n**level,
+                       f"{len(lams)} eigenvectors of {n}^{level} coefficients each")
     # the scan's recurrence in Python complex arithmetic, kept apart as its oracle
-    bands = accumulate(repeat(lam / n, level - 1), mul, initial=(lam - 1) / (n - 1))
-    v = np.repeat(np.array([1.0, *bands]), counts)
-    return v, array_norm(weighted_dilation_adjoint_array(n, v) - lam * v[: n ** (level - 1)])
+    bands = [[1.0, *accumulate(repeat(lam / n, level - 1), mul, initial=(lam - 1) / (n - 1))]
+             for lam in lams.tolist()]
+    v = np.repeat(np.array(bands, dtype=np.complex128), counts, axis=1)
+    residual = weighted_dilation_adjoint_array(n, v)
+    residual -= lams[:, None] * v[:, : n ** (level - 1)]
+    return v, _row_norms(residual)
 
 
 def adjoint_eigenvector(n: int, lam: complex, level: int) -> EigenPair:
@@ -150,10 +156,10 @@ def adjoint_eigenvector(n: int, lam: complex, level: int) -> EigenPair:
     sums to lam times the coefficient it reports to, so the residual over
     the adjoint's window is at machine-precision scale.
     """
-    lam = complex(_checked_points(n, lam, level)[0])
-    v, residual = _eigenvector(n, lam, [1] + [n**ell * (n - 1) for ell in range(level)])
-    return EigenPair(n=n, lam=lam, level=level, vector=CoeffSeries(v), residual=residual,
-                     tail_mass=array_norm(v[n ** (level - 1):]))
+    lams = _checked_points(n, lam, level)
+    v, residual = _eigenvectors(n, lams, [1] + [n**ell * (n - 1) for ell in range(level)])
+    return EigenPair(n=n, lam=complex(lams[0]), level=level, vector=CoeffSeries(v[0]),
+                     residual=float(residual[0]), tail_mass=array_norm(v[0, n ** (level - 1):]))
 
 
 def eigenvector_norm_sq(n: int, lam: complex | np.ndarray, level: int) -> float | np.ndarray:

@@ -9,24 +9,28 @@ check, and the acceptance criteria that share a check with a suite
 (tests/test_acceptance.py: c01 to c07, c09, c10, c11, c14 and c15) call
 that suite with the criterion's seed and assert the checks they share pass.
 
-The adjoint, isometry and Dirichlet suites and the Cauchy-Schwarz loop of
-the semigroup suite work on row stacks, one random series per row.  Rows
-come in blocks whose widest array holds at most ``_STACK_BYTES``; each
-block takes its inputs in one ``rng.standard_normal((rows, 2 * series,
-length))`` call, the same stream, in the same order, as one
-:func:`random_series` call per series.  The isometry suite sizes its draws
-for its index-2 stack and cuts each draw, per index n, into the rows the
-index-n stack fits.  Each quantity is one call per block: the transforms go
-through the array kernels of :mod:`hardylab.semigroup` and
-:func:`~hardylab.special.dirichlet_energy_at_one_array`, and every row
-norm and pairing through ``np.vecdot``, which runs the same BLAS dot per
-row as :func:`~hardylab.series.array_norm` and ``np.vdot``.  The scalar
-rounding rules carry over to the rows: the modulus of a complex value is
-``np.hypot``, as Python's ``abs`` rounds it (``np.abs`` differs in the
-last bit), and a power of a float is ``np.float_power``, libm ``pow`` as
-Python's ``**`` (``x * x`` differs).  The spectral suite takes each
-eigenvector and residual from the one per-point path behind
-:func:`~hardylab.spectral.adjoint_eigenvector`, without its series copy.
+The adjoint, isometry, Dirichlet and spectral suites and the Cauchy-Schwarz
+loop of the semigroup suite work on row stacks, one random series or one
+eigenvalue per row.  Rows come in blocks whose widest array holds at most
+``_STACK_BYTES``; each block takes its inputs in one
+``rng.standard_normal((rows, 2 * series, length))`` call, the same stream,
+in the same order, as one :func:`random_series` call per series.  The
+isometry suite sizes its draws for its index-2 stack and cuts each draw, per
+index n, into the rows the index-n stack fits.  Each quantity is one call
+per block: the transforms go through the array kernels of
+:mod:`hardylab.semigroup` and
+:func:`~hardylab.special.dirichlet_energy_at_one_array`, every row norm
+through :func:`~hardylab.series._row_norms`, bit for bit
+:func:`~hardylab.series.array_norm` per row, and every pairing through
+``np.vecdot``, which runs the same BLAS dot per row as ``np.vdot``.  The
+scalar rounding rules carry over to the rows: the modulus of a complex
+value is ``np.hypot``, as Python's ``abs`` rounds it (``np.abs`` differs in
+the last bit), and a power of a float is ``np.float_power``, libm ``pow`` as
+Python's ``**`` (``x * x`` differs).  The spectral suite takes its
+eigenvectors and residuals from :func:`~hardylab.spectral._eigenvectors`,
+the path behind :func:`~hardylab.spectral.adjoint_eigenvector`, a block of
+points per call, without the series copy; its blocks count a row's vector,
+adjoint and ``lam * v`` window together, 16 (n + 2) n^(level-1) bytes.
 
 Each check is the NaN-propagating ``np.max`` (or ``np.min``) of the values
 it collects: the per-block arrays of a row-stack suite, the per-case
@@ -35,11 +39,19 @@ numpy's keeps it, so the check fails.  Max and min are exact, so every
 check value is the same bit for bit whatever the block size or the order,
 and the same as one series at a time gives.
 
-``_STACK_BYTES`` is 128 KiB.  There the isometry suite, the largest, peaks
-at 0.40 MiB of traced allocations (``tracemalloc``, seed 1), under the 0.73
-MiB of ``suite_hk``'s fixed tables.  256 KiB (512 KiB) made ``verify --suite
-all`` about 10% (15%) faster still, but raised the identity-suites
-benchmark's peak RSS by 0.4-0.5 MiB (1.1-1.2 MiB) in two 8 s runs each.
+``_STACK_BYTES`` is 512 KiB.  There the isometry and adjoint suites, the
+largest, peak at 1.49 and 1.47 MiB of traced allocations (``tracemalloc``,
+seed 1), the spectral suite at 0.77 MiB, against 0.40 MiB for the largest
+at 128 KiB, where the isometry suite made 209 calls of its error kernel (53
+now) and the adjoint suite took 7 rows a block (31 now).  The budget and
+the stacked spectral suite cut ``verify --suite all`` from 56.5 to 45.8 ms
+in process (medians of six alternating pairs, 2-core x86-64): the isometry
+suite by 35%, the adjoint and spectral suites by 14% and 13%.  A spectral
+block counted by its vector alone, 16 n^level bytes a row, held about 1 MiB
+at index 2, past the threshold at which glibc's malloc (2 x the largest
+mapped block freed so far) returns the freed top of its heap to the
+kernel; each block then faulted its pages in again, about 2600 page faults
+a suite, and the suite ran about 20% slower than one point at a time.
 """
 
 from __future__ import annotations
@@ -59,14 +71,14 @@ from .semigroup import (
     weighted_dilation_adjoint_array,
     weighted_dilation_array,
 )
-from .series import CoeffSeries, array_norm, from_coeffs, inner, norm, one, pad
+from .series import CoeffSeries, _row_norms, from_coeffs, inner, norm, one, pad
 from .special import (
     dirichlet_energy_at_one,
     dirichlet_energy_at_one_array,
     hk_closed_form,
     hk_oracle,
 )
-from .spectral import _eigenvector, eigenvector_norm_sq, level_for_degree, shift_decay
+from .spectral import _eigenvectors, eigenvector_norm_sq, level_for_degree, shift_decay
 
 __all__ = [
     "CheckResult",
@@ -89,7 +101,7 @@ __all__ = [
 # Upper bound on the bytes of the widest row stack a suite holds at once.
 # Several stacks of that size are live together; see the module docstring
 # for the peak this budget gives.
-_STACK_BYTES = 1 << 17
+_STACK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -115,14 +127,6 @@ def _worst(values, pick=np.max) -> float:
     A NaN anywhere makes the result NaN, so its check fails.
     """
     return float(pick(np.concatenate(values, axis=None)))
-
-
-def _row_norms(c: np.ndarray) -> np.ndarray:
-    """:func:`~hardylab.series.array_norm` of each row on the last axis of ``c``, bit for bit."""
-    if c.dtype.kind == "c":
-        re, im = c.real, c.imag
-        return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
-    return np.sqrt(np.vecdot(c, c))
 
 
 def _row_blocks(rows: int, row_bytes: int) -> list[int]:
@@ -201,6 +205,14 @@ def _dirichlet_ratios(n: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     energy = dirichlet_energy_at_one_array(c)
     norm_sq = np.float_power(_row_norms(c), 2)
     return energy / (2**n * n * norm_sq), energy <= n**2 * norm_sq
+
+
+def _eigenvector_errors(n: int, lams: np.ndarray, counts,
+                        closed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Relative residual and relative error of ||v||^2 against ``closed`` for each eigenvector."""
+    v, residual = _eigenvectors(n, lams, counts)
+    vector_norm = _row_norms(v)
+    return residual / vector_norm, np.abs(np.float_power(vector_norm, 2) - closed) / closed
 
 
 def suite_adjoint(seed: int = 0) -> list[CheckResult]:
@@ -347,19 +359,20 @@ def suite_dirichlet(seed: int = 0) -> list[CheckResult]:
 
 def suite_spectral(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    resid, norm_err = [], []
+    errors = []
     for n in (2, 3):
         level = level_for_degree(n, 4096)
         counts = np.array([1] + [n**ell * (n - 1) for ell in range(level)])
         # the same stream, in the same order, as one rng.uniform() call at a time
         draws = rng.uniform(size=(100, 2)).tolist()
         lams = np.array([0.95 * np.sqrt(n) * np.sqrt(u) * np.exp(2j * np.pi * t) for u, t in draws])
-        # eigenvector_norm_sq checks every point once, for _eigenvector too
-        for lam, closed in zip(lams.tolist(), eigenvector_norm_sq(n, lams, level).tolist()):
-            v, residual = _eigenvector(n, lam, counts)
-            vector_norm = array_norm(v)
-            resid.append(residual / vector_norm)
-            norm_err.append(abs(vector_norm ** 2 - closed) / closed)
+        # eigenvector_norm_sq checks every point once, for _eigenvectors too
+        closed = eigenvector_norm_sq(n, lams, level)
+        # a row's vector, and its adjoint and lam * v windows, live together
+        step = _row_blocks(100, 16 * (n + 2) * n ** (level - 1))[0]
+        errors += [_eigenvector_errors(n, lams[i : i + step], counts, closed[i : i + step])
+                   for i in range(0, 100, step)]
+    resid, norm_err = zip(*errors)
 
     decay = shift_decay(2, one(2**10 - 1), 10)
     expected = [2 ** (-m / 2) for m in range(1, 11)]

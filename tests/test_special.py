@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hardylab as hl
 from hardylab.errors import IndexOutOfRange
@@ -188,3 +190,15 @@ class TestTruncationCertificate:
                 for j, c in zip(range(2, k + 1), rep.coefficients)
             )
             assert hl.truncation_certificate(rep.coefficients, n_trunc) == inline
+
+    # magnitudes far below overflow, as the coefficients of a fit are
+    @given(st.one_of(st.lists(st.floats(-1e150, 1e150), max_size=60),
+                     st.lists(st.complex_numbers(max_magnitude=1e150), max_size=60)),
+           st.integers(0, 2**40), st.booleans())
+    def test_equals_the_python_sum_bit_for_bit(self, coefficients, n_trunc, as_array):
+        if as_array:
+            coefficients = np.array(coefficients)
+        root = np.sqrt(n_trunc + 1)
+        want = float(sum(abs(c) * (k / root) for k, c in enumerate(coefficients, start=2)))
+        got = hl.truncation_certificate(coefficients, n_trunc)
+        assert type(got) is float and got.hex() == want.hex()

@@ -9,6 +9,7 @@ import hardylab as hl
 from hardylab import spectral
 from hardylab.errors import IndexOutOfRange, OutsideSpectralBall, TruncationTooShort
 from hardylab.semigroup import weighted_dilation_adjoint
+from hardylab.series import array_norm
 
 
 class TestEigenvectorConstruction:
@@ -100,6 +101,37 @@ class TestEigenvectorConstruction:
             assert type(pair.residual) is float and type(pair.tail_mass) is float
             got = (pair.residual.hex(), pair.tail_mass.hex())
             assert got == (residual.hex(), tail_mass.hex()), (n, lam, level)
+
+
+class TestStackedEigenvectors:
+    """The rows of one ``_eigenvectors`` call against each point on its own, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_stacked_rows_match_lone_points(self, n):
+        level = hl.level_for_degree(n, 4096)
+        counts = [1] + [n**ell * (n - 1) for ell in range(level)]
+        window = n ** (level - 1)
+        rng = np.random.default_rng(60 + n)
+        edge = 0.95 * math.sqrt(n)
+        # zero, real points, points on |lam| = 0.95 sqrt(n), then points inside
+        lams = np.concatenate([
+            [0.0, 0.5, -1.25, edge, -edge, 1j * edge],
+            edge * np.exp(2j * np.pi * rng.uniform(size=6)),
+            edge * np.sqrt(rng.uniform(size=38)) * np.exp(2j * np.pi * rng.uniform(size=38)),
+        ])
+        vectors, residuals = spectral._eigenvectors(n, lams, counts)
+        assert vectors.shape == (len(lams), n**level) and residuals.shape == (len(lams),)
+        for i, lam in enumerate(lams):
+            lone_vector, lone_residual = spectral._eigenvectors(n, lams[i : i + 1], counts)
+            pair = hl.adjoint_eigenvector(n, lam, level)
+            # its one-point form, against the scalar lam * v
+            vector, residual, tail_mass = series_adjoint_eigenvector(n, lam, level)
+            for got in (vectors[i], lone_vector[0], pair.vector.coeffs):
+                assert got.dtype == vector.dtype and got.tobytes() == vector.tobytes(), (n, i)
+            for got in (residuals[i], lone_residual[0], pair.residual):
+                assert float(got).hex() == residual.hex(), (n, i)
+            assert array_norm(vectors[i, window:]).hex() == tail_mass.hex(), (n, i)
+            assert pair.tail_mass.hex() == tail_mass.hex(), (n, i)
 
 
 def top_level(n):

@@ -31,11 +31,15 @@ def test_stacked_suite_matches_series_form(name, seed):
     assert reprs(verify.SUITES[name](seed=seed)) == reprs(SERIES_SUITES[name](seed=seed))
 
 
-@pytest.mark.parametrize("name", ["adjoint", "dirichlet", "isometry", "semigroup"])
+# A budget of four isometry rows at index 2 and one at index 10.
+SEVERAL_BLOCKS = 4 * 2 * 257 * 16
+
+
+@pytest.mark.parametrize("name", ["adjoint", "dirichlet", "isometry", "semigroup", "spectral"])
 def test_block_size_does_not_change_results(name, monkeypatch):
     default = reprs(verify.SUITES[name](seed=20240826))
     # one row per block; several rows at index 2 but one at index 10; every row in one block
-    for budget in (1, 4 * 2 * 257 * 16, 1 << 40):
+    for budget in (1, SEVERAL_BLOCKS, 1 << 40):
         monkeypatch.setattr(verify, "_STACK_BYTES", budget)
         assert reprs(verify.SUITES[name](seed=20240826)) == default
 
@@ -238,9 +242,14 @@ def nan_last_row(rows):
     return rows
 
 
-def nan_residual(pair):
-    vector, _ = pair
-    return vector, math.nan
+def nan_first_residual(pair):
+    vectors, residuals = pair
+    return vectors, nan_first_row(residuals)
+
+
+def nan_last_residual(pair):
+    vectors, residuals = pair
+    return vectors, nan_last_row(residuals)
 
 
 def nan_coeffs(series):
@@ -250,7 +259,8 @@ def nan_coeffs(series):
 
 # suite, the name it calls, which call to poison (from 1; -1 is the last),
 # the poison, the checks that must fail.  A NaN in the last row of the last
-# block is the last value a check sees, the one Python's max would drop.
+# block is the last value a check sees, the one Python's max would drop; those
+# cases run at a budget that cuts every suite's stacks into several blocks.
 NAN_CASES = [
     ("adjoint", "weighted_dilation_adjoint_array", 1, nan_first_row,
      ["adjoint duality <Wf,g> = <f,W*g>"]),
@@ -266,7 +276,7 @@ NAN_CASES = [
      ["adjoint annihilates its kernel vectors"]),
     ("dirichlet", "dirichlet_energy_at_one_array", 1, nan_first_row,
      ["kernel combinations have energy <= 2^n n ||f||^2"]),
-    ("spectral", "_eigenvector", 1, nan_residual, ["adjoint eigenvector residual"]),
+    ("spectral", "_eigenvectors", 1, nan_first_residual, ["adjoint eigenvector residual"]),
     ("adjoint", "weighted_dilation_adjoint_array", -1, nan_last_row,
      ["adjoint duality <Wf,g> = <f,W*g>"]),
     ("isometry", "weighted_dilation_array", -1, nan_last_row,
@@ -275,7 +285,7 @@ NAN_CASES = [
      ["no-eigenvector gap (index 2) stays positive"]),
     ("dirichlet", "dirichlet_energy_at_one_array", -1, nan_last_row,
      ["kernel combinations have energy <= 2^n n ||f||^2"]),
-    ("spectral", "_eigenvector", -1, nan_residual, ["adjoint eigenvector residual"]),
+    ("spectral", "_eigenvectors", -1, nan_last_residual, ["adjoint eigenvector residual"]),
 ]
 
 
@@ -284,6 +294,7 @@ NAN_CASES = [
                               for case in NAN_CASES])
 def test_nan_fails_its_check(monkeypatch, suite, name, call, poison, failing):
     if call == -1:
+        monkeypatch.setattr(verify, "_STACK_BYTES", SEVERAL_BLOCKS)
         call = count_calls(suite, name)
         assert call > 1  # the last block, not the first
     clean = {c.name: c for c in verify.SUITES[suite](seed=0)}
