@@ -42,7 +42,6 @@ from .series import (
     CoeffSeries,
     axpy,
     cumsum,
-    fit_degree,
     formal_log,
     from_coeffs,
     inner,
@@ -95,7 +94,6 @@ __all__ = [
     "dirichlet_energy_at_one_array",
     "distance_to_span",
     "eigenvector_norm_sq",
-    "fit_degree",
     "formal_log",
     "from_coeffs",
     "hk_closed_form",

@@ -368,11 +368,18 @@ def cyclicity_scan(
     W_m f | t_1 .. t_r] at degree ``n_trunc`` (exact padding for a
     polynomial f, the intended use), all complex128 when the orbit or any
     target is complex.  The orbit passes one rank gate, even with no
-    targets, or :class:`DegenerateBasis` is raised.
+    targets, or :class:`DegenerateBasis` is raised; an orbit longer than
+    n_trunc + 1 is refused before any member is built.  Each W_n f is built
+    from f_0 .. f_(n_trunc // n), the only coefficients the engine reads.
     """
     if n_max < 2:
         raise IndexOutOfRange(f"n_max must be >= 2, got {n_max}")
-    orbit = [weighted_dilation(n, f) for n in range(1, n_max + 1)]
+    _check_valid_degree(n_trunc)
+    if n_max > n_trunc + 1:
+        raise DegenerateBasis(f"an orbit of {n_trunc + 2} or more members is rank deficient "
+                              f"in {n_trunc + 1} coefficients")
+    orbit = [weighted_dilation(n, from_coeffs(f.coeffs[: n_trunc // n + 1]))
+             for n in range(1, n_max + 1)]
     return [reports[-1] for reports in nested_distances(orbit, targets, n_trunc)]
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "weighted_dilation_array",
     "weighted_dilation_adjoint_array",
     "dilation",
-    "adjoint_valid_degree",
     "semiconjugacy_residual",
     "kernel_vector",
     "kernel_intersection_basis",
@@ -75,11 +74,6 @@ def weighted_dilation(n: int, f: CoeffSeries) -> CoeffSeries:
     return f if n == 1 else CoeffSeries(out)
 
 
-def adjoint_valid_degree(n: int, input_valid_degree: int) -> int:
-    """Largest output degree whose full coefficient block is known."""
-    return (input_valid_degree + 1) // n - 1
-
-
 def weighted_dilation_adjoint_array(n: int, c: np.ndarray) -> np.ndarray:
     """Block sums of length n on the last axis of ``c``, complete blocks only.
 
@@ -95,13 +89,12 @@ def weighted_dilation_adjoint_array(n: int, c: np.ndarray) -> np.ndarray:
     _check_index(n)
     if n == 1:
         return c
-    valid = c.shape[-1] - 1
-    m = adjoint_valid_degree(n, valid)
-    if m < 0:
+    blocks = c.shape[-1] // n  # the complete blocks, the only known sums
+    if blocks == 0:
         raise TruncationTooShort(
-            f"adjoint with index {n} needs valid degree >= {n - 1}, got {valid}"
+            f"adjoint with index {n} needs valid degree >= {n - 1}, got {c.shape[-1] - 1}"
         )
-    window = c[..., : (m + 1) * n]
+    window = c[..., : blocks * n]
     lanes = 4 if window.dtype.kind == "c" else 8
     return _pairwise_sum([window[..., i::n] for i in range(n)], lanes)
 

@@ -33,7 +33,6 @@ __all__ = [
     "from_coeffs",
     "truncate",
     "pad",
-    "fit_degree",
     "inner",
     "norm",
     "array_norm",
@@ -165,13 +164,6 @@ def pad(f: CoeffSeries, valid_degree: int) -> CoeffSeries:
     c = np.zeros(valid_degree + 1, dtype=f.coeffs.dtype)
     c[: len(f.coeffs)] = f.coeffs
     return CoeffSeries(c)
-
-
-def fit_degree(f: CoeffSeries, valid_degree: int) -> CoeffSeries:
-    """Truncate or zero-pad to the requested degree (pad assumes polynomial)."""
-    if valid_degree <= f.valid_degree:
-        return truncate(f, valid_degree)
-    return pad(f, valid_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,15 @@ exponent L (series built through degree n^L - 1): a ragged cut would break
 the outermost block identity.
 
 :func:`spectral_disk_scan` works on the band values alone, one row per
-point, built by ``_eigen_bands`` in float64 arrays that round as CPython's
-complex arithmetic does, and sums each residual block in closed form, in
-O(points * level) time and memory whatever n.  It returns a columnar
-:class:`DiskScanReport`.  Its oracle :func:`adjoint_eigenvector` runs its
-own per-point complex recurrence in ``_eigenvectors``, which expands it to
-full vectors, one row per point, and takes their adjoint and residuals in
-one call each; the spectral identity suite calls ``_eigenvectors`` directly,
-on blocks of its points, for those two alone.
+point, and sums each residual block in closed form, in O(points * level)
+time and memory whatever n.  It returns a columnar :class:`DiskScanReport`.
+``_eigen_bands`` is the one builder of those values: a table of level + 1
+columns, one row per point, in float64 arrays that round as CPython's
+complex arithmetic does.  :func:`adjoint_eigenvector` and the spectral
+identity suite expand rows of the same table to full vectors in
+``_eigenvectors``, which takes their adjoint and residuals in one call
+each; the per-point Python complex recurrence is kept in
+``tests/oracles.py`` as the independent reference.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import mul
 
 import numpy as np
 
@@ -88,33 +87,30 @@ def _checked_points(n: int, lams, level: int) -> np.ndarray:
     return lams
 
 
-def _eigen_bands(n: int, lams, level: int) -> np.ndarray:
-    """Band values b_0 .. b_{level-1} of the eigenvectors at ``lams``, one row per point.
+def _eigen_bands(n: int, lams, level: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The checked ``lams``, the eigenvectors' band table, and each column's entry count.
 
-    b_0 = (lam-1)/(n-1) and b_l = b_(l-1) * (lam/n), each rounded as CPython's
-    complex / and * round them: numpy's complex / and * fuse multiply-adds and
-    differ in the last bit.
+    Row i of the table is [1, b_0 .. b_(level-1)] at ``lams[i]``: the value
+    at degree 0, then the values on the bands [n^l, n^(l+1)), whose entry
+    counts are 1 then n^l (n-1).  b_0 = (lam-1)/(n-1) and b_l = b_(l-1) *
+    (lam/n), each rounded as CPython's complex / and * round them: numpy's
+    complex / and * fuse multiply-adds and differ in the last bit.
     """
     lams = _checked_points(n, lams, level)
     re, im = lams.real, lams.imag
     # CPython divides by the real n as by the complex (n, 0.0): ratio 0.0, denominator n
     qr, qi = (re + im * 0.0) / float(n), (im - re * 0.0) / float(n)
-    parts = np.empty((len(lams), level, 2))
-    br, bi = parts[..., 0], parts[..., 1]
+    parts = np.empty((len(lams), level + 1, 2))
+    parts[:, 0] = 1.0, 0.0
+    br, bi = parts[:, 1:, 0], parts[:, 1:, 1]
     br[:, 0] = ((re - 1.0) + im * 0.0) / float(n - 1)
     bi[:, 0] = (im - (re - 1.0) * 0.0) / float(n - 1)
     for ell in range(1, level):
         # each product rounded on its own, then the sum, as CPython multiplies
         br[:, ell] = br[:, ell - 1] * qr - bi[:, ell - 1] * qi
         bi[:, ell] = br[:, ell - 1] * qi + bi[:, ell - 1] * qr
-    return parts.view(np.complex128)[..., 0]
-
-
-def _band_vectors(n: int, lams, level: int) -> tuple[np.ndarray, list[int]]:
-    """Eigenvectors as columns [1, b_0 .. b_{level-1}] and each column's entry count."""
-    bands = _eigen_bands(n, lams, level)
-    vector = np.concatenate([np.ones((len(bands), 1)), bands], axis=1)
-    return vector, [1] + [n**ell * (n - 1) for ell in range(level)]
+    counts = [1] + [n**ell * (n - 1) for ell in range(level)]
+    return lams, parts.view(np.complex128)[..., 0], counts
 
 
 def _residual_bands(n: int, lams: np.ndarray, bands: np.ndarray) -> np.ndarray:
@@ -129,20 +125,19 @@ def _residual_bands(n: int, lams: np.ndarray, bands: np.ndarray) -> np.ndarray:
     return res
 
 
-def _eigenvectors(n: int, lams: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`adjoint_eigenvector`'s vectors and residuals at checked ``lams``, one row per point.
+def _eigenvectors(n: int, lams: np.ndarray, bands: np.ndarray,
+                  counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`adjoint_eigenvector`'s vectors and residuals, one row per point.
 
-    ``counts`` (a list or an int array) is each band's entry count, 1 then n^l (n-1) for
-    l < level.  Each row is the same, bit for bit, as a one-row call gives.
+    ``lams`` and ``bands`` are rows of :func:`_eigen_bands`' points and
+    table, and ``counts`` its entry counts, by which each column is
+    repeated.  Each row is the same, bit for bit, as a one-row call gives.
     Raises IndexOutOfRange past numpy's array size limit.
     """
     level = len(counts) - 1
     _check_array_bytes(16 * len(lams) * n**level,
                        f"{len(lams)} eigenvectors of {n}^{level} coefficients each")
-    # the scan's recurrence in Python complex arithmetic, kept apart as its oracle
-    bands = [[1.0, *accumulate(repeat(lam / n, level - 1), mul, initial=(lam - 1) / (n - 1))]
-             for lam in lams.tolist()]
-    v = np.repeat(np.array(bands, dtype=np.complex128), counts, axis=1)
+    v = np.repeat(bands, counts, axis=1)
     residual = weighted_dilation_adjoint_array(n, v)
     residual -= lams[:, None] * v[:, : n ** (level - 1)]
     return v, _row_norms(residual)
@@ -156,8 +151,8 @@ def adjoint_eigenvector(n: int, lam: complex, level: int) -> EigenPair:
     sums to lam times the coefficient it reports to, so the residual over
     the adjoint's window is at machine-precision scale.
     """
-    lams = _checked_points(n, lam, level)
-    v, residual = _eigenvectors(n, lams, [1] + [n**ell * (n - 1) for ell in range(level)])
+    lams, bands, counts = _eigen_bands(n, lam, level)
+    v, residual = _eigenvectors(n, lams, bands, counts)
     return EigenPair(n=n, lam=complex(lams[0]), level=level, vector=CoeffSeries(v[0]),
                      residual=float(residual[0]), tail_mass=array_norm(v[0, n ** (level - 1):]))
 
@@ -273,8 +268,7 @@ def spectral_disk_scan(
     lams = np.empty((len(radii), angles_count), dtype=np.complex128)
     lams.real = f * turns.real - 0.0 * turns.imag
     lams.imag = f * turns.imag + 0.0 * turns.real
-    lams = lams.reshape(-1)
-    vector, counts = _band_vectors(n, lams, level)
+    lams, vector, counts = _eigen_bands(n, lams.reshape(-1), level)
     weights = np.array(counts, dtype=np.float64)
     residual = _band_norms(_residual_bands(n, lams, vector[:, 1:]), weights[:-1])
     closed = np.sqrt(eigenvector_norm_sq(n, lams, level))

@@ -26,11 +26,13 @@ through :func:`~hardylab.series._row_norms`, bit for bit
 scalar rounding rules carry over to the rows: the modulus of a complex
 value is ``np.hypot``, as Python's ``abs`` rounds it (``np.abs`` differs in
 the last bit), and a power of a float is ``np.float_power``, libm ``pow`` as
-Python's ``**`` (``x * x`` differs).  The spectral suite takes its
-eigenvectors and residuals from :func:`~hardylab.spectral._eigenvectors`,
-the path behind :func:`~hardylab.spectral.adjoint_eigenvector`, a block of
-points per call, without the series copy; its blocks count a row's vector,
-adjoint and ``lam * v`` window together, 16 (n + 2) n^(level-1) bytes.
+Python's ``**`` (``x * x`` differs).  The spectral suite builds one band
+table per index with :func:`~hardylab.spectral._eigen_bands`, for all its
+points, and expands a block of its rows per call of
+:func:`~hardylab.spectral._eigenvectors`, the path behind
+:func:`~hardylab.spectral.adjoint_eigenvector`, without the series copy; its
+blocks count a row's vector, adjoint and ``lam * v`` window together, 16
+(n + 2) n^(level-1) bytes.
 
 Each check is the NaN-propagating ``np.max`` (or ``np.min``) of the values
 it collects: the per-block arrays of a row-stack suite, the per-case
@@ -41,17 +43,11 @@ and the same as one series at a time gives.
 
 ``_STACK_BYTES`` is 512 KiB.  There the isometry and adjoint suites, the
 largest, peak at 1.49 and 1.47 MiB of traced allocations (``tracemalloc``,
-seed 1), the spectral suite at 0.77 MiB, against 0.40 MiB for the largest
-at 128 KiB, where the isometry suite made 209 calls of its error kernel (53
-now) and the adjoint suite took 7 rows a block (31 now).  The budget and
-the stacked spectral suite cut ``verify --suite all`` from 56.5 to 45.8 ms
-in process (medians of six alternating pairs, 2-core x86-64): the isometry
-suite by 35%, the adjoint and spectral suites by 14% and 13%.  A spectral
-block counted by its vector alone, 16 n^level bytes a row, held about 1 MiB
-at index 2, past the threshold at which glibc's malloc (2 x the largest
-mapped block freed so far) returns the freed top of its heap to the
-kernel; each block then faulted its pages in again, about 2600 page faults
-a suite, and the suite ran about 20% slower than one point at a time.
+seed 1), the spectral suite at 0.77 MiB.  A spectral block counts every
+array that lives with its vector, not the vector alone: blocks near 1 MiB
+pass the threshold at which glibc's malloc (2 x the largest mapped block
+freed so far) returns the freed top of its heap to the kernel, and each
+block then faults its pages in again.
 """
 
 from __future__ import annotations
@@ -78,7 +74,13 @@ from .special import (
     hk_closed_form,
     hk_oracle,
 )
-from .spectral import _eigenvectors, eigenvector_norm_sq, level_for_degree, shift_decay
+from .spectral import (
+    _eigen_bands,
+    _eigenvectors,
+    eigenvector_norm_sq,
+    level_for_degree,
+    shift_decay,
+)
 
 __all__ = [
     "CheckResult",
@@ -207,10 +209,10 @@ def _dirichlet_ratios(n: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return energy / (2**n * n * norm_sq), energy <= n**2 * norm_sq
 
 
-def _eigenvector_errors(n: int, lams: np.ndarray, counts,
+def _eigenvector_errors(n: int, lams: np.ndarray, bands: np.ndarray, counts: list[int],
                         closed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Relative residual and relative error of ||v||^2 against ``closed`` for each eigenvector."""
-    v, residual = _eigenvectors(n, lams, counts)
+    v, residual = _eigenvectors(n, lams, bands, counts)
     vector_norm = _row_norms(v)
     return residual / vector_norm, np.abs(np.float_power(vector_norm, 2) - closed) / closed
 
@@ -362,15 +364,16 @@ def suite_spectral(seed: int = 0) -> list[CheckResult]:
     errors = []
     for n in (2, 3):
         level = level_for_degree(n, 4096)
-        counts = np.array([1] + [n**ell * (n - 1) for ell in range(level)])
         # the same stream, in the same order, as one rng.uniform() call at a time
         draws = rng.uniform(size=(100, 2)).tolist()
         lams = np.array([0.95 * np.sqrt(n) * np.sqrt(u) * np.exp(2j * np.pi * t) for u, t in draws])
-        # eigenvector_norm_sq checks every point once, for _eigenvectors too
+        # one band table for every point: its fixed numpy cost is paid once per n
+        lams, bands, counts = _eigen_bands(n, lams, level)
         closed = eigenvector_norm_sq(n, lams, level)
         # a row's vector, and its adjoint and lam * v windows, live together
         step = _row_blocks(100, 16 * (n + 2) * n ** (level - 1))[0]
-        errors += [_eigenvector_errors(n, lams[i : i + step], counts, closed[i : i + step])
+        errors += [_eigenvector_errors(n, lams[i : i + step], bands[i : i + step], counts,
+                                       closed[i : i + step])
                    for i in range(0, 100, step)]
     resid, norm_err = zip(*errors)
 

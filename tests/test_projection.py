@@ -157,9 +157,14 @@ class TestBaezDuarteSequence:
             hl.baez_duarte_sequence(k_max, n_trunc)
 
 
+def refit(f, n_trunc):
+    """``f`` truncated or zero-padded to degree ``n_trunc`` (padding assumes a polynomial)."""
+    return hl.truncate(f, n_trunc) if f.valid_degree >= n_trunc else hl.pad(f, n_trunc)
+
+
 def basis_matrix(basis, n_trunc):
     """The (n_trunc + 1) x j matrix of the basis refitted to degree ``n_trunc``."""
-    return np.column_stack([hl.fit_degree(b, n_trunc).coeffs for b in basis])
+    return np.column_stack([refit(b, n_trunc).coeffs for b in basis])
 
 
 def assert_matches_oracle(rep, target, basis, n_trunc):
@@ -399,7 +404,7 @@ class TestRowSources:
         aug = rows(0, n + 1)
         assert aug.dtype == np.complex128
         for column, member in zip(aug.T, members):
-            fitted = hl.fit_degree(member, n).coeffs
+            fitted = refit(member, n).coeffs
             assert column.real.tobytes() == fitted.real.tobytes()
             assert column.imag.tobytes() == np.imag(fitted).tobytes()
         self.assert_rows_match(aug, rows)
@@ -639,6 +644,42 @@ class TestCyclicityScan:
     def test_degenerate_orbit_without_targets_raises(self):
         with pytest.raises(DegenerateBasis):
             hl.cyclicity_scan(hl.from_coeffs([1.0, 2.0]), 5, [], 2)
+
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(ValueError, match="valid degree must be >= 0"):
+            hl.cyclicity_scan(hl.one(), 2, [], -1)
+
+    @pytest.mark.parametrize("n_max", [7, 10**6, 10**30])
+    def test_orbit_longer_than_coefficients_raises_before_building(self, monkeypatch, n_max):
+        built = []
+        monkeypatch.setattr(projection, "weighted_dilation",
+                            lambda n, f: built.append(n) or hl.weighted_dilation(n, f))
+        with pytest.raises(DegenerateBasis, match="7 or more members"):
+            hl.cyclicity_scan(hl.from_coeffs([1.0, 0.5]), n_max, [], 5)
+        assert built == []
+
+    def test_orbit_members_stop_at_the_truncation(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        n_trunc, n_max = 300, 40
+        f = hl.from_coeffs(rng.standard_normal(n_trunc + 50))
+        targets = [hl.one(n_trunc), hl.from_coeffs(rng.standard_normal(n_trunc + 1))]
+        members = []
+
+        def spy(n, g):
+            members.append((n, g.valid_degree))
+            return hl.weighted_dilation(n, g)
+
+        monkeypatch.setattr(projection, "weighted_dilation", spy)
+        reports = hl.cyclicity_scan(f, n_max, targets, n_trunc)
+        # W_n f takes f_0 .. f_(n_trunc // n): no block of n starts past degree n_trunc
+        assert members == [(n, n_trunc // n) for n in range(1, n_max + 1)]
+        orbit = [hl.weighted_dilation(n, f) for n in range(1, n_max + 1)]
+        full = [per_target[-1] for per_target in hl.nested_distances(orbit, targets, n_trunc)]
+        for rep, want in zip(reports, full, strict=True):
+            assert rep.distance.hex() == want.distance.hex()
+            assert rep.residual_norm_check.hex() == want.residual_norm_check.hex()
+            assert rep.condition_estimate.hex() == want.condition_estimate.hex()
+            assert rep.coefficients.tobytes() == want.coefficients.tobytes()
 
 
 class TestNonCyclicityWitness:

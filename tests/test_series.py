@@ -81,12 +81,12 @@ class TestConstruction:
         [
             lambda f: hl.truncate(f, -5),
             lambda f: hl.truncate(f, -1),
-            lambda f: hl.fit_degree(f, -3),
+            lambda f: hl.truncate(f, -3),
             lambda f: hl.one(-1),
             lambda f: hl.zero(-1),
             lambda f: hl.zero(-3),
         ],
-        ids=["truncate-5", "truncate-1", "fit_degree-3", "one-1", "zero-1", "zero-3"],
+        ids=["truncate-5", "truncate-1", "truncate-3", "one-1", "zero-1", "zero-3"],
     )
     def test_negative_valid_degree_rejected(self, call):
         with pytest.raises(ValueError, match="valid degree must be >= 0"):

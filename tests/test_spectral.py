@@ -109,7 +109,6 @@ class TestStackedEigenvectors:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_stacked_rows_match_lone_points(self, n):
         level = hl.level_for_degree(n, 4096)
-        counts = [1] + [n**ell * (n - 1) for ell in range(level)]
         window = n ** (level - 1)
         rng = np.random.default_rng(60 + n)
         edge = 0.95 * math.sqrt(n)
@@ -119,10 +118,11 @@ class TestStackedEigenvectors:
             edge * np.exp(2j * np.pi * rng.uniform(size=6)),
             edge * np.sqrt(rng.uniform(size=38)) * np.exp(2j * np.pi * rng.uniform(size=38)),
         ])
-        vectors, residuals = spectral._eigenvectors(n, lams, counts)
+        vectors, residuals = spectral._eigenvectors(n, *spectral._eigen_bands(n, lams, level))
         assert vectors.shape == (len(lams), n**level) and residuals.shape == (len(lams),)
         for i, lam in enumerate(lams):
-            lone_vector, lone_residual = spectral._eigenvectors(n, lams[i : i + 1], counts)
+            lone = spectral._eigen_bands(n, lams[i : i + 1], level)
+            lone_vector, lone_residual = spectral._eigenvectors(n, *lone)
             pair = hl.adjoint_eigenvector(n, lam, level)
             # its one-point form, against the scalar lam * v
             vector, residual, tail_mass = series_adjoint_eigenvector(n, lam, level)
@@ -143,7 +143,7 @@ def top_level(n):
 
 
 class TestBandRecurrence:
-    """The float64 band builder against the Python complex recurrence, byte for byte."""
+    """The band table against the Python complex recurrence, byte for byte."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 70, 2**62])
     def test_bands_match_python_complex_recurrence(self, n):
@@ -160,10 +160,14 @@ class TestBandRecurrence:
         points = np.concatenate([zeros, axes, random])
         top = top_level(n)
         for level in (1, 2, 8, top):
-            got = spectral._eigen_bands(n, points, level)
+            lams, table, counts = spectral._eigen_bands(n, points, level)
+            assert lams.tobytes() == points.tobytes()
+            assert table.shape == (len(points), level + 1)
+            # degree 0 holds exactly 1 + 0j, then the bands
+            assert table[:, 0].tobytes() == np.ones(len(points), complex).tobytes()
             want = python_complex_bands(n, points, level)
-            assert got.shape == (len(points), level)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(table[:, 1:].view(np.uint64), want.view(np.uint64))
+            assert counts == [1] + [n**ell * (n - 1) for ell in range(level)]
         with pytest.raises(IndexOutOfRange, match="truncation level"):
             spectral._eigen_bands(n, points, top + 1)
 
@@ -302,7 +306,7 @@ class TestBatchedScanOracle:
         ])
         # by bytes, so the signed zeros at r = 0 count
         assert report.lam.tobytes() == expected_lams.tobytes()
-        vector, counts = spectral._band_vectors(n, report.lam, level)
+        _, vector, counts = spectral._eigen_bands(n, report.lam, level)
         bands = vector[:, 1:]
         residual_bands = spectral._residual_bands(n, report.lam, bands)
         # bit for bit the closed form: 1 + (n-1)*b_0 - lam, then n*b_l - lam*b_(l-1)
