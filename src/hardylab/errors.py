@@ -1,5 +1,16 @@
 """Exception types shared across the laboratory modules."""
 
+__all__ = [
+    "HardyLabError",
+    "IndexOutOfRange",
+    "TruncationTooShort",
+    "NearZeroConstantTerm",
+    "OutsideSpectralBall",
+    "DegenerateBasis",
+    "ResidualMismatch",
+    "HypothesisViolated",
+]
+
 
 class HardyLabError(Exception):
     """Base class for all hardylab errors."""

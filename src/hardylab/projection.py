@@ -368,9 +368,11 @@ def cyclicity_scan(
     W_m f | t_1 .. t_r] at degree ``n_trunc`` (exact padding for a
     polynomial f, the intended use), all complex128 when the orbit or any
     target is complex.  The orbit passes one rank gate, even with no
-    targets, or :class:`DegenerateBasis` is raised; an orbit longer than
-    n_trunc + 1 is refused before any member is built.  Each W_n f is built
-    from f_0 .. f_(n_trunc // n), the only coefficients the engine reads.
+    targets, or :class:`DegenerateBasis` is raised.  An orbit longer than
+    n_trunc + 1, or a matrix past numpy's array size limit
+    (:class:`IndexOutOfRange`), is refused before any member is built.
+    Each W_n f is built from f_0 .. f_(n_trunc // n), the only coefficients
+    the engine reads.
     """
     if n_max < 2:
         raise IndexOutOfRange(f"n_max must be >= 2, got {n_max}")
@@ -378,6 +380,10 @@ def cyclicity_scan(
     if n_max > n_trunc + 1:
         raise DegenerateBasis(f"an orbit of {n_trunc + 2} or more members is rank deficient "
                               f"in {n_trunc + 1} coefficients")
+    columns = n_max + len(targets)
+    itemsize = 16 if any(np.iscomplexobj(c.coeffs) for c in [f, *targets]) else 8
+    _check_array_bytes(itemsize * (n_trunc + 1) * columns,
+                       f"a matrix of {n_trunc + 1} x {columns} orbit and target columns")
     orbit = [weighted_dilation(n, from_coeffs(f.coeffs[: n_trunc // n + 1]))
              for n in range(1, n_max + 1)]
     return [reports[-1] for reports in nested_distances(orbit, targets, n_trunc)]

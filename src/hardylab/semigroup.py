@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IndexOutOfRange, TruncationTooShort
-from .series import CoeffSeries, array_norm
+from .series import CoeffSeries, _check_array_bytes, array_norm
 
 __all__ = [
     "weighted_dilation",
@@ -70,6 +70,7 @@ def weighted_dilation(n: int, f: CoeffSeries) -> CoeffSeries:
     Output valid degree is n*valid + n - 1 (each of the valid+1 input
     coefficients occupies n output slots).  Index 1 is the identity.
     """
+    _check_array_bytes(n * f.coeffs.nbytes, f"W_{n} f")
     out = weighted_dilation_array(n, f.coeffs)
     return f if n == 1 else CoeffSeries(out)
 
@@ -148,6 +149,7 @@ def dilation(n: int, f: CoeffSeries) -> CoeffSeries:
     _check_index(n)
     if n == 1:
         return f
+    _check_array_bytes(f.coeffs.itemsize * (n * f.valid_degree + 1), f"f(z^{n})")
     c = np.zeros(n * f.valid_degree + 1, dtype=f.coeffs.dtype)
     c[::n] = f.coeffs
     return CoeffSeries(c)
@@ -184,6 +186,7 @@ def kernel_vector(n: int, k: int) -> CoeffSeries:
     _check_index(n, lower=2)
     if k < 0:
         raise IndexOutOfRange(f"block index must be >= 0, got {k}")
+    _check_array_bytes(8 * (n * k + n), f"kernel vector {k} of index {n}")
     c = np.zeros(n * k + n)
     c[n * k : n * k + n - 1] = 1.0
     c[n * k + n - 1] = -(n - 1)

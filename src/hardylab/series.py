@@ -27,11 +27,8 @@ from .errors import IndexOutOfRange, NearZeroConstantTerm
 
 __all__ = [
     "CoeffSeries",
-    "zero",
     "one",
-    "monomial",
     "from_coeffs",
-    "truncate",
     "pad",
     "inner",
     "norm",
@@ -48,6 +45,9 @@ _LOG_BLOCK = 128
 
 # formal_log refuses a constant term of at most this modulus.
 _MIN_CONSTANT = 1e-300
+
+# numpy refuses an array of more bytes than this, intp's max.
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 # Rows encoded per block by write_columns; a block's character matrix,
 # at most 25 bytes a float cell and 21 an int cell, stays within a few
@@ -108,7 +108,7 @@ def _check_valid_degree(valid_degree: int) -> None:
 
 def _check_array_bytes(nbytes: int, what: str) -> None:
     """Refuse, as a typed error, an array numpy refuses: one of more than intp's max bytes."""
-    if nbytes > np.iinfo(np.intp).max:
+    if nbytes > _MAX_ARRAY_BYTES:
         raise IndexOutOfRange(f"{what} is past numpy's array size limit")
 
 
@@ -117,40 +117,13 @@ def from_coeffs(values) -> CoeffSeries:
     return CoeffSeries(values)
 
 
-def zero(valid_degree: int = 0) -> CoeffSeries:
-    """The zero series, exact through ``valid_degree``."""
-    _check_valid_degree(valid_degree)
-    return CoeffSeries(np.zeros(valid_degree + 1))
-
-
 def one(valid_degree: int = 0) -> CoeffSeries:
     """The constant function 1, exact through ``valid_degree``."""
     _check_valid_degree(valid_degree)
+    _check_array_bytes(8 * (valid_degree + 1), f"the constant 1 through degree {valid_degree}")
     c = np.zeros(valid_degree + 1)
     c[0] = 1.0
     return CoeffSeries(c)
-
-
-def monomial(degree: int, valid_degree: int | None = None) -> CoeffSeries:
-    """z^degree, exact through ``valid_degree`` (default: ``degree``)."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    n = degree if valid_degree is None else valid_degree
-    if n < degree:
-        raise ValueError("valid_degree must cover the monomial degree")
-    c = np.zeros(n + 1)
-    c[degree] = 1.0
-    return CoeffSeries(c)
-
-
-def truncate(f: CoeffSeries, valid_degree: int) -> CoeffSeries:
-    """Restrict ``f`` to degrees 0..valid_degree (must shrink or keep)."""
-    _check_valid_degree(valid_degree)
-    if valid_degree > f.valid_degree:
-        raise ValueError(
-            f"cannot truncate to degree {valid_degree}: only {f.valid_degree} is valid"
-        )
-    return CoeffSeries(f.coeffs[: valid_degree + 1])
 
 
 def pad(f: CoeffSeries, valid_degree: int) -> CoeffSeries:
@@ -160,7 +133,9 @@ def pad(f: CoeffSeries, valid_degree: int) -> CoeffSeries:
     <= f.valid_degree; the caller asserts that by calling this.
     """
     if valid_degree < f.valid_degree:
-        raise ValueError("pad target below current valid degree; use truncate")
+        raise ValueError("pad target below current valid degree")
+    _check_array_bytes(f.coeffs.itemsize * (valid_degree + 1),
+                       f"a series padded to degree {valid_degree}")
     c = np.zeros(valid_degree + 1, dtype=f.coeffs.dtype)
     c[: len(f.coeffs)] = f.coeffs
     return CoeffSeries(c)

@@ -13,6 +13,25 @@ from hardylab.series import _LOG_BLOCK, array_norm
 from hardylab.verify import CheckResult
 
 
+def zero(valid_degree: int = 0):
+    """The zero series, exact through ``valid_degree``."""
+    return hl.CoeffSeries(np.zeros(valid_degree + 1))
+
+
+def monomial(degree: int, valid_degree: int | None = None):
+    """z^degree, exact through ``valid_degree`` (default: ``degree``)."""
+    c = np.zeros((degree if valid_degree is None else valid_degree) + 1)
+    c[degree] = 1.0
+    return hl.CoeffSeries(c)
+
+
+def truncate(f, valid_degree: int):
+    """``f`` restricted to degrees 0 .. valid_degree, at most its own valid degree."""
+    if not 0 <= valid_degree <= f.valid_degree:
+        raise ValueError(f"cannot truncate degree {f.valid_degree} to {valid_degree}")
+    return hl.CoeffSeries(f.coeffs[: valid_degree + 1])
+
+
 def difference_span_orthogonality(k_max: int) -> float:
     """max over 2 <= k < l <= k_max of |<h_k - h_l, 1 - z>|.
 
@@ -41,8 +60,8 @@ def two_truncation_duality_gap(n: int, f, g) -> float:
     """
     adj = hl.weighted_dilation_adjoint(n, g)
     m2 = min(f.valid_degree, adj.valid_degree)
-    lhs = hl.inner(hl.truncate(hl.weighted_dilation(n, f), n * m2 + n - 1), g)
-    rhs = hl.inner(hl.truncate(f, m2), adj)
+    lhs = hl.inner(truncate(hl.weighted_dilation(n, f), n * m2 + n - 1), g)
+    rhs = hl.inner(truncate(f, m2), adj)
     return abs(lhs - rhs)
 
 
@@ -178,7 +197,7 @@ def series_random(rng, valid_degree: int):
 def series_duality_gap(n: int, f, g) -> float:
     """|<Wf, g> - <f, W*g>| for one pair, built from series operations."""
     adj = hl.weighted_dilation_adjoint(n, g)
-    head = hl.truncate(f, min(f.valid_degree, adj.valid_degree))
+    head = truncate(f, min(f.valid_degree, adj.valid_degree))
     lhs = hl.inner(hl.weighted_dilation(n, head), g)
     rhs = hl.inner(head, adj)
     return abs(lhs - rhs)

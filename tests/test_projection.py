@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from hardylab.errors import (
 )
 from hardylab import projection
 from hardylab.projection import _augmented, _residual_norms
-from oracles import difference_span_orthogonality
+from oracles import difference_span_orthogonality, monomial, truncate, zero
 
 
 def one_vector_distance(target, b):
@@ -56,7 +57,7 @@ class TestDistanceToSpan:
     def test_degenerate_basis_raises(self):
         f = hl.hk_closed_form(2, 128)
         with pytest.raises(DegenerateBasis):
-            hl.distance_to_span(hl.one(128), [f, hl.axpy(1.0, f, hl.zero(128))], 128)
+            hl.distance_to_span(hl.one(128), [f, hl.axpy(1.0, f, zero(128))], 128)
 
     def test_empty_basis_rejected(self):
         with pytest.raises(ValueError, match="basis must be nonempty"):
@@ -97,7 +98,7 @@ class TestDistanceToSpan:
         basis = [hl.hk_closed_form(k, n_trunc) for k in (2, 3, 4)]
         target = hl.one(n_trunc)
         report = hl.distance_to_span(target, basis, n_trunc)
-        projection = hl.zero(n_trunc)
+        projection = zero(n_trunc)
         for c, b in zip(report.coefficients, basis):
             projection = hl.axpy(c, b, projection)
         again = hl.distance_to_span(projection, basis, n_trunc)
@@ -159,7 +160,7 @@ class TestBaezDuarteSequence:
 
 def refit(f, n_trunc):
     """``f`` truncated or zero-padded to degree ``n_trunc`` (padding assumes a polynomial)."""
-    return hl.truncate(f, n_trunc) if f.valid_degree >= n_trunc else hl.pad(f, n_trunc)
+    return truncate(f, n_trunc) if f.valid_degree >= n_trunc else hl.pad(f, n_trunc)
 
 
 def basis_matrix(basis, n_trunc):
@@ -251,7 +252,7 @@ class TestNestedDistances:
         n_trunc = 128
         h2, h3 = hl.hk_closed_form(2, n_trunc), hl.hk_closed_form(3, n_trunc)
         with pytest.raises(DegenerateBasis, match="zero on its diagonal"):
-            hl.nested_distances([h2, hl.zero(n_trunc), h3], [hl.one(n_trunc)], n_trunc)
+            hl.nested_distances([h2, zero(n_trunc), h3], [hl.one(n_trunc)], n_trunc)
 
     def test_rejects_matrix_past_numpy_array_limit(self):
         with pytest.raises(IndexOutOfRange, match="array size limit"):
@@ -518,10 +519,10 @@ class TestCyclicityScan:
         w4 = hl.weighted_dilation(4, hl.one())
         w3 = hl.weighted_dilation(3, hl.one())
         by_hand = hl.axpy(-1.0, hl.pad(w3, 3), hl.pad(w4, 3))
-        assert np.array_equal(by_hand.coeffs, hl.monomial(3, valid_degree=3).coeffs)
+        assert np.array_equal(by_hand.coeffs, monomial(3, valid_degree=3).coeffs)
 
         for s in (3, 5):
-            target = hl.monomial(s, valid_degree=2 * s)
+            target = monomial(s, valid_degree=2 * s)
             reports = hl.cyclicity_scan(hl.one(), s + 1, [target], 2 * s)
             assert reports[0].distance <= 1e-10
 
@@ -589,7 +590,7 @@ class TestCyclicityScan:
         targets = [
             hl.one(n_trunc),
             hl.one(n_trunc),
-            hl.zero(n_trunc),
+            zero(n_trunc),
             hl.weighted_dilation(3, f),
             hl.pad(hl.from_coeffs([1.0, -1.0]), n_trunc),
         ]
@@ -633,8 +634,8 @@ class TestCyclicityScan:
         get_lapack_funcs = lapack.get_lapack_funcs
         monkeypatch.setattr(lapack, "get_lapack_funcs", counting)
         n_trunc = 64
-        targets = [hl.one(n_trunc), hl.monomial(1, valid_degree=n_trunc),
-                   hl.monomial(2, valid_degree=n_trunc), hl.hk_closed_form(3, n_trunc)]
+        targets = [hl.one(n_trunc), monomial(1, valid_degree=n_trunc),
+                   monomial(2, valid_degree=n_trunc), hl.hk_closed_form(3, n_trunc)]
         assert len(hl.cyclicity_scan(hl.from_coeffs([-2.0, 1.0]), 8, targets, n_trunc)) == 4
         assert requested.count("geqrt") == 1
 
@@ -656,6 +657,23 @@ class TestCyclicityScan:
                             lambda n, f: built.append(n) or hl.weighted_dilation(n, f))
         with pytest.raises(DegenerateBasis, match="7 or more members"):
             hl.cyclicity_scan(hl.from_coeffs([1.0, 0.5]), n_max, [], 5)
+        assert built == []
+
+    # The first matrix is past the limit in any dtype; the others would fit
+    # it in float64 entries but not in the complex128 ones they need.
+    @pytest.mark.parametrize("f, n_max, targets, n_trunc", [
+        ([1.0, 0.5], 10**6, [], 10**14),
+        ([1.0, 0.5j], 2, [], sys.maxsize // 16 - 1),
+        ([1.0, 0.5], 2, [[1j]], sys.maxsize // 24 - 1),
+    ], ids=["real", "complex-orbit", "complex-target"])
+    def test_matrix_past_array_limit_raises_before_building(self, monkeypatch, f, n_max,
+                                                            targets, n_trunc):
+        built = []
+        monkeypatch.setattr(projection, "weighted_dilation",
+                            lambda n, f: built.append(n) or hl.weighted_dilation(n, f))
+        with pytest.raises(IndexOutOfRange, match="array size limit"):
+            hl.cyclicity_scan(hl.from_coeffs(f), n_max, list(map(hl.from_coeffs, targets)),
+                              n_trunc)
         assert built == []
 
     def test_orbit_members_stop_at_the_truncation(self, monkeypatch):

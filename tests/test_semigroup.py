@@ -4,7 +4,7 @@ import pytest
 import hardylab as hl
 from hardylab.errors import IndexOutOfRange, TruncationTooShort
 from hardylab.verify import adjoint_duality_gap, random_series
-from oracles import series_duality_gap, two_truncation_duality_gap
+from oracles import monomial, series_duality_gap, two_truncation_duality_gap, zero
 
 
 def same_bits(a, b):
@@ -27,7 +27,7 @@ class TestWeightedDilation:
         assert np.array_equal(got.coeffs, [1, 1])
 
     def test_monomial_spreads_into_block(self):
-        got = hl.weighted_dilation(3, hl.monomial(1))
+        got = hl.weighted_dilation(3, monomial(1))
         assert np.array_equal(got.coeffs, [0, 0, 0, 1, 1, 1])
 
     def test_one_plus_z(self):
@@ -147,7 +147,7 @@ class TestArrayKernels:
     @pytest.mark.parametrize("n, length", [(3, 2), (7, 6), (10, 1)])
     def test_short_rows_raise_like_the_series_adjoint(self, n, length):
         with pytest.raises(TruncationTooShort) as series_err:
-            hl.weighted_dilation_adjoint(n, hl.zero(length - 1))
+            hl.weighted_dilation_adjoint(n, zero(length - 1))
         with pytest.raises(TruncationTooShort) as array_err:
             hl.weighted_dilation_adjoint_array(n, np.zeros((5, length)))
         assert str(array_err.value) == str(series_err.value)

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hardylab as hl
-from hardylab.errors import NearZeroConstantTerm
+from hardylab.errors import IndexOutOfRange, NearZeroConstantTerm
 from hardylab.series import _LOG_BLOCK
-from oracles import one_minus_shift, solve_triangular_formal_log
+from oracles import monomial, one_minus_shift, solve_triangular_formal_log, zero
 
 
 def series_from(re, im=None):
@@ -67,30 +67,38 @@ class TestConstruction:
         source[:] = -7
         assert np.array_equal(f.coeffs, np.arange(5))
 
-    def test_truncate_and_pad(self):
+    def test_pad(self):
         f = series_from([1, 2, 3])
-        assert np.array_equal(hl.truncate(f, 1).coeffs, [1, 2])
         assert np.array_equal(hl.pad(f, 4).coeffs, [1, 2, 3, 0, 0])
-        with pytest.raises(ValueError):
-            hl.truncate(f, 5)
         with pytest.raises(ValueError):
             hl.pad(f, 1)
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda f: hl.truncate(f, -5),
-            lambda f: hl.truncate(f, -1),
-            lambda f: hl.truncate(f, -3),
             lambda f: hl.one(-1),
-            lambda f: hl.zero(-1),
-            lambda f: hl.zero(-3),
+            lambda f: hl.nested_distances([f], [], -1),
         ],
-        ids=["truncate-5", "truncate-1", "truncate-3", "one-1", "zero-1", "zero-3"],
+        ids=["one-1", "nested_distances-1"],
     )
     def test_negative_valid_degree_rejected(self, call):
         with pytest.raises(ValueError, match="valid degree must be >= 0"):
             call(series_from(np.arange(10.0)))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: hl.one(10**30),
+            lambda: hl.pad(hl.one(1), 10**30),
+            lambda: hl.kernel_vector(2, 10**30),
+            lambda: hl.dilation(10**30, hl.one(1)),
+            lambda: hl.weighted_dilation(10**30, hl.one(1)),
+        ],
+        ids=["one", "pad", "kernel_vector", "dilation", "weighted_dilation"],
+    )
+    def test_size_past_array_limit_is_typed_error(self, call):
+        with pytest.raises(IndexOutOfRange, match="array size limit"):
+            call()
 
 
 REAL = [1.0, -2.0, 0.5, 3.0]
@@ -100,7 +108,6 @@ COMPLEX = [1.0, -2.0j, 0.5 + 1j, 3.0]
 DTYPE_PRESERVING = {
     "from_coeffs": hl.from_coeffs,
     "pad": lambda c: hl.pad(hl.from_coeffs(c), 7),
-    "truncate": lambda c: hl.truncate(hl.from_coeffs(c), 2),
     "cumsum": lambda c: hl.cumsum(hl.from_coeffs(c)),
     "weighted_dilation": lambda c: hl.weighted_dilation(3, hl.from_coeffs(c)),
     "weighted_dilation_adjoint": lambda c: hl.weighted_dilation_adjoint(2, hl.from_coeffs(c)),
@@ -108,8 +115,6 @@ DTYPE_PRESERVING = {
 }
 REAL_ONLY = {
     "one": lambda: hl.one(5),
-    "zero": lambda: hl.zero(5),
-    "monomial": lambda: hl.monomial(2, 5),
     "kernel_vector": lambda: hl.kernel_vector(3, 2),
     "hk_closed_form": lambda: hl.hk_closed_form(3, 50),
 }
@@ -169,7 +174,7 @@ class TestInnerAndNorm:
         )
 
     def test_norm_zero_and_sqrt2(self):
-        assert hl.norm(hl.zero(8)) == 0
+        assert hl.norm(zero(8)) == 0
         assert hl.norm(series_from([1, 1])) == pytest.approx(np.sqrt(2), rel=1e-15)
         assert hl.norm(series_from([1, -1])) == pytest.approx(np.sqrt(2), rel=1e-15)
 
@@ -348,7 +353,7 @@ class TestCumsumAndShifts:
         assert np.array_equal(got.coeffs, [1, 0, 0, 0, 0])
 
     def test_cumsum_of_z(self):
-        got = hl.cumsum(hl.monomial(1, valid_degree=3))
+        got = hl.cumsum(monomial(1, valid_degree=3))
         assert np.array_equal(got.coeffs, [0, 1, 1, 1])
 
     def test_one_minus_shift_inverts_cumsum_on_all_ones(self):

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import python_complex_bands, series_adjoint_eigenvector
+from oracles import monomial, python_complex_bands, series_adjoint_eigenvector
 
 import hardylab as hl
 from hardylab import spectral
@@ -356,7 +356,7 @@ class TestShiftDecay:
         assert d == [0.0] * 5
 
     def test_monomial_first_step(self):
-        d = hl.shift_decay(2, hl.pad(hl.monomial(1), 3), 1)
+        d = hl.shift_decay(2, hl.pad(monomial(1), 3), 1)
         assert d[0] == pytest.approx(1 / np.sqrt(2), rel=1e-15)
 
     def test_nonincreasing(self):
