@@ -50,9 +50,9 @@ _MIN_CONSTANT = 1e-300
 _MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 # Rows encoded per block by write_columns; a block's character matrix,
-# at most 25 bytes a float cell and 21 an int cell, stays within a few
-# hundred KiB however long the table is.
-_CSV_BLOCK_ROWS = 4096
+# at most 25 bytes a float cell and 21 an int cell, takes at most 200 KiB
+# a float column and 168 KiB an int column however long the table is.
+_CSV_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -271,12 +271,14 @@ def write_columns(fh, columns) -> None:
     Each block of at most ``_CSV_BLOCK_ROWS`` rows is laid out as one uint8
     character matrix, in which a 0 byte marks a position the cell leaves
     out (a leading digit zero, a trailing fraction zero, an absent sign or
-    point), and is sent in one write of its kept bytes.  Every finite
-    nonzero float is encoded exactly with integer arithmetic
-    (:func:`_float_cells`) and zeros are laid out directly; nan, inf and
-    the rare rows :func:`_scaled_decimal` leaves uncertain are formatted by
-    ``format``, one cell at a time.  The float columns of a block share one
-    encoder call, whose cost is mostly fixed.  Tests pin the bytes to the
+    point), and is sent in one write with its 0 bytes dropped.  Only rows
+    ending in a zero digit are masked in a float column, and only rows
+    narrower than the widest in an int column; every other row keeps all
+    its digits.  Every finite nonzero float is encoded exactly with
+    integer arithmetic (:func:`_float_cells`) and zeros are laid out
+    directly; nan, inf and the rare rows :func:`_scaled_decimal` leaves
+    uncertain are formatted by ``format``, one cell at a time.  The float
+    columns of a block share one encoder call.  Tests pin the bytes to the
     per-value formatting.  No columns, or columns of unequal length, raise
     :class:`ValueError`.
     """
@@ -297,7 +299,7 @@ def write_columns(fh, columns) -> None:
             cells = next(float_cells) if encode is _float_cells else encode(v)
             parts += [cells, np.full((rows, 1), sep, dtype=np.uint8)]
         mat = np.concatenate(parts, axis=1)
-        fh.write(mat[mat != 0].tobytes())
+        fh.write(mat.tobytes().translate(None, b"\0"))
 
 
 def _cell_encoder(dtype: np.dtype):
@@ -392,7 +394,10 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
     cells[:, 0] = np.where(neg, ord("-"), 0)
     groups = -(-width // 4)
     digits = _digit_groups(mag, groups)[:, 4 * groups - width:]
-    cells[:, 1:] = digits * (np.arange(width, 0, -1) <= ndig[:, None])
+    cells[:, 1:] = digits
+    # Only rows narrower than the widest have leading zeros to mask.
+    short = np.flatnonzero(ndig < width)
+    cells[short, 1:] *= np.arange(width, 0, -1) <= ndig[short, None]
     return cells
 
 
@@ -508,9 +513,13 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     order = np.argsort(p.astype(np.int16), kind="stable")
     p, d = p[order], d[order]
     digits = _digit_groups(d, 5)[:, 3:]
-    ndig = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
-    # Fixed notation keeps every integer digit; trailing fraction zeros go.
-    digits *= np.arange(17) < np.maximum(ndig, p + 1)[:, None]
+    # Only rows ending in a zero digit can lose digits, so only they are
+    # masked.  Fixed notation keeps every integer digit; trailing fraction
+    # zeros go.
+    ndig = np.full(len(d), 17)
+    ends0 = np.flatnonzero(d % np.uint64(10) == 0)
+    ndig[ends0] = 17 - np.argmax(digits[ends0, ::-1] != ord("0"), axis=1)
+    digits[ends0] *= np.arange(17) < np.maximum(ndig[ends0], p[ends0] + 1)[:, None]
     out = np.zeros((len(d), 24), dtype=np.uint8)
     out[:, 0] = np.where(x[order] < 0, ord("-"), 0)
     cuts = (np.flatnonzero(np.diff(p)) + 1).tolist()

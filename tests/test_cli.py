@@ -75,7 +75,10 @@ def spread_doubles(rng, size):
 
 
 class TestBlockWriter:
-    @pytest.mark.parametrize("n", [0, 4094, 4095, 4096, 8192])
+    # gen-hk --n n writes n + 1 rows: one row, half a block and one, a block
+    # less one, a block, a block and one, and three blocks.
+    @pytest.mark.parametrize("n", [0, _CSV_BLOCK_ROWS // 2, _CSV_BLOCK_ROWS - 2, _CSV_BLOCK_ROWS - 1,
+                                   _CSV_BLOCK_ROWS, 2 * _CSV_BLOCK_ROWS])
     def test_gen_hk_matches_per_row_writer(self, tmp_path, n):
         assert_gen_hk_matches_per_row_writer(tmp_path, 7, n)
 
@@ -170,6 +173,23 @@ class TestBlockWriter:
         cols = np.array(rows).T
         got = encoded(list(cols))
         assert got == "".join(",".join(format(x, ".17g") for x in r) + "\n" for r in rows).encode()
+
+    def test_rows_with_and_without_a_trailing_zero_digit(self):
+        # Only float rows whose 17th significant digit is 0, and int rows
+        # narrower than the widest, are masked.  Each notation gets both
+        # kinds of float row, shuffled together, beside ints of every width.
+        fixed = [m * 10.0**p for p in range(17) for m in (1.0, -1.2, 10 / 3, 7.25, -np.pi)]
+        fixed += [1200.0, -1200.5, 1e16, 1e16 / 3, 9999999999999998.0]
+        small = [m * 10.0**p for p in range(-4, 0) for m in (1.0, -1.2, 10 / 3, 7.25, -np.pi)]
+        scientific = [1e17, -1e22, 1.2e20, 10 / 3 * 1e20, np.pi * 1e25,
+                      1e-5, -1.5e-7, 10 / 3 * 1e-9, np.pi * 1e-300, 1e300]
+        for values in fixed, small, scientific:
+            last_digits = {format(abs(x), ".16e")[17] for x in values}
+            assert "0" in last_digits and len(last_digits) > 1
+        floats = np.random.default_rng(0).permutation(fixed + small + scientific)
+        ints = np.resize(np.array([2**63 - 1, 7, 0, -5, -(2**63), 1200, -10**18, 10**17, 99,
+                                   -123456789012345678, -1]), len(floats))
+        assert encoded([ints, floats]) == formatted(ints.tolist(), floats.tolist())
 
     @pytest.mark.parametrize("rows", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
     def test_block_lengths(self, rows):
