@@ -8,7 +8,6 @@ __all__ = [
     "OutsideSpectralBall",
     "DegenerateBasis",
     "ResidualMismatch",
-    "HypothesisViolated",
 ]
 
 
@@ -38,7 +37,3 @@ class DegenerateBasis(HardyLabError):
 
 class ResidualMismatch(HardyLabError):
     """A least-squares distance disagrees with its independently recomputed residual."""
-
-
-class HypothesisViolated(HardyLabError):
-    """A checked precondition on the input series does not hold."""

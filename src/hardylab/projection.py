@@ -56,10 +56,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateBasis, HypothesisViolated, IndexOutOfRange, ResidualMismatch
+from .errors import DegenerateBasis, IndexOutOfRange, ResidualMismatch
 from .semigroup import weighted_dilation
-from .series import (CoeffSeries, _check_array_bytes, _check_valid_degree, axpy, from_coeffs,
-                     inner, norm)
+from .series import CoeffSeries, _check_array_bytes, _check_valid_degree, axpy, from_coeffs, norm
 from .special import _check_hk_args, _fill_hk_columns, _harmonic_table
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "nested_distances",
     "baez_duarte_sequence",
     "cyclicity_scan",
-    "non_cyclicity_witness",
 ]
 
 RANK_TOLERANCE = 1e-10
@@ -177,9 +175,10 @@ def nested_distances(basis: list[CoeffSeries], targets: list[CoeffSeries],
 
     Raises:
         ValueError: when the basis is empty or ``n_trunc`` is negative.
-        DegenerateBasis: when R has an exact zero on its diagonal (a zero
-            member, or more members than coefficients), or when the
-            reciprocal condition of the whole basis is below RANK_TOLERANCE.
+        DegenerateBasis: when the basis has more members than coefficients,
+            when R has an exact zero on its diagonal (a zero member), or
+            when the reciprocal condition of the whole basis is below
+            RANK_TOLERANCE.
         ResidualMismatch: when a residual re-check disagrees with its
             distance.
     """
@@ -257,8 +256,11 @@ def _nested_reports(rows: RowSource, n_rows: int, m: int) -> list[list[DistanceR
     ``rows(lo, hi)`` gives rows lo..hi-1 of that matrix, column-major.  The
     engine builds the whole matrix, ``rows(0, n_rows)``, and factors it in
     place; the residual re-check reads the unfactored rows from ``rows``
-    again, bit for bit.
+    again, bit for bit.  A basis of more than ``n_rows`` members is
+    refused before any row is built.
     """
+    if m > n_rows:
+        raise DegenerateBasis(f"{m} basis members exceed {n_rows} coefficients")
     aug = rows(0, n_rows)
     cols = aug.shape[1]
     # Summed elementwise, not by numpy's BLAS ``dot``: see the module docstring.
@@ -267,8 +269,8 @@ def _nested_reports(rows: RowSource, n_rows: int, m: int) -> list[list[DistanceR
     # copies no column-major array of the routine's own dtype.
     (geqrt,) = scipy.linalg.lapack.get_lapack_funcs(("geqrt",), (aug,))
     factored, _, _ = geqrt(min(_QR_BLOCK_COLUMNS, n_rows, cols), aug, overwrite_a=1)
-    # With fewer rows than columns, R is padded with zero rows; in the
-    # basis block they put zeros on the diagonal, which the gate refuses.
+    # With fewer rows than columns, R is padded with zero rows; as m <=
+    # n_rows, they lie below the basis block, in the target columns only.
     r = np.zeros((cols, cols), dtype=aug.dtype)
     r[: min(n_rows, cols)] = np.triu(factored[:cols])
     # R is all the engine reads of the factored matrix: the re-check's row
@@ -388,25 +390,3 @@ def cyclicity_scan(
              for n in range(1, n_max + 1)]
     return [reports[-1] for reports in nested_distances(orbit, targets, n_trunc)]
 
-
-def non_cyclicity_witness(f: CoeffSeries, n_max: int) -> float:
-    """max over 1 <= n <= n_max of |<weighted_dilation(n, f), 1 - z>|.
-
-    Requires the first two coefficients of f to coincide (checked to
-    1e-14 * max(1, |f_0|)).  Under that hypothesis every orbit member is
-    orthogonal to 1 - z: for n >= 2 the first two output coefficients are
-    both f_0, and for n = 1 the hypothesis itself applies.  The returned
-    maximum is exactly |f_0 - f_1|, the n = 1 term: every n >= 2 term is an
-    exact 0.
-    """
-    if n_max < 1:
-        raise IndexOutOfRange(f"n_max must be >= 1, got {n_max}")
-    if f.valid_degree < 1:
-        raise HypothesisViolated("need at least coefficients 0 and 1")
-    gap = abs(f.coeffs[0] - f.coeffs[1])
-    tol = 1e-14 * max(1.0, abs(f.coeffs[0]))
-    if gap > tol:
-        raise HypothesisViolated(f"first two coefficients differ by {gap:.3e} > {tol:.3e}")
-    head = from_coeffs(f.coeffs[:2])  # W_n f at degrees 0 and 1, all the pairing reads
-    one_minus_z = from_coeffs([1.0, -1.0])
-    return max(abs(inner(weighted_dilation(n, head), one_minus_z)) for n in range(1, n_max + 1))

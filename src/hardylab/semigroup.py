@@ -1,11 +1,13 @@
 """The weighted dilation semigroup, its adjoint, and the plain dilations.
 
-The n-th weighted dilation sends f(z) to (1 + z + ... + z^{n-1}) f(z^n);
+The n-th weighted dilation W_n sends f(z) to (1 + z + ... + z^{n-1}) f(z^n);
 on coefficients it repeats each input coefficient n times, so the family
 is multiplicative (index m followed by index n equals index mn) and scales
 every norm by exactly sqrt(n).  Its adjoint replaces the coefficient
 vector by sums over consecutive blocks of length n.  The plain dilation
-f(z) -> f(z^n) spreads coefficients onto multiples of n.
+C_n f(z) = f(z^n) spreads coefficients onto multiples of n; the two
+families intertwine, (1 - z) W_n f = C_n((1 - z) f), which
+:func:`hardylab.verify.suite_semiconjugacy` checks.
 
 Every transform states the valid degree of its output.  The adjoint keeps
 complete blocks only: a partially known block is discarded rather than
@@ -22,7 +24,7 @@ block sums are n strided adds, one per position in the block, over the
 whole stack at once, in numpy's pairwise-reduction order and pinned to
 ``np.add.reduce`` by a test.  Each row of a stack therefore gets the same
 values, bit for bit, as a lone series, and as ``np.add.reduce`` over the
-row's blocks.  :func:`semiconjugacy_residual` takes one series.
+row's blocks.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IndexOutOfRange, TruncationTooShort
-from .series import CoeffSeries, _check_array_bytes, array_norm
+from .series import CoeffSeries, _check_array_bytes
 
 __all__ = [
     "weighted_dilation",
@@ -38,7 +40,6 @@ __all__ = [
     "weighted_dilation_array",
     "weighted_dilation_adjoint_array",
     "dilation",
-    "semiconjugacy_residual",
     "kernel_vector",
     "kernel_intersection_basis",
 ]
@@ -153,27 +154,6 @@ def dilation(n: int, f: CoeffSeries) -> CoeffSeries:
     c = np.zeros(n * f.valid_degree + 1, dtype=f.coeffs.dtype)
     c[::n] = f.coeffs
     return CoeffSeries(c)
-
-
-def semiconjugacy_residual(n: int, f: CoeffSeries) -> float:
-    """Norm of the defect in the intertwining of plain and weighted dilations.
-
-    Both (1-z)-multiplications and the two dilations are applied on their
-    exact windows and compared on the intersection, degrees 0 .. n*valid.
-    The result is exactly zero for every input, because
-
-        (1 - z^n) f(z^n)  =  (1 - z) * [(1 - z^n)/(1 - z)] f(z^n)
-
-    holds coefficientwise and both sides place the same differences
-    f_k - f_{k-1} at degree nk, and exact zeros elsewhere.
-    """
-    _check_index(n)
-    # (1 - z^n) f(z^n) is the plain dilation minus itself moved up n degrees.
-    fz = dilation(n, f).coeffs
-    lhs = fz - np.pad(fz, (n, 0))[: len(fz)]
-    # np.diff(c, prepend=0) is c times (1 - z) on its valid window.
-    rhs = np.diff(weighted_dilation_array(n, f.coeffs), prepend=0)[: len(fz)]
-    return array_norm(lhs - rhs)
 
 
 def kernel_vector(n: int, k: int) -> CoeffSeries:

@@ -57,11 +57,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .projection import non_cyclicity_witness
 from .semigroup import (
+    dilation,
     kernel_intersection_basis,
     kernel_vector,
-    semiconjugacy_residual,
     weighted_dilation,
     weighted_dilation_adjoint,
     weighted_dilation_adjoint_array,
@@ -266,11 +265,18 @@ def suite_semigroup(seed: int = 0) -> list[CheckResult]:
 
 
 def suite_semiconjugacy(seed: int = 0) -> list[CheckResult]:
-    # Both sides put the same difference f_k - f_(k-1) at degree nk, and zeros
+    # (1 - z^n) f(z^n) = (1 - z) W_n f, compared on degrees 0 .. n*valid: both
+    # sides put the same difference f_k - f_(k-1) at degree nk, and zeros
     # elsewhere, so the residual is exactly zero on any input.
     f = from_coeffs(np.exp(1j * np.arange(201)) / np.arange(1, 202))
-    worst = _worst([semiconjugacy_residual(n, f) for n in (2, 3, 5)])
-    return [CheckResult("semiconjugacy of plain and weighted dilations", worst, 0.0)]
+    diffs = []
+    for n in (2, 3, 5):
+        fz = dilation(n, f).coeffs
+        lhs = fz - np.pad(fz, (n, 0))[: len(fz)]  # fz minus itself moved up n degrees
+        # np.diff(c, prepend=0) is c times (1 - z) on its valid window
+        rhs = np.diff(weighted_dilation_array(n, f.coeffs), prepend=0)[: len(fz)]
+        diffs.append(np.abs(lhs - rhs))
+    return [CheckResult("semiconjugacy of plain and weighted dilations", _worst(diffs), 0.0)]
 
 
 def suite_hk(seed: int = 0) -> list[CheckResult]:
@@ -396,10 +402,12 @@ def suite_cyclic(seed: int = 0) -> list[CheckResult]:
     # W_n f starts f_0, f_0 for every n >= 2, and f_1 = f_0 settles n = 1.
     c = np.exp(1j * np.arange(8)) / np.arange(1, 9)
     c[1] = c[0]
-    worst = non_cyclicity_witness(from_coeffs(c), 100)
-    return [
-        CheckResult("orbit of f with equal leading coefficients avoids 1 - z", worst, 0.0)
-    ]
+    # the pairing reads W_n f at degrees 0 and 1 only, built from f_0 and f_1
+    head, one_minus_z = from_coeffs(c[:2]), from_coeffs([1.0, -1.0])
+    pairings = np.array([abs(inner(weighted_dilation(n, head), one_minus_z))
+                         for n in range(1, 101)])
+    return [CheckResult("orbit of f with equal leading coefficients avoids 1 - z",
+                        _worst([pairings]), 0.0)]
 
 
 SUITES = {

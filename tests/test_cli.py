@@ -461,6 +461,14 @@ class TestBaezDuarte:
         assert "DegenerateBasis: " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_basis_longer_than_its_coefficients_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--output-dir", str(tmp_path), "bd", "--kmax", "100000", "--n", "1"])
+        assert exc.value.code == 2
+        assert ("DegenerateBasis: 99999 basis members exceed 2 coefficients"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_distance_names_the_failed_bound(self, tmp_path, capsys):
         # 49 members over 49 coefficients span the target: d_50 = 0, and the
         # sequence is still nonincreasing.

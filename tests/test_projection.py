@@ -7,7 +7,6 @@ import pytest
 import hardylab as hl
 from hardylab.errors import (
     DegenerateBasis,
-    HypothesisViolated,
     IndexOutOfRange,
     ResidualMismatch,
 )
@@ -248,6 +247,15 @@ class TestNestedDistances:
         with pytest.raises(DegenerateBasis):
             hl.baez_duarte_sequence(10, 4)
 
+    @pytest.mark.parametrize("targets", [[], [hl.one(1)]], ids=["no_target", "one_target"])
+    def test_more_members_than_coefficients_raises_as_the_oracle(self, targets):
+        basis = [hl.from_coeffs([1.0, x]) for x in (0.0, 1.0, 2.0)]
+        with pytest.raises(DegenerateBasis) as engine:
+            hl.nested_distances(basis, targets, 1)
+        with pytest.raises(DegenerateBasis) as oracle:
+            hl.distance_to_span(hl.one(1), basis, 1)
+        assert str(engine.value) == str(oracle.value) == "3 basis members exceed 2 coefficients"
+
     def test_zero_member_mid_basis_raises(self):
         n_trunc = 128
         h2, h3 = hl.hk_closed_form(2, n_trunc), hl.hk_closed_form(3, n_trunc)
@@ -293,7 +301,7 @@ class TestQRBlockEdges:
     @pytest.mark.parametrize("complex_basis", [False, True])
     def test_fewer_rows_than_members_raises(self, complex_basis):
         target, basis = self.random_problem(1, 2, complex_basis)
-        with pytest.raises(DegenerateBasis, match="zero on its diagonal"):
+        with pytest.raises(DegenerateBasis, match="2 basis members exceed 1 coefficients"):
             hl.nested_distances(basis, [target], 0)
 
 
@@ -439,6 +447,14 @@ class TestEngineMemory:
         k_max, n_trunc = 50, 2**14
         peak = self.traced_peak(lambda: hl.baez_duarte_sequence(k_max, n_trunc))
         assert peak < 1.15 * 8 * (n_trunc + 1) * k_max
+
+    def test_basis_longer_than_its_coefficients_is_refused_before_its_matrix(self):
+        def run():
+            with pytest.raises(DegenerateBasis, match="99999 basis members exceed 2 coefficients"):
+                hl.baez_duarte_sequence(10**5, 1)
+
+        # the 2 x 10^5 matrix alone takes 1.6 MB, and a padded R 80 GB
+        assert self.traced_peak(run) < 2**20
 
     def test_complex_series_hold_one_matrix(self):
         rng = np.random.default_rng(13)
@@ -701,36 +717,38 @@ class TestCyclicityScan:
 
 
 class TestNonCyclicityWitness:
+    """The orbit pairings |<W_n f, 1 - z>| that ``verify.suite_cyclic`` bounds.
+
+    W_n f starts f_0, f_0 for every n >= 2, so its pairing is an exact 0;
+    the n = 1 pairing is f_0 - f_1.
+    """
+
+    @staticmethod
+    def pairings(f, n_max):
+        one_minus_z = hl.from_coeffs([1.0, -1.0])
+        return [abs(hl.inner(hl.weighted_dilation(n, f), one_minus_z))
+                for n in range(1, n_max + 1)]
+
     def test_polynomial_example(self):
-        f = hl.from_coeffs([1.0, 1.0, 5.0])
-        assert hl.non_cyclicity_witness(f, 100) <= 1e-13 * hl.norm(f)
+        assert self.pairings(hl.from_coeffs([1.0, 1.0, 5.0]), 100) == [0.0] * 100
 
     def test_one_plus_z(self):
-        assert hl.non_cyclicity_witness(hl.from_coeffs([1.0, 1.0]), 50) <= 1e-13
+        assert self.pairings(hl.from_coeffs([1.0, 1.0]), 50) == [0.0] * 50
 
-    def test_violating_input_rejected(self):
-        with pytest.raises(HypothesisViolated):
-            hl.non_cyclicity_witness(hl.from_coeffs([1.0, 2.0]), 10)
-
-    def test_constant_rejected_for_missing_degree(self):
-        with pytest.raises(HypothesisViolated):
-            hl.non_cyclicity_witness(hl.one(), 10)
-
-    def test_tolerance_scales_with_constant_term(self):
-        f = hl.from_coeffs([1e6, 1e6 + 1e-9])
-        assert hl.non_cyclicity_witness(f, 10) <= 1e-13 * hl.norm(f)
+    def test_random_orbit_with_equal_leading_coefficients_pairs_to_zero(self):
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+            c[1] = c[0]
+            assert self.pairings(hl.from_coeffs(c), 100) == [0.0] * 100
 
     def test_result_is_the_gap_of_the_first_two_coefficients(self):
-        # accepted, and the witness 5.0e-15 is 3.5e-12 ||f||: ||f|| < 1 here
         f = hl.from_coeffs([1e-3, 1e-3 + 5e-15, 0.0])
-        assert hl.non_cyclicity_witness(f, 20) == abs(f.coeffs[0] - f.coeffs[1]) > 0
+        gap = abs(f.coeffs[0] - f.coeffs[1])
+        assert gap > 0 and self.pairings(f, 20) == [gap] + [0.0] * 19
         rng = np.random.default_rng(31)
         for _ in range(20):
             c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             c[1] = c[0] * (1 + 3e-15)
             f = hl.from_coeffs(c)
-            assert hl.non_cyclicity_witness(f, 20) == abs(f.coeffs[0] - f.coeffs[1])
-
-    def test_small_gap_at_unit_scale_rejected(self):
-        with pytest.raises(HypothesisViolated):
-            hl.non_cyclicity_witness(hl.from_coeffs([1.0, 1.0 + 1e-10]), 10)
+            assert self.pairings(f, 20) == [abs(f.coeffs[0] - f.coeffs[1])] + [0.0] * 19

@@ -4,7 +4,7 @@ import pytest
 import hardylab as hl
 from hardylab.errors import IndexOutOfRange, TruncationTooShort
 from hardylab.verify import adjoint_duality_gap, random_series
-from oracles import monomial, series_duality_gap, two_truncation_duality_gap, zero
+from oracles import monomial, one_minus_shift, series_duality_gap, two_truncation_duality_gap, zero
 
 
 def same_bits(a, b):
@@ -167,8 +167,9 @@ class TestArrayKernels:
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_semiconjugacy_rejects_bad_index(self, n):
+        # the plain dilation C_n of the semiconjugacy checks its index too
         with pytest.raises(IndexOutOfRange):
-            hl.semiconjugacy_residual(n, hl.one(3))
+            hl.dilation(n, hl.one(3))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
     @pytest.mark.parametrize("f_length, g_length", [(513, 513), (41, 513), (513, 41), (6, 7)])
@@ -194,21 +195,30 @@ class TestPlainDilation:
 
 
 class TestSemiconjugacy:
+    """(1 - z) W_n f = C_n((1 - z) f), with C_n g(z) = g(z^n), holds exactly."""
+
+    @staticmethod
+    def residual(n, f):
+        """max |(1 - z) W_n f - C_n((1 - z) f)| on degrees 0 .. n * valid."""
+        rhs = hl.dilation(n, one_minus_shift(f)).coeffs
+        lhs = one_minus_shift(hl.weighted_dilation(n, f)).coeffs[: len(rhs)]
+        return np.max(np.abs(lhs - rhs))
+
     def test_constant(self):
-        assert hl.semiconjugacy_residual(2, hl.one()) == 0
+        assert self.residual(2, hl.one()) == 0
 
     def test_small_polynomial(self):
-        assert hl.semiconjugacy_residual(3, hl.from_coeffs([1, 2, 1])) == 0
+        assert self.residual(3, hl.from_coeffs([1, 2, 1])) == 0
 
     def test_random(self, rng):
         f = random_series(rng, 200)
-        assert hl.semiconjugacy_residual(5, f) == 0
+        assert self.residual(5, f) == 0
 
     def test_many_random(self, rng):
         for n in (1, 2, 3, 5):
             for _ in range(25):
                 f = random_series(rng, 97)
-                assert hl.semiconjugacy_residual(n, f) == 0
+                assert self.residual(n, f) == 0
 
 
 class TestKernelVectors:
