@@ -10,12 +10,10 @@ equations: adjacent h_k are nearly dependent and normal equations would
 square the condition number.  The d_K sequence and the cyclicity scans,
 like any family of nested spans, come from one engine: one QR of the
 column-major matrix [b_1 .. b_m | t_1 .. t_r], the basis followed by every
-target.  Its one entry for series input is :func:`nested_distances`, which
-:func:`cyclicity_scan` calls; :func:`baez_duarte_sequence` fills the matrix
-from one harmonic table instead.  That QR is LAPACK's recursive
-compact-WY Householder factorization ``?geqrt`` (Elmroth & Gustavson),
-level-3 BLAS throughout; ``?geqrf``, behind ``scipy.linalg.qr``, falls back
-to the unblocked level-2 ``?geqr2`` below 128 columns.  The distance from t_i to
+target.  That QR is LAPACK's recursive compact-WY Householder
+factorization ``?geqrt`` (Elmroth & Gustavson), level-3 BLAS throughout;
+``?geqrf``, behind ``scipy.linalg.qr``, falls back to the unblocked
+level-2 ``?geqr2`` below 128 columns.  The distance from t_i to
 span{b_1..b_j} is the norm of R's column m + i below row j (Golub & Van
 Loan, Matrix Computations, sec. 5.3): Q's columns past j are orthogonal to
 b_1..b_j, whatever the columns between the basis and t_i hold.  The
@@ -24,42 +22,44 @@ inversion of R's basis block gives the coefficients of every prefix and
 target and the exact 1-norm condition number of every R[:j,:j], and the
 rank gate runs once, on that block.  The engine's one input is a row
 source ``rows(lo, hi)``, which gives any block of rows of the matrix bit
-for bit, from the harmonic table for the d_K sequence and from the
-members themselves for series input.  The engine builds the whole matrix
-from it and ``?geqrt`` factors that in place, so the engine holds one
-(N+1) x (m+r) matrix, and frees it once R's top rows are copied out,
-before the 2048-row blocks of its residual re-check: 8·(N+1)·K bytes for
-the d_K sequence, 200 MiB at K = 200, N = 2^17, where a whole run peaks at
-261 MiB of resident memory, its growth 1.02 times the matrix (274 MiB with
-the blocks read beside the matrix, 469 MiB with a factored copy beside it;
-2-core x86-64, OpenBLAS).  Every target's
-residual norms are re-checked in one pass over the row blocks, read from
-the row source again: from the coefficients and the original rows, never
-from Q or R.  Every BLAS call of the engine goes to scipy's OpenBLAS
-(``?geqrt``, ``?trtrs``, ``?gemm``) and target norms are summed
-elementwise: the numpy and scipy wheels each bundle their own OpenBLAS
-with its own thread pool, and a numpy BLAS call right after a scipy one
-wakes the second pool while the first still spins, three busy threads on
-two cores.  Pivoted QR
-(:func:`distance_to_span`) is kept only as the oracle of that engine.
-Every report carries the optimal coefficients, an independently
-recomputed residual norm (enforced to agree with the distance), and a
-condition figure so a genuine distance plateau can be told apart from
-numerical rank collapse.
+for bit.  Its one builder, :func:`_augmented`, takes one column generator
+per column: the members themselves for :func:`nested_distances`, the h_k
+of one harmonic table for :func:`baez_duarte_sequence`, and W_n f read
+straight from f's coefficients for :func:`cyclicity_scan`, which builds no
+orbit member.  The engine builds the whole matrix from the row source and
+``?geqrt`` factors that in place, so the engine holds one (N+1) x (m+r)
+matrix, and frees it once R's top rows are copied out, before the
+2048-row blocks of its residual re-check: 8·(N+1)·K bytes for the d_K
+sequence, 200 MiB at K = 200, N = 2^17, where a whole run peaks at 261 MiB
+of resident memory, its growth 1.02 times the matrix (274 MiB with the
+blocks read beside the matrix, 469 MiB with a factored copy beside it;
+2-core x86-64, OpenBLAS).  Every target's residual norms are re-checked in
+one pass over the row blocks, read from the row source again: from the
+coefficients and the original rows, never from Q or R.  Every BLAS call of
+the engine goes to scipy's OpenBLAS (``?geqrt``, ``?trtrs``, ``?gemm``)
+and target norms are summed elementwise: the numpy and scipy wheels each
+bundle their own OpenBLAS with its own thread pool, and a numpy BLAS call
+right after a scipy one wakes the second pool while the first still spins,
+three busy threads on two cores.  Pivoted QR (:func:`distance_to_span`) is
+kept only as the oracle of that engine.  Every report carries the optimal
+coefficients, an independently recomputed residual norm (enforced to agree
+with the distance), and a condition figure so a genuine distance plateau
+can be told apart from numerical rank collapse.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateBasis, IndexOutOfRange, ResidualMismatch
-from .semigroup import weighted_dilation
 from .series import CoeffSeries, _check_array_bytes, _check_valid_degree, axpy, from_coeffs, norm
-from .special import _check_hk_args, _fill_hk_columns, _harmonic_table
+from .special import _check_hk_args, _floor_runs, _harmonic_table, _hk_coeffs
 
 __all__ = [
     "DistanceReport",
@@ -80,6 +80,8 @@ _RESIDUAL_BLOCK_ROWS = 2048
 _QR_BLOCK_COLUMNS = 32
 # rows(lo, hi): rows lo..hi-1 of an unfactored engine matrix, column-major.
 RowSource = Callable[[int, int], np.ndarray]
+# column(lo, hi): at most hi - lo entries of one matrix column, from row lo on.
+Column = Callable[[int, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -135,10 +137,8 @@ def distance_to_span(target: CoeffSeries, basis: list[CoeffSeries],
         ResidualMismatch: when the residual re-check disagrees with the
             QR distance.
     """
-    aug = _augmented(basis, [target], n_trunc)(0, n_trunc + 1)
+    aug = _series_rows(basis, [target], n_trunc)(0, n_trunc + 1)
     a, rhs = aug[:, :-1], aug[:, -1]
-    if a.shape[1] > a.shape[0]:
-        raise DegenerateBasis(f"{a.shape[1]} basis members exceed {a.shape[0]} coefficients")
     q, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
     condition_estimate = _condition_estimate(r)
 
@@ -170,8 +170,8 @@ def nested_distances(basis: list[CoeffSeries], targets: list[CoeffSeries],
     basis @ C`` over 2048-row blocks of the basis; column j - 1 of the
     upper-triangular m x m matrix C holds the coefficients of prefix j.
     The engine holds one (n_trunc + 1) x (m + r) matrix, factored in place,
-    and copies each block of the re-check out of the members, so no
-    refitted copy of a member is made.
+    and copies each block of the re-check out of the members' own
+    coefficients, so no refitted copy of a member is made.
 
     Raises:
         ValueError: when the basis is empty or ``n_trunc`` is negative.
@@ -182,7 +182,7 @@ def nested_distances(basis: list[CoeffSeries], targets: list[CoeffSeries],
         ResidualMismatch: when a residual re-check disagrees with its
             distance.
     """
-    return _nested_reports(_augmented(basis, targets, n_trunc), n_trunc + 1, len(basis))
+    return _nested_reports(_series_rows(basis, targets, n_trunc), n_trunc + 1, len(basis))
 
 
 def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceReport]]:
@@ -196,47 +196,53 @@ def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceRe
     same harmonic table.
     """
     _check_hk_args(k_max, n_trunc)
-    _check_array_bytes(8 * (n_trunc + 1) * k_max,
-                       f"the d_K matrix of {n_trunc + 1} x {k_max} float64 entries")
-    h = _harmonic_table(n_trunc)
 
-    def rows(lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi-1 of [h_2 .. h_kmax | e_0], from the one harmonic table."""
-        block = np.zeros((hi - lo, k_max), order="F")
-        _fill_hk_columns(block[:, :-1], h, lo)
-        if lo == 0:
-            block[0, -1] = 1.0
-        return block
+    def columns() -> Iterator[Column]:
+        h = _harmonic_table(n_trunc)
+        yield from (partial(_hk_coeffs, h, k) for k in range(2, k_max + 1))
+        yield partial(_floor_runs, np.ones(1), 1)  # the target, the constant 1
 
+    rows = _augmented(n_trunc, k_max - 1, k_max, [], columns(), "the d_K matrix")
     reports = _nested_reports(rows, n_trunc + 1, k_max - 1)[0]
     return list(zip(range(2, k_max + 1), reports))
 
 
-def _augmented(basis: list[CoeffSeries], targets: list[CoeffSeries],
-               n_trunc: int) -> RowSource:
-    """Row source of column-major [b_1 .. b_m | t_1 .. t_r] at degree ``n_trunc``.
+def _augmented(n_trunc: int, m: int, width: int, sources: list[CoeffSeries],
+               columns: Iterable[Column], name: str = "a matrix") -> RowSource:
+    """Row source of the ``width`` columns [b_1 .. b_m | t_1 .. t_r] at degree ``n_trunc``.
 
-    ``rows(lo, hi)`` copies rows lo..hi-1 out of the members themselves,
-    zero past a member's valid degree (exact truncation and padding), into
-    a complex block when any member is complex, real members upcast
-    exactly.  No refitted copy of a member is made or kept.
+    ``rows(lo, hi)`` zero-fills each column past what its generator gives
+    (exact truncation and padding), complex when any of ``sources`` is.  Its
+    first call, once its block is allocated, draws ``columns``; every refusal
+    (empty basis, negative degree, size past numpy's limit, m > N + 1) is earlier.
     """
-    if not basis:
+    if m == 0:
         raise ValueError("basis must be nonempty")
     _check_valid_degree(n_trunc)
-    columns = [c.coeffs for c in [*basis, *targets]]
-    dtype = np.dtype(complex if any(np.iscomplexobj(c) for c in columns) else float)
-    _check_array_bytes(dtype.itemsize * (n_trunc + 1) * len(columns),
-                       f"a matrix of {n_trunc + 1} x {len(columns)} {dtype} entries")
+    dtype = np.dtype(complex if any(np.iscomplexobj(s.coeffs) for s in sources) else float)
+    _check_array_bytes(dtype.itemsize * (n_trunc + 1) * width,
+                       f"{name} of {n_trunc + 1} x {width} {dtype} entries")
+    if m > n_trunc + 1:
+        raise DegenerateBasis(f"{m} basis members exceed {n_trunc + 1} coefficients")
+    columns, drawn = iter(columns), []
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        block = np.zeros((hi - lo, len(columns)), dtype=dtype, order="F")
-        for i, c in enumerate(columns):
-            part = c[lo:hi]
+        block = np.zeros((hi - lo, width), dtype=dtype, order="F")
+        drawn.extend(columns)  # all of them on the first call, none after
+        for i, column in enumerate(drawn):
+            part = column(lo, hi)
             block[: len(part), i] = part
         return block
 
     return rows
+
+
+def _series_rows(basis: list[CoeffSeries], targets: list[CoeffSeries],
+                 n_trunc: int) -> RowSource:
+    """Row source of [b_1 .. b_m | t_1 .. t_r], each column its member's own coefficients."""
+    members = [*basis, *targets]
+    return _augmented(n_trunc, len(basis), len(members), members,
+                      (partial(_floor_runs, s.coeffs, 1) for s in members))
 
 
 def _condition_estimate(r: np.ndarray) -> float:
@@ -256,11 +262,8 @@ def _nested_reports(rows: RowSource, n_rows: int, m: int) -> list[list[DistanceR
     ``rows(lo, hi)`` gives rows lo..hi-1 of that matrix, column-major.  The
     engine builds the whole matrix, ``rows(0, n_rows)``, and factors it in
     place; the residual re-check reads the unfactored rows from ``rows``
-    again, bit for bit.  A basis of more than ``n_rows`` members is
-    refused before any row is built.
+    again, bit for bit.  Its builder, :func:`_augmented`, has refused m > n_rows.
     """
-    if m > n_rows:
-        raise DegenerateBasis(f"{m} basis members exceed {n_rows} coefficients")
     aug = rows(0, n_rows)
     cols = aug.shape[1]
     # Summed elementwise, not by numpy's BLAS ``dot``: see the module docstring.
@@ -365,16 +368,16 @@ def cyclicity_scan(
 ) -> list[DistanceReport]:
     """Distances from each target to span of the dilation orbit of ``f``.
 
-    Each target gets the last of its :func:`nested_distances` reports on
-    the orbit W_n f, n = 1..n_max, from one factorization of [W_1 f ..
-    W_m f | t_1 .. t_r] at degree ``n_trunc`` (exact padding for a
-    polynomial f, the intended use), all complex128 when the orbit or any
-    target is complex.  The orbit passes one rank gate, even with no
+    Each target gets the last of its nested reports on the orbit W_n f,
+    n = 1..n_max, from one factorization of [W_1 f .. W_m f | t_1 .. t_r]
+    at degree ``n_trunc`` (exact padding for a polynomial f, the intended
+    use), all complex128 when f or any target is complex.  Row j of W_n f
+    is read straight from f as f_(floor(j/n)), so no orbit member is built;
+    the reports are those of :func:`nested_distances` on the explicit
+    orbit, bit for bit.  The orbit passes one rank gate, even with no
     targets, or :class:`DegenerateBasis` is raised.  An orbit longer than
     n_trunc + 1, or a matrix past numpy's array size limit
-    (:class:`IndexOutOfRange`), is refused before any member is built.
-    Each W_n f is built from f_0 .. f_(n_trunc // n), the only coefficients
-    the engine reads.
+    (:class:`IndexOutOfRange`), is refused before any column is read.
     """
     if n_max < 2:
         raise IndexOutOfRange(f"n_max must be >= 2, got {n_max}")
@@ -382,11 +385,7 @@ def cyclicity_scan(
     if n_max > n_trunc + 1:
         raise DegenerateBasis(f"an orbit of {n_trunc + 2} or more members is rank deficient "
                               f"in {n_trunc + 1} coefficients")
-    columns = n_max + len(targets)
-    itemsize = 16 if any(np.iscomplexobj(c.coeffs) for c in [f, *targets]) else 8
-    _check_array_bytes(itemsize * (n_trunc + 1) * columns,
-                       f"a matrix of {n_trunc + 1} x {columns} orbit and target columns")
-    orbit = [weighted_dilation(n, from_coeffs(f.coeffs[: n_trunc // n + 1]))
-             for n in range(1, n_max + 1)]
-    return [reports[-1] for reports in nested_distances(orbit, targets, n_trunc)]
-
+    orbit = (partial(_floor_runs, f.coeffs, n) for n in range(1, n_max + 1))
+    plain = (partial(_floor_runs, t.coeffs, 1) for t in targets)
+    rows = _augmented(n_trunc, n_max, n_max + len(targets), [f, *targets], chain(orbit, plain))
+    return [reports[-1] for reports in _nested_reports(rows, n_trunc + 1, n_max)]

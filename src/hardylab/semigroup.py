@@ -183,6 +183,7 @@ def kernel_intersection_basis(k: int) -> list[CoeffSeries]:
     """
     if k < 1:
         raise IndexOutOfRange(f"basis size must be >= 1, got {k}")
+    _check_array_bytes(8 * (k + 1), f"1 - z^{k} through degree {k}")
     out = []
     for j in range(1, k + 1):
         c = np.zeros(k + 1)

@@ -50,21 +50,7 @@ def hk_closed_form(k: int, n_trunc: int) -> CoeffSeries:
     2^16 the accumulated error stays below 1e-11.
     """
     _check_hk_args(k, n_trunc)
-    return CoeffSeries(_hk_coeffs(_harmonic_table(n_trunc), k))
-
-
-def _fill_hk_columns(out: np.ndarray, h: np.ndarray, first_row: int) -> np.ndarray:
-    """Write coefficients ``first_row`` onwards of h_{i+2} into column i of ``out``.
-
-    ``h`` is the harmonic table through at least the last of those degrees.
-    Every column comes from that one table and is bit-identical to the same
-    rows of ``hk_closed_form(i + 2, N).coeffs`` for every N at or past the
-    last row.
-    """
-    hi = first_row + out.shape[0]
-    for i in range(out.shape[1]):
-        out[:, i] = _hk_coeffs(h, i + 2, first_row, hi)
-    return out
+    return CoeffSeries(_hk_coeffs(_harmonic_table(n_trunc), k, 0, n_trunc + 1))
 
 
 def _harmonic_table(n_trunc: int) -> np.ndarray:
@@ -75,19 +61,21 @@ def _harmonic_table(n_trunc: int) -> np.ndarray:
     return h
 
 
-def _hk_coeffs(h: np.ndarray, k: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """H_j - H_{floor(j/k)} - log k for lo <= j < hi, where hi defaults to len(h).
+def _hk_coeffs(h: np.ndarray, k: int, lo: int, hi: int) -> np.ndarray:
+    """H_j - H_{floor(j/k)} - log k for lo <= j < hi."""
+    return h[lo:hi] - _floor_runs(h, k, lo, hi) - np.log(float(k))
 
-    Each H_{floor(j/k)} is one of a run of copies, min(k, hi - lo) of them,
-    and the window starts ``skip`` copies into the first run, so a run is
-    never longer than the window, however large k is: for k > hi - lo the
-    window holds at most two runs.
+
+def _floor_runs(values: np.ndarray, k: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of W_k ``values``, values[floor(j/k)], as far as ``values`` reaches.
+
+    Each values[q] is one of a run of copies, min(k, hi - lo) of them, and
+    the window starts ``skip`` copies into the first run, so a run is never
+    longer than the window however large k is: at most two runs if k > hi - lo.
     """
-    hi = len(h) if hi is None else hi
     q_lo, run = lo // k, min(k, hi - lo)
     skip = run - (min((q_lo + 1) * k, hi) - lo)
-    runs = np.repeat(h[q_lo : (hi - 1) // k + 1], run)[skip : skip + hi - lo]
-    return h[lo:hi] - runs - np.log(float(k))
+    return np.repeat(values[q_lo : (hi - 1) // k + 1], run)[skip : skip + hi - lo]
 
 
 def hk_oracle(k: int, n_trunc: int) -> CoeffSeries:

@@ -123,9 +123,9 @@ class CheckResult:
 
 
 def _worst(values, pick=np.max) -> float:
-    """``pick`` (``np.max`` or ``np.min``) of every entry of ``values``, arrays and floats.
+    """``pick`` (``np.max`` or ``np.min``) of every entry of the arrays in ``values``.
 
-    A NaN anywhere makes the result NaN, so its check fails.
+    A NaN anywhere makes the result NaN.  Scalars come as one array, not one each.
     """
     return float(pick(np.concatenate(values, axis=None)))
 
@@ -299,10 +299,10 @@ def suite_hk(seed: int = 0) -> list[CheckResult]:
             rhs = hk_closed_form(n * k, deg).coeffs - hk_closed_form(n, deg).coeffs
             fun.append(np.max(np.abs(lhs.coeffs - rhs)))
     return [
-        CheckResult("h_k closed form vs formal-log oracle", _worst(osc), 1e-12),
-        CheckResult("h_k decay |c_j| <= k/(j+1)", _worst(decay), 1.0),
-        CheckResult("h_k first difference c_0 - c_1 = -1", _worst(first), 1e-14),
-        CheckResult("dilation identity W_n h_k = h_nk - h_n", _worst(fun), 1e-12),
+        CheckResult("h_k closed form vs formal-log oracle", _worst([np.array(osc)]), 1e-12),
+        CheckResult("h_k decay |c_j| <= k/(j+1)", _worst([np.array(decay)]), 1.0),
+        CheckResult("h_k first difference c_0 - c_1 = -1", _worst([np.array(first)]), 1e-14),
+        CheckResult("dilation identity W_n h_k = h_nk - h_n", _worst([np.array(fun)]), 1e-12),
     ]
 
 
@@ -322,7 +322,7 @@ def suite_kernel(seed: int = 0) -> list[CheckResult]:
     witness = weighted_dilation_adjoint(2, pad(kernel_intersection_basis(2)[1], 3))
     return [
         CheckResult("adjoint annihilates its kernel vectors", _worst(images), 0.0),
-        CheckResult("kernel vectors pairwise orthogonal", _worst(pairings), 0.0),
+        CheckResult("kernel vectors pairwise orthogonal", _worst([np.array(pairings)]), 0.0),
         CheckResult("1 - z^j killed by every adjoint of index > j", _worst(basis_images), 0.0),
         CheckResult("1 - z^2 escapes the index-2 adjoint kernel",
                     _worst([np.abs(witness.coeffs - [1.0, -1.0])]), 0.0, note="image is 1 - z"),
@@ -342,10 +342,10 @@ def suite_dirichlet(seed: int = 0) -> list[CheckResult]:
             blocks.append(_dirichlet_ratios(n, members))
     ratios, sharp = zip(*blocks)
     # The tails of kernel_vector(n, 0) are -1, -2, .., -(n-1), all exact.
-    closed_err = _worst([
+    closed_err = _worst([np.array([
         abs(dirichlet_energy_at_one(kernel_vector(n, 0)) - (n - 1) * n * (2 * n - 1) // 6)
         for n in range(2, 9)
-    ])
+    ])])
     return [
         CheckResult(
             "kernel combinations have energy <= 2^n n ||f||^2",

@@ -11,7 +11,7 @@ from hardylab.errors import (
     ResidualMismatch,
 )
 from hardylab import projection
-from hardylab.projection import _augmented, _residual_norms
+from hardylab.projection import _residual_norms
 from oracles import difference_span_orthogonality, monomial, truncate, zero
 
 
@@ -384,22 +384,28 @@ class TestRowSources:
             assert block.flags.f_contiguous and block.dtype == aug.dtype
             assert block.tobytes("F") == aug[lo:hi].tobytes("F"), (lo, hi)
 
-    def test_baez_duarte_rows_match_its_matrix(self, monkeypatch):
-        handed_over = {}
+    @staticmethod
+    def handed_over(monkeypatch, run):
+        """The whole matrix and the row source that ``run()`` hands the engine."""
+        got = {}
 
         def capture(rows, n_rows, m):
-            handed_over.update(aug=rows(0, n_rows), rows=rows)
+            got.update(aug=rows(0, n_rows), rows=rows)
             return nested_reports(rows, n_rows, m)
 
         nested_reports = projection._nested_reports
         monkeypatch.setattr(projection, "_nested_reports", capture)
-        hl.baez_duarte_sequence(12, self.N_TRUNC)
-        aug = handed_over["aug"]
+        run()
+        return got["aug"], got["rows"]
+
+    def test_baez_duarte_rows_match_its_matrix(self, monkeypatch):
+        aug, rows = self.handed_over(monkeypatch,
+                                     lambda: hl.baez_duarte_sequence(12, self.N_TRUNC))
         assert aug.shape == (self.N_TRUNC + 1, 11 + 1)
         assert np.array_equal(aug[:, -1], hl.one(self.N_TRUNC).coeffs)
-        self.assert_rows_match(aug, handed_over["rows"])
+        self.assert_rows_match(aug, rows)
 
-    def test_series_rows_with_mixed_real_and_complex_members(self):
+    def test_series_rows_with_mixed_real_and_complex_members(self, monkeypatch):
         rng = np.random.default_rng(11)
         n = self.N_TRUNC
         members = [
@@ -409,8 +415,8 @@ class TestRowSources:
             hl.from_coeffs(rng.standard_normal(n + 500)),  # truncated
             hl.from_coeffs([0.0, -0.0, 5e-324, 1.0]),  # signed zeros and a subnormal
         ]
-        rows = _augmented(members[:3], members[3:], n)
-        aug = rows(0, n + 1)
+        aug, rows = self.handed_over(
+            monkeypatch, lambda: hl.nested_distances(members[:3], members[3:], n))
         assert aug.dtype == np.complex128
         for column, member in zip(aug.T, members):
             fitted = refit(member, n).coeffs
@@ -418,12 +424,27 @@ class TestRowSources:
             assert column.imag.tobytes() == np.imag(fitted).tobytes()
         self.assert_rows_match(aug, rows)
 
-    def test_real_series_rows_stay_real(self):
+    def test_real_series_rows_stay_real(self, monkeypatch):
         rng = np.random.default_rng(12)
         members = [hl.from_coeffs(rng.standard_normal(self.N_TRUNC + 1)) for _ in range(3)]
-        rows = _augmented(members[:2], members[2:], self.N_TRUNC)
-        aug = rows(0, self.N_TRUNC + 1)
+        aug, rows = self.handed_over(
+            monkeypatch, lambda: hl.nested_distances(members[:2], members[2:], self.N_TRUNC))
         assert aug.dtype == np.float64
+        self.assert_rows_match(aug, rows)
+
+    # f shorter than the truncation (zero-padded), reaching it exactly, and past it
+    @pytest.mark.parametrize("f_len", [7, N_TRUNC + 1, N_TRUNC + 400])
+    def test_cyclicity_rows_are_the_refitted_orbit(self, monkeypatch, f_len):
+        rng = np.random.default_rng(14)
+        n, n_max = self.N_TRUNC, 9
+        f = hl.from_coeffs(rng.standard_normal(f_len) + 1j * rng.standard_normal(f_len))
+        targets = [hl.one(n), hl.from_coeffs(rng.standard_normal(n + 1))]
+        aug, rows = self.handed_over(monkeypatch,
+                                     lambda: hl.cyclicity_scan(f, n_max, targets, n))
+        assert aug.dtype == np.complex128
+        members = [*(hl.weighted_dilation(k, f) for k in range(1, n_max + 1)), *targets]
+        for column, member in zip(aug.T, members, strict=True):
+            assert column.tobytes() == refit(member, n).coeffs.astype(complex).tobytes()
         self.assert_rows_match(aug, rows)
 
 
@@ -455,6 +476,14 @@ class TestEngineMemory:
 
         # the 2 x 10^5 matrix alone takes 1.6 MB, and a padded R 80 GB
         assert self.traced_peak(run) < 2**20
+
+    def test_cyclicity_scan_holds_one_matrix(self):
+        # f reaches the truncation, so every W_n f fills its whole column
+        n_max, n_trunc = 100, 2**15
+        f = hl.from_coeffs(np.random.default_rng(3).standard_normal(n_trunc + 1))
+        target = hl.one(n_trunc)
+        peak = self.traced_peak(lambda: hl.cyclicity_scan(f, n_max, [target], n_trunc))
+        assert peak <= 1.1 * 8 * (n_trunc + 1) * (n_max + 1)
 
     def test_complex_series_hold_one_matrix(self):
         rng = np.random.default_rng(13)
@@ -666,14 +695,14 @@ class TestCyclicityScan:
         with pytest.raises(ValueError, match="valid degree must be >= 0"):
             hl.cyclicity_scan(hl.one(), 2, [], -1)
 
+    # A million orbit columns alone would take well over 1 MiB.
     @pytest.mark.parametrize("n_max", [7, 10**6, 10**30])
-    def test_orbit_longer_than_coefficients_raises_before_building(self, monkeypatch, n_max):
-        built = []
-        monkeypatch.setattr(projection, "weighted_dilation",
-                            lambda n, f: built.append(n) or hl.weighted_dilation(n, f))
-        with pytest.raises(DegenerateBasis, match="7 or more members"):
-            hl.cyclicity_scan(hl.from_coeffs([1.0, 0.5]), n_max, [], 5)
-        assert built == []
+    def test_orbit_longer_than_coefficients_raises_before_building(self, n_max):
+        def run():
+            with pytest.raises(DegenerateBasis, match="7 or more members"):
+                hl.cyclicity_scan(hl.from_coeffs([1.0, 0.5]), n_max, [], 5)
+
+        assert TestEngineMemory.traced_peak(run) < 2**20
 
     # The first matrix is past the limit in any dtype; the others would fit
     # it in float64 entries but not in the complex128 ones they need.
@@ -682,38 +711,39 @@ class TestCyclicityScan:
         ([1.0, 0.5j], 2, [], sys.maxsize // 16 - 1),
         ([1.0, 0.5], 2, [[1j]], sys.maxsize // 24 - 1),
     ], ids=["real", "complex-orbit", "complex-target"])
-    def test_matrix_past_array_limit_raises_before_building(self, monkeypatch, f, n_max,
-                                                            targets, n_trunc):
-        built = []
-        monkeypatch.setattr(projection, "weighted_dilation",
-                            lambda n, f: built.append(n) or hl.weighted_dilation(n, f))
-        with pytest.raises(IndexOutOfRange, match="array size limit"):
-            hl.cyclicity_scan(hl.from_coeffs(f), n_max, list(map(hl.from_coeffs, targets)),
-                              n_trunc)
-        assert built == []
+    def test_matrix_past_array_limit_raises_before_building(self, f, n_max, targets, n_trunc):
+        def run():
+            with pytest.raises(IndexOutOfRange, match="array size limit"):
+                hl.cyclicity_scan(hl.from_coeffs(f), n_max, list(map(hl.from_coeffs, targets)),
+                                  n_trunc)
 
-    def test_orbit_members_stop_at_the_truncation(self, monkeypatch):
-        rng = np.random.default_rng(44)
-        n_trunc, n_max = 300, 40
-        f = hl.from_coeffs(rng.standard_normal(n_trunc + 50))
-        targets = [hl.one(n_trunc), hl.from_coeffs(rng.standard_normal(n_trunc + 1))]
-        members = []
+        assert TestEngineMemory.traced_peak(run) < 2**20
 
-        def spy(n, g):
-            members.append((n, g.valid_degree))
-            return hl.weighted_dilation(n, g)
-
-        monkeypatch.setattr(projection, "weighted_dilation", spy)
-        reports = hl.cyclicity_scan(f, n_max, targets, n_trunc)
-        # W_n f takes f_0 .. f_(n_trunc // n): no block of n starts past degree n_trunc
-        assert members == [(n, n_trunc // n) for n in range(1, n_max + 1)]
-        orbit = [hl.weighted_dilation(n, f) for n in range(1, n_max + 1)]
-        full = [per_target[-1] for per_target in hl.nested_distances(orbit, targets, n_trunc)]
-        for rep, want in zip(reports, full, strict=True):
+    @staticmethod
+    def assert_same_bits(reports, wanted):
+        for rep, want in zip(reports, wanted, strict=True):
             assert rep.distance.hex() == want.distance.hex()
             assert rep.residual_norm_check.hex() == want.residual_norm_check.hex()
             assert rep.condition_estimate.hex() == want.condition_estimate.hex()
             assert rep.coefficients.tobytes() == want.coefficients.tobytes()
+
+    def test_orbit_members_stop_at_the_truncation(self):
+        rng = np.random.default_rng(44)
+        n_trunc, n_max = 300, 40
+        c = rng.standard_normal(2**16)
+        f = hl.from_coeffs(c[: n_trunc + 50])
+        targets = [hl.one(n_trunc), hl.from_coeffs(rng.standard_normal(n_trunc + 1))]
+        reports = hl.cyclicity_scan(f, n_max, targets, n_trunc)
+        orbit = [hl.weighted_dilation(n, f) for n in range(1, n_max + 1)]
+        full = [per_target[-1] for per_target in hl.nested_distances(orbit, targets, n_trunc)]
+        self.assert_same_bits(reports, full)
+        # W_n f reads f_0 .. f_(n_trunc // n) only: a longer f moves no bit, and
+        # no W_n f of all of it (20 MiB at n = 40) is ever built.
+        long_f, on_long_f = hl.from_coeffs(c), []
+        peak = TestEngineMemory.traced_peak(
+            lambda: on_long_f.extend(hl.cyclicity_scan(long_f, n_max, targets, n_trunc)))
+        assert peak < 2**20
+        self.assert_same_bits(on_long_f, reports)
 
 
 class TestNonCyclicityWitness:

@@ -272,6 +272,11 @@ class TestKernelIntersectionBasis:
         got = hl.weighted_dilation_adjoint(2, member)
         assert np.array_equal(got.coeffs, [1, -1])
 
+    def test_size_past_array_limit_is_typed_error(self):
+        # each member holds 2^62 + 1 float64 entries, past intp's max bytes
+        with pytest.raises(IndexOutOfRange, match="array size limit"):
+            hl.kernel_intersection_basis(2**62)
+
 
 class TestOperatorIdentities:
     def test_adjoint_duality(self, rng):

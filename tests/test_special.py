@@ -6,8 +6,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hardylab as hl
+from hardylab import projection
 from hardylab.errors import IndexOutOfRange
-from hardylab.special import _fill_hk_columns, _harmonic_table, _hk_coeffs
+from hardylab.special import _harmonic_table, _hk_coeffs
+
+
+def bd_rows(k_max, n_trunc):
+    """The row source of ``baez_duarte_sequence(k_max, n_trunc)``: [h_2 .. h_kmax | 1]."""
+    handed_over = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projection, "_nested_reports",
+                   lambda rows, n_rows, m: handed_over.append(rows) or [[]])
+        hl.baez_duarte_sequence(k_max, n_trunc)
+    return handed_over[0]
 
 
 class TestHkValues:
@@ -142,16 +153,18 @@ class TestDirichletEnergy:
 class TestHkMatrix:
     @pytest.mark.parametrize("n_trunc", [0, 1, 257, 2048])
     def test_columns_bit_identical_to_closed_form(self, n_trunc):
-        a = _fill_hk_columns(np.empty((n_trunc + 1, 11), order="F"), _harmonic_table(n_trunc), 0)
-        for k in range(2, 13):
-            assert np.array_equal(a[:, k - 2], hl.hk_closed_form(k, n_trunc).coeffs)
+        # bd takes at most one h_k per coefficient
+        k_max = min(12, n_trunc + 2)
+        a = bd_rows(k_max, n_trunc)(0, n_trunc + 1)
+        for k in range(2, k_max + 1):
+            assert a[:, k - 2].tobytes() == hl.hk_closed_form(k, n_trunc).coeffs.tobytes()
 
     @pytest.mark.parametrize("n_trunc", [0, 1, 4095, 4096, 16384])
     def test_repeat_gather_bit_identical_to_floor_index(self, n_trunc):
         h = _harmonic_table(n_trunc)
         for k in (2, 3, 64, n_trunc + 1, n_trunc + 5):
             by_index = h - h[np.arange(len(h)) // k] - np.log(k)
-            assert np.array_equal(_hk_coeffs(h, k), by_index)
+            assert np.array_equal(_hk_coeffs(h, k, 0, len(h)), by_index)
 
     # Row windows lo..hi-1 of a 6201-row matrix: across the 2048-row edges of
     # the residual re-check, lo off every multiple of k, windows narrower
@@ -160,13 +173,16 @@ class TestHkMatrix:
                (2048, 4096), (4095, 4101), (6143, 6145), (6144, 6201), (6200, 6201)]
 
     def test_row_windows_bit_identical_to_whole_columns(self):
-        h = _harmonic_table(6200)
-        whole = _fill_hk_columns(np.empty((6201, 11), order="F"), h, 0)
+        rows = bd_rows(12, 6200)
+        whole = rows(0, 6201)
         for lo, hi in self.WINDOWS:
-            # A table built only through the window's last row gives the same bits.
-            for table in (h, _harmonic_table(hi - 1)):
-                window = _fill_hk_columns(np.empty((hi - lo, 11), order="F"), table, lo)
-                assert window.tobytes("F") == whole[lo:hi].tobytes("F"), (lo, hi)
+            # bd at truncation hi - 1, its table built only through the
+            # window's last row, gives the same bits in its leading columns.
+            for source in (rows, bd_rows(min(12, hi + 1), hi - 1)):
+                window = source(lo, hi)
+                h_cols = window.shape[1] - 1
+                assert window[:, :-1].tobytes("F") == whole[lo:hi, :h_cols].tobytes("F"), (lo, hi)
+                assert window[:, -1].tobytes() == whole[lo:hi, -1].tobytes(), (lo, hi)
 
     @pytest.mark.parametrize("k", [2, 3, 7, 2048, 2049, 6201, 2**70])
     def test_windowed_runs_bit_identical_to_floor_index(self, k):
