@@ -5,53 +5,73 @@ constant 1 to growing spans of the h_k family (the Nyman-Beurling /
 Baez-Duarte style distance sequence in the disk model) and cyclicity
 experiments for the weighted dilation orbit of a given series.
 
-Least squares is solved by Householder QR rather than Gram normal
-equations: adjacent h_k are nearly dependent and normal equations would
-square the condition number.  The d_K sequence and the cyclicity scans,
-like any family of nested spans, come from one engine: one QR of the
-column-major matrix [b_1 .. b_m | t_1 .. t_r], the basis followed by every
-target.  That QR is LAPACK's recursive compact-WY Householder
-factorization ``?geqrt`` (Elmroth & Gustavson), level-3 BLAS throughout;
-``?geqrf``, behind ``scipy.linalg.qr``, falls back to the unblocked
-level-2 ``?geqr2`` below 128 columns.  The distance from t_i to
-span{b_1..b_j} is the norm of R's column m + i below row j (Golub & Van
-Loan, Matrix Computations, sec. 5.3): Q's columns past j are orthogonal to
-b_1..b_j, whatever the columns between the basis and t_i hold.  The
-leading blocks of R^-1 are the inverses of the leading blocks of R, so one
-inversion of R's basis block gives the coefficients of every prefix and
-target and the exact 1-norm condition number of every R[:j,:j], and the
-rank gate runs once, on that block.  The engine's one input is a row
-source ``rows(lo, hi)``, which gives any block of rows of the matrix bit
-for bit.  Its one builder, :func:`_augmented`, takes one column generator
-per column: the members themselves for :func:`nested_distances`, the h_k
-of one harmonic table for :func:`baez_duarte_sequence`, and W_n f read
-straight from f's coefficients for :func:`cyclicity_scan`, which builds no
-orbit member.  The engine builds the whole matrix from the row source and
-``?geqrt`` factors that in place, so the engine holds one (N+1) x (m+r)
-matrix, and frees it once R's top rows are copied out, before the
-2048-row blocks of its residual re-check: 8·(N+1)·K bytes for the d_K
-sequence, 200 MiB at K = 200, N = 2^17, where a whole run peaks at 261 MiB
-of resident memory, its growth 1.02 times the matrix (274 MiB with the
-blocks read beside the matrix, 469 MiB with a factored copy beside it;
-2-core x86-64, OpenBLAS).  Every target's residual norms are re-checked in
-one pass over the row blocks, read from the row source again: from the
-coefficients and the original rows, never from Q or R.  Every BLAS call of
-the engine goes to scipy's OpenBLAS (``?geqrt``, ``?trtrs``, ``?gemm``)
-and target norms are summed elementwise: the numpy and scipy wheels each
+Every family of nested spans (the d_K sequence, the cyclicity scans, any
+basis given as series) comes from one engine and one report path: one
+upper-triangular factor R of the column-major matrix A = [b_1 .. b_m |
+t_1 .. t_r], the basis followed by every target.  The distance from t_i
+to span{b_1..b_j} is the norm of R's column m + i below row j (Golub &
+Van Loan, Matrix Computations, sec. 5.3).  The leading blocks of R^-1 are
+the inverses of the leading blocks of R, so one inversion of R's basis
+block gives the coefficients of every prefix and target and the exact
+1-norm condition number of every R[:j,:j], and the rank gate runs once,
+on that block.  The engine's one input is a row source ``rows(lo, hi,
+out)``, which writes any block of rows of A bit for bit.  Its one
+builder, :func:`_augmented`, takes one column generator per column: the
+members themselves for :func:`nested_distances`, the h_k of one harmonic
+table for :func:`baez_duarte_sequence`, and W_n f read straight from f's
+coefficients for :func:`cyclicity_scan`, which builds no orbit member.
+
+R comes from one of two factor sources.  :func:`_qr_factor` builds the
+whole of A and factors it in place with LAPACK's recursive compact-WY
+Householder QR ``?geqrt`` (Elmroth & Gustavson), level-3 BLAS throughout
+(``?geqrf``, behind ``scipy.linalg.qr``, falls back to the unblocked
+level-2 ``?geqr2`` below 128 columns); it holds one (N+1) x (m+r) matrix
+and frees it once R's top rows are copied out.  :func:`_gram_factor`
+never builds A: one ``?syrk`` (``?herk`` if complex) per 8192-row block
+sums the Gram matrix G = A^H A, ``?potrf`` factors its basis block as
+R11^H R11, and R's target rows are R11^-H G[:m,m:].  The Gram squares
+the condition number, so Cholesky resolves no rank below sqrt(u) and no
+distance below about sqrt(u) ||t||: a target inside the span (h_2 + h_3/2
+over [h_2, h_3, h_4] at N = 512) gets a Gram distance of 4.9e-8 that
+fails its residual re-check, where QR gives 7.9e-17, and a cyclicity
+scan (f = 1 - z/2, n_max = 256) drifts 2.0e-11 relative at d = 1.1e-3,
+growing like 1/d.  So the series callers, :func:`nested_distances` and
+:func:`cyclicity_scan`, keep QR, and :func:`baez_duarte_sequence` takes
+the Gram: d_K stays above 0.08, R's condition figure is 171 at K = 50,
+887 at K = 200 and 8977 at K = 1000, and the two sources agree to
+6.7e-14 (K = 50, N = 2^14), 2.1e-13 (K = 200, N = 2^17) and 2.2e-13
+(K = 1000, N = 2^16) relative.  The rank gate applies to the matrix that
+was factored: cond(R) for A, cond(R)^2 for G.  When m = N + 1 the basis
+spans every row, and the Gram's squared distance to the whole span is
+set to exactly 0, as QR's zero-padded R gives it.  For d_K the Gram cuts
+the memory from 8·(N+1)·K bytes to O(K^2) and one block: at K = 200,
+N = 2^17, a run's resident memory grows by 204 MiB in 1.84 s on QR, and
+by 28.6 MiB in 0.45 s on the Gram; N = 2^20 takes 4.2 s and 42.5 MiB,
+where A alone would take 1.6 GiB (2-core x86-64, OpenBLAS).
+
+Every target's residual norms are re-checked in one pass over 8192-row
+blocks, read from the row source again: from the coefficients and the
+original rows, never from Q, R or G.  Both passes over the rows read
+into one workspace per engine call, the block of rows and a residual
+block beside it, since glibc trims the heap once such a block is freed
+and a block allocated afresh faults its pages in again.  Every BLAS call
+of the engine goes to scipy's OpenBLAS (``?geqrt``, ``?syrk``,
+``?potrf``, ``?trtrs``, ``?gemm``): the numpy and scipy wheels each
 bundle their own OpenBLAS with its own thread pool, and a numpy BLAS call
-right after a scipy one wakes the second pool while the first still spins,
-three busy threads on two cores.  Pivoted QR (:func:`distance_to_span`) is
-kept only as the oracle of that engine.  Every report carries the optimal
-coefficients, an independently recomputed residual norm (enforced to agree
-with the distance), and a condition figure so a genuine distance plateau
-can be told apart from numerical rank collapse.
+right after a scipy one wakes the second pool while the first still
+spins, three busy threads on two cores.  Pivoted QR
+(:func:`distance_to_span`) is kept only as the oracle of that engine.
+Every report carries the optimal coefficients, an independently
+recomputed residual norm (enforced to agree with the distance), and a
+condition figure so a genuine distance plateau can be told apart from
+numerical rank collapse.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 
 import numpy as np
@@ -72,14 +92,13 @@ __all__ = [
 RANK_TOLERANCE = 1e-10
 # |distance - residual_norm_check| may not exceed this times max(1, ||target||).
 RESIDUAL_AGREEMENT = 1e-10
-# Rows per block of the nested residual re-check, one scipy ``?gemm`` per
-# block and target (never numpy's ``@``, which runs on numpy's own OpenBLAS
-# pool): at K = 50 the block of rows and the residual buffer are 0.8 MiB each.
-_RESIDUAL_BLOCK_ROWS = 2048
+# Rows per block of the Gram pass (one scipy ``?syrk`` per block) and of the
+# residual re-check (one scipy ``?gemm`` per block and target; never numpy's
+# ``@``, which runs on numpy's own OpenBLAS pool): at K = 50 the block of
+# rows is 3.1 MiB and the residual block beside it 3.1 MiB.
+_BLOCK_ROWS = 8192
 # Column block size of the engine's ``?geqrt``, capped by the matrix shape.
 _QR_BLOCK_COLUMNS = 32
-# rows(lo, hi): rows lo..hi-1 of an unfactored engine matrix, column-major.
-RowSource = Callable[[int, int], np.ndarray]
 # column(lo, hi): at most hi - lo entries of one matrix column, from row lo on.
 Column = Callable[[int, int], np.ndarray]
 
@@ -88,14 +107,15 @@ Column = Callable[[int, int], np.ndarray]
 class DistanceReport:
     """Outcome of one least-squares projection.
 
-    ``distance`` is the residual norm from the QR path;
-    ``residual_norm_check`` recomputes it from the coefficients by direct
-    arithmetic on the basis and agrees to 1e-10 * max(1, ||target||), or
-    the report is never made (:class:`ResidualMismatch`).
+    ``distance`` is the residual norm read from a triangular factor R, of
+    the matrix itself (QR) or of its Gram matrix (Cholesky, for the d_K
+    sequence); ``residual_norm_check`` recomputes it from the coefficients
+    by direct arithmetic on the basis and agrees to 1e-10 * max(1,
+    ||target||), or the report is never made (:class:`ResidualMismatch`).
     ``condition_estimate`` is, in the reports of the nested engine, the
-    exact 1-norm condition number of the basis' triangular factor, which
-    lies within a factor j (the number of basis members) of the 2-norm
-    condition number of the basis; in the reports of the oracle
+    exact 1-norm condition number of the basis block of R, from either
+    source, which lies within a factor j (the number of basis members) of
+    the 2-norm condition number of the basis; in the reports of the oracle
     :func:`distance_to_span` it is the diagonal ratio of the pivoted R
     factor, a cheap lower bound on the 2-norm condition number.
     ``coefficients`` is read-only, float64 when the whole factored matrix
@@ -167,7 +187,7 @@ def nested_distances(basis: list[CoeffSeries], targets: list[CoeffSeries],
     1-norm condition number of ``R[:j,:j]``, nondecreasing in j, so the
     rank gate runs once, on the whole basis, even with no targets.  The
     residual norms of every prefix are re-checked together as ``target -
-    basis @ C`` over 2048-row blocks of the basis; column j - 1 of the
+    basis @ C`` over 8192-row blocks of the basis; column j - 1 of the
     upper-triangular m x m matrix C holds the coefficients of prefix j.
     The engine holds one (n_trunc + 1) x (m + r) matrix, factored in place,
     and copies each block of the re-check out of the members' own
@@ -182,18 +202,25 @@ def nested_distances(basis: list[CoeffSeries], targets: list[CoeffSeries],
         ResidualMismatch: when a residual re-check disagrees with its
             distance.
     """
-    return _nested_reports(_series_rows(basis, targets, n_trunc), n_trunc + 1, len(basis))
+    return _nested_reports(_series_rows(basis, targets, n_trunc), _qr_factor)
 
 
 def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceReport]]:
     """Distances d_K from the constant 1 to span{h_2, ..., h_K} for K = 2..k_max.
 
-    The spans are nested, so the sequence is nonincreasing and one QR of
-    [h_2 .. h_kmax | 1] gives all of it; each entry carries its full report
-    so conditioning can be inspected alongside the distance.  That QR runs
-    in place on the one float64 matrix, 8 * (n_trunc + 1) * k_max bytes,
-    and the residual re-check regenerates its rows 2048 at a time from the
-    same harmonic table.
+    The spans are nested, so the sequence is nonincreasing and one
+    triangular factor of [h_2 .. h_kmax | 1] gives all of it; each entry
+    carries its full report so conditioning can be inspected alongside the
+    distance.  That factor is the Cholesky factor of the Gram matrix,
+    summed over 8192-row blocks regenerated from one harmonic table (see
+    the module docstring), so the engine holds O(k_max^2 + 8192 k_max)
+    numbers, never the 8 * (n_trunc + 1) * k_max bytes of the matrix; the
+    residual re-check reads the same blocks again.
+
+    Raises:
+        DegenerateBasis: when k_max - 1 > n_trunc + 1, when a Cholesky pivot
+            of the Gram matrix is not positive, or when the reciprocal of
+            cond(R)^2, the Gram's figure, is below RANK_TOLERANCE.
     """
     _check_hk_args(k_max, n_trunc)
 
@@ -203,18 +230,66 @@ def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceRe
         yield partial(_floor_runs, np.ones(1), 1)  # the target, the constant 1
 
     rows = _augmented(n_trunc, k_max - 1, k_max, [], columns(), "the d_K matrix")
-    reports = _nested_reports(rows, n_trunc + 1, k_max - 1)[0]
+    reports = _nested_reports(rows, _gram_factor)[0]
     return list(zip(range(2, k_max + 1), reports))
+
+
+@dataclass
+class RowSource:
+    """The rows of [b_1 .. b_m | t_1 .. t_r], ``width`` = m + r columns, one generator each.
+
+    ``rows(lo, hi, out)`` writes rows lo..hi-1 into ``out``, a column-major
+    (hi - lo) x width array, or a new one, and returns it: each column's
+    generator gives its first entries, and the rest of the column is zero
+    (exact truncation and padding).  The first call draws ``columns``.
+    """
+
+    n_rows: int
+    m: int
+    width: int
+    dtype: np.dtype
+    columns: Iterable[Column]
+
+    @cached_property
+    def _drawn(self) -> list[Column]:
+        return list(self.columns)
+
+    @cached_property
+    def _work(self) -> np.ndarray:
+        # One workspace for every pass; the module docstring says why.
+        return np.empty(min(_BLOCK_ROWS, self.n_rows) * (self.width + self.m), self.dtype)
+
+    def __call__(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty((hi - lo, self.width), self.dtype, order="F")
+        for i, column in enumerate(self._drawn):
+            part = column(lo, hi)
+            out[: len(part), i] = part
+            out[len(part) :, i] = 0
+        return out
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each block of up to ``_BLOCK_ROWS`` rows, and an unset m-column block beside it.
+
+        Both are column-major views of one workspace, allocated once and
+        reused by every pass over the row source.
+        """
+        cap = min(_BLOCK_ROWS, self.n_rows)
+        row_part, residual_part = self._work[: cap * self.width], self._work[cap * self.width :]
+        for lo in range(0, self.n_rows, _BLOCK_ROWS):
+            size = min(_BLOCK_ROWS, self.n_rows - lo)
+            block = row_part[: size * self.width].reshape((size, self.width), order="F")
+            yield (self(lo, lo + size, block),
+                   residual_part[: size * self.m].reshape((size, self.m), order="F"))
 
 
 def _augmented(n_trunc: int, m: int, width: int, sources: list[CoeffSeries],
                columns: Iterable[Column], name: str = "a matrix") -> RowSource:
     """Row source of the ``width`` columns [b_1 .. b_m | t_1 .. t_r] at degree ``n_trunc``.
 
-    ``rows(lo, hi)`` zero-fills each column past what its generator gives
-    (exact truncation and padding), complex when any of ``sources`` is.  Its
-    first call, once its block is allocated, draws ``columns``; every refusal
-    (empty basis, negative degree, size past numpy's limit, m > N + 1) is earlier.
+    Complex when any of ``sources`` is.  Every refusal (empty basis,
+    negative degree, size past numpy's limit, m > N + 1) comes before any
+    column is drawn.
     """
     if m == 0:
         raise ValueError("basis must be nonempty")
@@ -224,17 +299,7 @@ def _augmented(n_trunc: int, m: int, width: int, sources: list[CoeffSeries],
                        f"{name} of {n_trunc + 1} x {width} {dtype} entries")
     if m > n_trunc + 1:
         raise DegenerateBasis(f"{m} basis members exceed {n_trunc + 1} coefficients")
-    columns, drawn = iter(columns), []
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        block = np.zeros((hi - lo, width), dtype=dtype, order="F")
-        drawn.extend(columns)  # all of them on the first call, none after
-        for i, column in enumerate(drawn):
-            part = column(lo, hi)
-            block[: len(part), i] = part
-        return block
-
-    return rows
+    return RowSource(n_trunc + 1, m, width, dtype, columns)
 
 
 def _series_rows(basis: list[CoeffSeries], targets: list[CoeffSeries],
@@ -256,18 +321,17 @@ def _condition_estimate(r: np.ndarray) -> float:
     return float(diag[0] / diag[-1])
 
 
-def _nested_reports(rows: RowSource, n_rows: int, m: int) -> list[list[DistanceReport]]:
-    """For each t_i of [b_1 .. b_m | t_1 .. t_r], one report per prefix b_1..b_j.
+# factor(rows) -> (R11, R12, s, p): the triangular factor R of the row
+# source's matrix, split as its basis block R[:m,:m] and the target rows
+# R[:m,m:], with s[0, i] the squared distance from t_i to the whole span;
+# cond(R)^p is the condition of the matrix that was factored.
+Factor = Callable[[RowSource], tuple[np.ndarray, np.ndarray, np.ndarray, int]]
 
-    ``rows(lo, hi)`` gives rows lo..hi-1 of that matrix, column-major.  The
-    engine builds the whole matrix, ``rows(0, n_rows)``, and factors it in
-    place; the residual re-check reads the unfactored rows from ``rows``
-    again, bit for bit.  Its builder, :func:`_augmented`, has refused m > n_rows.
-    """
+
+def _qr_factor(rows: RowSource) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """R from ``?geqrt`` of the whole matrix, built from ``rows`` and factored in place."""
+    n_rows, m, cols = rows.n_rows, rows.m, rows.width
     aug = rows(0, n_rows)
-    cols = aug.shape[1]
-    # Summed elementwise, not by numpy's BLAS ``dot``: see the module docstring.
-    target_norms = [float(np.sqrt(np.sum(np.abs(aug[:, j]) ** 2))) for j in range(m, cols)]
     # ?geqrt overwrites ``aug`` with R on and above the diagonal: f2py
     # copies no column-major array of the routine's own dtype.
     (geqrt,) = scipy.linalg.lapack.get_lapack_funcs(("geqrt",), (aug,))
@@ -276,15 +340,56 @@ def _nested_reports(rows: RowSource, n_rows: int, m: int) -> list[list[DistanceR
     # n_rows, they lie below the basis block, in the target columns only.
     r = np.zeros((cols, cols), dtype=aug.dtype)
     r[: min(n_rows, cols)] = np.triu(factored[:cols])
-    # R is all the engine reads of the factored matrix: the re-check's row
-    # blocks reuse its memory instead of sitting beside it.
-    del aug, factored
-    # distances[j, i] = ||R[j:, m + i]||, the distance from t_i to span{b_1..b_j}.
-    distances = np.sqrt(np.cumsum(np.abs(r[::-1, m:]) ** 2, axis=0))[::-1]
+    # s sums the rows below the basis from the bottom up, the order in
+    # which the prefix distances go on to sum the rows above.
+    return r[:m, :m], r[:m, m:], np.cumsum(np.abs(r[m:, m:][::-1]) ** 2, axis=0)[-1:], 1
 
+
+def _gram_factor(rows: RowSource) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """R from ``?potrf`` of the Gram matrix G = A^H A, summed over the blocks of ``rows``.
+
+    R11 is the Cholesky factor of G[:m,:m], R12 = R11^-H G[:m,m:], and s is
+    G's target diagonal less the squared column norms of R12, clamped at 0;
+    it is exactly 0 when m = n_rows, where the basis spans every row.
+
+    Raises:
+        DegenerateBasis: when a pivot of the Cholesky factorization is not
+            positive.
+    """
+    m, herm = rows.m, rows.dtype.kind == "c"
+    (rank_k,) = scipy.linalg.blas.get_blas_funcs(("herk" if herm else "syrk",), dtype=rows.dtype)
+    g = np.zeros((rows.width, rows.width), rows.dtype, order="F")
+    # The upper triangle of G += block^H block, in place; trans=2 is A^H A.
+    for block, _ in rows.blocks():
+        g = rank_k(1.0, block, beta=1.0, c=g, trans=2, overwrite_c=1)
+    potrf, trtrs = scipy.linalg.lapack.get_lapack_funcs(("potrf", "trtrs"), (g,))
+    r11, info = potrf(g[:m, :m])
+    if info > 0:
+        raise DegenerateBasis(
+            f"basis is numerically rank deficient: reciprocal condition below "
+            f"{RANK_TOLERANCE:.0e}, Cholesky pivot {info} of its Gram matrix is not positive"
+        )
+    r12, _ = trtrs(r11, g[:m, m:], trans=2)
+    s = np.maximum(np.diag(g).real[m:] - np.sum(np.abs(r12) ** 2, axis=0), 0.0)
+    if m == rows.n_rows:  # the basis spans every row, as QR's zero-padded R says
+        s[:] = 0.0
+    return r11, r12, s[None], 2
+
+
+def _nested_reports(rows: RowSource, factor: Factor) -> list[list[DistanceReport]]:
+    """For each t_i of [b_1 .. b_m | t_1 .. t_r], one report per prefix b_1..b_j.
+
+    ``factor`` gives R from the row source (:func:`_qr_factor` or
+    :func:`_gram_factor`); the rank gate, R^-1, the condition figures, the
+    prefix distances and the coefficients are read from it alike.  The
+    residual re-check reads the unfactored rows from ``rows`` again, bit for
+    bit, so it is independent of both R and the Gram matrix.  The builder
+    of ``rows``, :func:`_augmented`, has refused m > n_rows.
+    """
+    block, r12, s, power = factor(rows)
+    m = rows.m
     # Only the basis block is gated and inverted: a zero, repeated or
     # in-span target leaves zeros in its own rows of R.
-    block = r[:m, :m]
     if not np.all(np.diag(block)):
         raise DegenerateBasis("basis is rank deficient: R has an exact zero on its diagonal")
     # The leading blocks of R^-1 are the inverses of the leading blocks of
@@ -294,45 +399,48 @@ def _nested_reports(rows: RowSource, n_rows: int, m: int) -> list[list[DistanceR
     condition = (np.maximum.accumulate(np.abs(block).sum(axis=0))
                  * np.maximum.accumulate(np.abs(rinv).sum(axis=0)))
     # The figure is nondecreasing in j: if any prefix fails the gate, the
-    # whole basis does.
-    if not condition[-1] * RANK_TOLERANCE <= 1.0:
+    # whole basis does.  It is gated on the matrix that was factored: a
+    # Gram matrix squares the condition of R.
+    figure = condition[-1] ** power
+    if not figure * RANK_TOLERANCE <= 1.0:
         raise DegenerateBasis(
             f"basis is numerically rank deficient: reciprocal condition "
-            f"{1.0 / condition[-1]:.3e} below {RANK_TOLERANCE:.0e}"
+            f"{1.0 / figure:.3e} below {RANK_TOLERANCE:.0e}"
         )
-    if cols == m:
+    if r12.shape[1] == 0:
         return []
+    # distances[j, i] = sqrt(s_i + sum_{l >= j} |R[l, m + i]|^2), the
+    # distance from t_i to span{b_1..b_j}; distances[0, i] is ||t_i||.
+    distances = np.sqrt(np.cumsum(np.vstack([np.abs(r12) ** 2, s])[::-1], axis=0))[::-1]
     # Column j - 1 of coeffs[i] is R[:j,:j]^-1 R[:j,m+i]: the first j
     # columns of R^-1, weighted by R[:j,m+i] and summed.
-    coeffs = [np.cumsum(rinv * r[:m, j], axis=1) for j in range(m, cols)]
-    checks = _residual_norms(rows, n_rows, coeffs)
+    coeffs = [np.cumsum(rinv * r12[:, i], axis=1) for i in range(r12.shape[1])]
+    checks = _residual_norms(rows, coeffs)
     return [
         [_checked_report(float(distances[j, i]), c[:j, j - 1], float(check[j - 1]),
-                         target_norm, float(condition[j - 1]))
+                         float(distances[0, i]), float(condition[j - 1]))
          for j in range(1, m + 1)]
-        for i, (c, check, target_norm) in enumerate(zip(coeffs, checks, target_norms))
+        for i, (c, check) in enumerate(zip(coeffs, checks))
     ]
 
 
-def _residual_norms(rows: RowSource, n_rows: int, coeffs: list[np.ndarray]) -> np.ndarray:
+def _residual_norms(rows: RowSource, coeffs: list[np.ndarray]) -> np.ndarray:
     """||t_i - [b_1 .. b_m] @ coeffs[i][:, j]|| for every target i and column j.
 
     Reads each block of ``rows`` once and runs one scipy ``?gemm`` per
-    target on it, into one buffer that then holds the squared moduli.
+    target on it, into the residual block beside it, which then holds the
+    squared moduli.
     """
-    m = coeffs[0].shape[0]
+    m = rows.m
     (gemm,) = scipy.linalg.blas.get_blas_funcs(("gemm",), coeffs)
     sum_sq = np.zeros((len(coeffs), m))
-    for lo in range(0, n_rows, _RESIDUAL_BLOCK_ROWS):
-        hi = min(lo + _RESIDUAL_BLOCK_ROWS, n_rows)
-        block = rows(lo, hi)
+    for block, res in rows.blocks():
         for i, c in enumerate(coeffs):
-            # f2py copies the broadcast target into a column-major buffer,
-            # and ?gemm writes the residuals over it.
-            start = np.broadcast_to(block[:, m + i, None], (hi - lo, m))
-            res = gemm(-1.0, block[:, :m], c, beta=1.0, c=start)
-            # np.square(np.abs(x)) rounds as np.abs(x) ** 2; a real |x| fits in res.
-            sq = np.abs(res, out=res if res.dtype.kind == "f" else None)
+            res[...] = block[:, m + i, None]
+            # c.T is column-major, so f2py hands ?gemm both operands uncopied.
+            out = gemm(-1.0, block[:, :m], c.T, beta=1.0, c=res, trans_b=1, overwrite_c=1)
+            # np.square(np.abs(x)) rounds as np.abs(x) ** 2; a real |x| fits in out.
+            sq = np.abs(out, out=out if out.dtype.kind == "f" else None)
             sum_sq[i] += np.sum(np.square(sq, out=sq), axis=0)
     return np.sqrt(sum_sq)
 
@@ -388,4 +496,4 @@ def cyclicity_scan(
     orbit = (partial(_floor_runs, f.coeffs, n) for n in range(1, n_max + 1))
     plain = (partial(_floor_runs, t.coeffs, 1) for t in targets)
     rows = _augmented(n_trunc, n_max, n_max + len(targets), [f, *targets], chain(orbit, plain))
-    return [reports[-1] for reports in _nested_reports(rows, n_trunc + 1, n_max)]
+    return [reports[-1] for reports in _nested_reports(rows, _qr_factor)]

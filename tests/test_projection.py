@@ -336,6 +336,87 @@ class TestConditionFigure:
         assert figures[0] == pytest.approx(1.0, rel=1e-12)
 
 
+def bd_factored_by(factor, k_max, n_trunc):
+    """baez_duarte_sequence(k_max, n_trunc), its row source factored by ``factor``."""
+    nested_reports = projection._nested_reports
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projection, "_nested_reports", lambda rows, _: nested_reports(rows, factor))
+        return hl.baez_duarte_sequence(k_max, n_trunc)
+
+
+class TestGramSource:
+    """The Gram factor source of d_K: a Cholesky factor of [h_2 .. h_K | 1]'s streamed Gram."""
+
+    @pytest.mark.parametrize("k_max, n_trunc", [(50, 2**14), (200, 2**15)])
+    def test_every_prefix_agrees_with_the_qr_source(self, k_max, n_trunc):
+        gram = hl.baez_duarte_sequence(k_max, n_trunc)
+        qr = bd_factored_by(projection._qr_factor, k_max, n_trunc)
+        for (k, by_gram), (k_qr, by_qr) in zip(gram, qr, strict=True):
+            assert k == k_qr
+            assert abs(by_gram.distance - by_qr.distance) <= projection.RESIDUAL_AGREEMENT
+            np.testing.assert_allclose(by_gram.coefficients, by_qr.coefficients, rtol=0, atol=1e-10)
+            assert by_gram.condition_estimate == pytest.approx(by_qr.condition_estimate, rel=1e-10)
+
+    def test_complex_members_agree_with_the_qr_source(self):
+        rng = np.random.default_rng(34)
+        n_trunc = 3000
+
+        def random_series():
+            return hl.from_coeffs(
+                rng.standard_normal(n_trunc + 1) + 1j * rng.standard_normal(n_trunc + 1)
+            )
+
+        basis, targets = [random_series() for _ in range(6)], [hl.one(n_trunc), random_series()]
+        rows = projection._series_rows(basis, targets, n_trunc)
+        by_gram = projection._nested_reports(rows, projection._gram_factor)
+        by_qr = hl.nested_distances(basis, targets, n_trunc)
+        for per_gram, per_qr, target in zip(by_gram, by_qr, targets, strict=True):
+            bound = projection.RESIDUAL_AGREEMENT * max(1.0, hl.norm(target))
+            for g, q in zip(per_gram, per_qr, strict=True):
+                assert g.coefficients.dtype == np.complex128
+                assert abs(g.distance - q.distance) <= bound
+                np.testing.assert_allclose(g.coefficients, q.coefficients, rtol=0, atol=1e-10)
+
+    def test_distances_nondecreasing_in_the_truncation(self):
+        # P_N is a contraction, so every d_K(N) is at most d_K(2N).
+        d = [[rep.distance for _, rep in hl.baez_duarte_sequence(30, 2**e)] for e in range(10, 16)]
+        assert np.all(np.diff(d, axis=0) >= 0)
+
+    def test_basis_spanning_every_row_leaves_exactly_zero(self):
+        # K - 1 = N + 1 members over N + 1 coefficients, as QR's zero-padded R gives.
+        for n_trunc in range(40):
+            seq = hl.baez_duarte_sequence(n_trunc + 2, n_trunc)
+            assert seq[-1][1].distance == 0.0, n_trunc
+
+    def test_repeated_member_is_refused(self):
+        # Cholesky resolves no rank below sqrt(u): R's own figure is about 2e8.
+        n_trunc = 128
+        h2, h3 = hl.hk_closed_form(2, n_trunc), hl.hk_closed_form(3, n_trunc)
+        rows = projection._series_rows([h2, h3, h2], [hl.one(n_trunc)], n_trunc)
+        with pytest.raises(DegenerateBasis, match="reciprocal condition"):
+            projection._nested_reports(rows, projection._gram_factor)
+
+    def test_gate_squares_the_condition_of_r(self):
+        # R = [[1, 1], [0, 1e-7]] has a 1-norm condition of 2e7: QR's gate
+        # passes it, and the Gram's refuses its square, 4e14.
+        n_trunc = 4
+        basis = [hl.from_coeffs([1.0]), hl.from_coeffs([1.0, 1e-7])]
+        targets = [hl.from_coeffs([0.0, 0.0, 1.0])]
+        figure = hl.nested_distances(basis, targets, n_trunc)[0][-1].condition_estimate
+        assert figure == pytest.approx(2e7, rel=1e-6)
+        with pytest.raises(DegenerateBasis, match=r"reciprocal condition 2\.\d+e-15 below"):
+            projection._nested_reports(projection._series_rows(basis, targets, n_trunc),
+                                       projection._gram_factor)
+
+    def test_exact_duplicate_without_a_positive_pivot_raises(self):
+        # G = [[1, 1], [1, 1]]: the second pivot is 1 - 1 = 0.
+        n_trunc = 8
+        rows = projection._series_rows([hl.one(n_trunc)] * 2, [hl.hk_closed_form(2, n_trunc)],
+                                       n_trunc)
+        with pytest.raises(DegenerateBasis, match="reciprocal condition.*Cholesky pivot 2 of"):
+            projection._nested_reports(rows, projection._gram_factor)
+
+
 def assert_residual_checks_match_direct_norm(reports, target, basis):
     """Every residual_norm_check is ||target - sum_k c_k b_k||, summed by axpy."""
     bound = 1e-14 * max(1.0, hl.norm(target))
@@ -347,8 +428,9 @@ def assert_residual_checks_match_direct_norm(reports, target, basis):
 
 
 class TestBlockedResidualCheck:
-    # 2047..4097 coefficients straddle the 2048-row blocks of the re-check.
-    @pytest.mark.parametrize("n_trunc", [2046, 2047, 2048, 4096])
+    # Up to 4097 coefficients fit one block of the re-check; 8191..16385
+    # straddle its 8192-row blocks.
+    @pytest.mark.parametrize("n_trunc", [2046, 2047, 2048, 4096, 8190, 8191, 8192, 16384])
     def test_baez_duarte_checks_match_direct_norm(self, n_trunc):
         seq = hl.baez_duarte_sequence(12, n_trunc)
         basis = [hl.hk_closed_form(k, n_trunc) for k in range(2, 13)]
@@ -356,7 +438,7 @@ class TestBlockedResidualCheck:
 
     def test_complex_basis_checks_match_direct_norm(self):
         rng = np.random.default_rng(33)
-        n_trunc = 2100
+        n_trunc = 8300
 
         def random_series():
             return hl.from_coeffs(
@@ -370,9 +452,10 @@ class TestBlockedResidualCheck:
 
 
 class TestRowSources:
-    """rows(lo, hi) gives the re-check the unfactored rows, bit for bit and column-major."""
+    """rows(lo, hi, out) gives both passes the unfactored rows, bit for bit and column-major."""
 
-    # 4201 rows: re-check blocks [0, 2048), [2048, 4096) and the partial [4096, 4201).
+    # Windows of a 4201-row matrix, each read into a new array and into a
+    # reused one that holds other numbers, as the engine's workspace does.
     N_TRUNC = 4200
     WINDOWS = [(0, 2048), (2047, 2049), (1000, 3100), (2048, 4096), (4095, 4097),
                (4096, 4201), (4200, 4201)]
@@ -383,15 +466,18 @@ class TestRowSources:
             block = rows(lo, hi)
             assert block.flags.f_contiguous and block.dtype == aug.dtype
             assert block.tobytes("F") == aug[lo:hi].tobytes("F"), (lo, hi)
+            reused = np.full_like(block, np.nan)
+            assert rows(lo, hi, reused) is reused
+            assert reused.tobytes("F") == block.tobytes("F"), (lo, hi)
 
     @staticmethod
     def handed_over(monkeypatch, run):
         """The whole matrix and the row source that ``run()`` hands the engine."""
         got = {}
 
-        def capture(rows, n_rows, m):
-            got.update(aug=rows(0, n_rows), rows=rows)
-            return nested_reports(rows, n_rows, m)
+        def capture(rows, factor):
+            got.update(aug=rows(0, rows.n_rows), rows=rows)
+            return nested_reports(rows, factor)
 
         nested_reports = projection._nested_reports
         monkeypatch.setattr(projection, "_nested_reports", capture)
@@ -449,10 +535,12 @@ class TestRowSources:
 
 
 class TestEngineMemory:
-    """The engine factors its one matrix in place and re-checks in 2048-row blocks.
+    """The QR source factors its one matrix in place; the Gram source holds no matrix.
 
-    tracemalloc sees every numpy buffer, so a second copy of the matrix,
-    such as one f2py makes when ?geqrt may not overwrite its input, shows.
+    Both passes over the rows (the Gram sum and the re-check) read 8192-row
+    blocks into one workspace.  tracemalloc sees every numpy buffer, so a
+    second copy of the matrix, such as one f2py makes when ?geqrt may not
+    overwrite its input, shows.
     """
 
     @staticmethod
@@ -464,10 +552,20 @@ class TestEngineMemory:
         finally:
             tracemalloc.stop()
 
-    def test_baez_duarte_holds_one_matrix(self):
-        k_max, n_trunc = 50, 2**14
+    def test_baez_duarte_streams_its_gram(self):
+        # the harmonic table, one 8192-row block with its residual block
+        # beside it, and the K x K Gram: 0.15 times the matrix
+        k_max, n_trunc = 50, 2**17
         peak = self.traced_peak(lambda: hl.baez_duarte_sequence(k_max, n_trunc))
-        assert peak < 1.15 * 8 * (n_trunc + 1) * k_max
+        assert peak <= 0.25 * 8 * (n_trunc + 1) * k_max
+
+    def test_passes_share_one_workspace(self):
+        rows = projection._series_rows([hl.hk_closed_form(2, 20000)], [hl.one(20000)], 20000)
+        first = list(rows.blocks())
+        assert [len(block) for block, _ in first] == [8192, 8192, 3617]
+        for (block, res), (again, res_again) in zip(first, rows.blocks()):
+            assert np.shares_memory(block, again) and np.shares_memory(res, res_again)
+            assert np.shares_memory(block, first[0][0])
 
     def test_basis_longer_than_its_coefficients_is_refused_before_its_matrix(self):
         def run():

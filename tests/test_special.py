@@ -16,7 +16,7 @@ def bd_rows(k_max, n_trunc):
     handed_over = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(projection, "_nested_reports",
-                   lambda rows, n_rows, m: handed_over.append(rows) or [[]])
+                   lambda rows, factor: handed_over.append(rows) or [[]])
         hl.baez_duarte_sequence(k_max, n_trunc)
     return handed_over[0]
 
@@ -166,9 +166,9 @@ class TestHkMatrix:
             by_index = h - h[np.arange(len(h)) // k] - np.log(k)
             assert np.array_equal(_hk_coeffs(h, k, 0, len(h)), by_index)
 
-    # Row windows lo..hi-1 of a 6201-row matrix: across the 2048-row edges of
-    # the residual re-check, lo off every multiple of k, windows narrower
-    # than k (up to 12 here), and the last partial block.
+    # Row windows lo..hi-1 of a 6201-row matrix: across multiples of 2048,
+    # lo off every multiple of k, windows narrower than k (up to 12 here),
+    # and the last rows.
     WINDOWS = [(0, 1), (0, 2048), (2047, 2049), (2047, 2050), (1000, 3100),
                (2048, 4096), (4095, 4101), (6143, 6145), (6144, 6201), (6200, 6201)]
 
