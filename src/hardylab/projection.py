@@ -46,20 +46,21 @@ spans every row, and the Gram's squared distance to the whole span is
 set to exactly 0, as QR's zero-padded R gives it.  For d_K the Gram cuts
 the memory from 8·(N+1)·K bytes to O(K^2) and one block: at K = 200,
 N = 2^17, a run's resident memory grows by 204 MiB in 1.84 s on QR, and
-by 28.6 MiB in 0.45 s on the Gram; N = 2^20 takes 4.2 s and 42.5 MiB,
+by 17.4 MiB in 0.39 s on the Gram; N = 2^20 takes 2.6 s and 31.5 MiB,
 where A alone would take 1.6 GiB (2-core x86-64, OpenBLAS).
 
-Every target's residual norms are re-checked in one pass over 8192-row
-blocks, read from the row source again: from the coefficients and the
-original rows, never from Q, R or G.  Both passes over the rows read
-into one workspace per engine call, the block of rows and a residual
-block beside it, since glibc trims the heap once such a block is freed
-and a block allocated afresh faults its pages in again.  Every BLAS call
-of the engine goes to scipy's OpenBLAS (``?geqrt``, ``?syrk``,
-``?potrf``, ``?trtrs``, ``?gemm``): the numpy and scipy wheels each
-bundle their own OpenBLAS with its own thread pool, and a numpy BLAS call
-right after a scipy one wakes the second pool while the first still
-spins, three busy threads on two cores.  Pivoted QR
+Each target's residual norms are re-checked in its own pass over
+8192-row blocks, read from the row source again: from the coefficients
+and the original rows, never from Q, R or G.  The prefix coefficients
+form an upper-triangular C, so ``?trmm`` overwrites a block's basis
+columns B with B C in place and needs no second buffer: every pass over
+the rows reads into one block per engine call, since glibc trims the
+heap once such a block is freed and a block allocated afresh faults its
+pages in again.  Every BLAS call of the engine goes to scipy's OpenBLAS
+(``?geqrt``, ``?syrk``, ``?potrf``, ``?trtrs``, ``?trmm``): the numpy and
+scipy wheels each bundle their own OpenBLAS with its own thread pool, and
+a numpy BLAS call right after a scipy one wakes the second pool while the
+first still spins, three busy threads on two cores.  Pivoted QR
 (:func:`distance_to_span`) is kept only as the oracle of that engine.
 Every report carries the optimal coefficients, an independently
 recomputed residual norm (enforced to agree with the distance), and a
@@ -93,9 +94,9 @@ RANK_TOLERANCE = 1e-10
 # |distance - residual_norm_check| may not exceed this times max(1, ||target||).
 RESIDUAL_AGREEMENT = 1e-10
 # Rows per block of the Gram pass (one scipy ``?syrk`` per block) and of the
-# residual re-check (one scipy ``?gemm`` per block and target; never numpy's
+# residual re-check (one scipy ``?trmm`` per block and target; never numpy's
 # ``@``, which runs on numpy's own OpenBLAS pool): at K = 50 the block of
-# rows is 3.1 MiB and the residual block beside it 3.1 MiB.
+# rows is 3.1 MiB, the engine's whole workspace.
 _BLOCK_ROWS = 8192
 # Column block size of the engine's ``?geqrt``, capped by the matrix shape.
 _QR_BLOCK_COLUMNS = 32
@@ -215,7 +216,7 @@ def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceRe
     summed over 8192-row blocks regenerated from one harmonic table (see
     the module docstring), so the engine holds O(k_max^2 + 8192 k_max)
     numbers, never the 8 * (n_trunc + 1) * k_max bytes of the matrix; the
-    residual re-check reads the same blocks again.
+    residual re-check reads the same blocks again, into the same memory.
 
     Raises:
         DegenerateBasis: when k_max - 1 > n_trunc + 1, when a Cholesky pivot
@@ -257,7 +258,7 @@ class RowSource:
     @cached_property
     def _work(self) -> np.ndarray:
         # One workspace for every pass; the module docstring says why.
-        return np.empty(min(_BLOCK_ROWS, self.n_rows) * (self.width + self.m), self.dtype)
+        return np.empty(min(_BLOCK_ROWS, self.n_rows) * self.width, self.dtype)
 
     def __call__(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
@@ -268,19 +269,15 @@ class RowSource:
             out[len(part) :, i] = 0
         return out
 
-    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Each block of up to ``_BLOCK_ROWS`` rows, and an unset m-column block beside it.
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Each block of up to ``_BLOCK_ROWS`` rows, a column-major view of one workspace.
 
-        Both are column-major views of one workspace, allocated once and
-        reused by every pass over the row source.
+        Every pass over the row source reuses it; a caller may overwrite a block.
         """
-        cap = min(_BLOCK_ROWS, self.n_rows)
-        row_part, residual_part = self._work[: cap * self.width], self._work[cap * self.width :]
         for lo in range(0, self.n_rows, _BLOCK_ROWS):
             size = min(_BLOCK_ROWS, self.n_rows - lo)
-            block = row_part[: size * self.width].reshape((size, self.width), order="F")
-            yield (self(lo, lo + size, block),
-                   residual_part[: size * self.m].reshape((size, self.m), order="F"))
+            block = self._work[: size * self.width].reshape((size, self.width), order="F")
+            yield self(lo, lo + size, block)
 
 
 def _augmented(n_trunc: int, m: int, width: int, sources: list[CoeffSeries],
@@ -360,7 +357,7 @@ def _gram_factor(rows: RowSource) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
     (rank_k,) = scipy.linalg.blas.get_blas_funcs(("herk" if herm else "syrk",), dtype=rows.dtype)
     g = np.zeros((rows.width, rows.width), rows.dtype, order="F")
     # The upper triangle of G += block^H block, in place; trans=2 is A^H A.
-    for block, _ in rows.blocks():
+    for block in rows.blocks():
         g = rank_k(1.0, block, beta=1.0, c=g, trans=2, overwrite_c=1)
     potrf, trtrs = scipy.linalg.lapack.get_lapack_funcs(("potrf", "trtrs"), (g,))
     r11, info = potrf(g[:m, :m])
@@ -395,9 +392,10 @@ def _nested_reports(rows: RowSource, factor: Factor) -> list[list[DistanceReport
     # The leading blocks of R^-1 are the inverses of the leading blocks of
     # R, and both are upper triangular, so column sums over the first j
     # columns give the 1-norms of every R[:j,:j] and its inverse at once.
+    # A condition number is at least 1; one member's |r| |1/r| may round below.
     rinv = scipy.linalg.solve_triangular(block, np.eye(m))
-    condition = (np.maximum.accumulate(np.abs(block).sum(axis=0))
-                 * np.maximum.accumulate(np.abs(rinv).sum(axis=0)))
+    condition = np.maximum(np.maximum.accumulate(np.abs(block).sum(axis=0))
+                           * np.maximum.accumulate(np.abs(rinv).sum(axis=0)), 1.0)
     # The figure is nondecreasing in j: if any prefix fails the gate, the
     # whole basis does.  It is gated on the matrix that was factored: a
     # Gram matrix squares the condition of R.
@@ -407,8 +405,6 @@ def _nested_reports(rows: RowSource, factor: Factor) -> list[list[DistanceReport
             f"basis is numerically rank deficient: reciprocal condition "
             f"{1.0 / figure:.3e} below {RANK_TOLERANCE:.0e}"
         )
-    if r12.shape[1] == 0:
-        return []
     # distances[j, i] = sqrt(s_i + sum_{l >= j} |R[l, m + i]|^2), the
     # distance from t_i to span{b_1..b_j}; distances[0, i] is ||t_i||.
     distances = np.sqrt(np.cumsum(np.vstack([np.abs(r12) ** 2, s])[::-1], axis=0))[::-1]
@@ -427,18 +423,18 @@ def _nested_reports(rows: RowSource, factor: Factor) -> list[list[DistanceReport
 def _residual_norms(rows: RowSource, coeffs: list[np.ndarray]) -> np.ndarray:
     """||t_i - [b_1 .. b_m] @ coeffs[i][:, j]|| for every target i and column j.
 
-    Reads each block of ``rows`` once and runs one scipy ``?gemm`` per
-    target on it, into the residual block beside it, which then holds the
-    squared moduli.
+    Each coeffs[i] is upper triangular, so one scipy ``?trmm`` per block
+    overwrites its basis columns B with B @ coeffs[i], t_i is subtracted
+    there in place, and each target reads the blocks of ``rows`` again.
     """
     m = rows.m
-    (gemm,) = scipy.linalg.blas.get_blas_funcs(("gemm",), coeffs)
+    (trmm,) = scipy.linalg.blas.get_blas_funcs(("trmm",), coeffs)
     sum_sq = np.zeros((len(coeffs), m))
-    for block, res in rows.blocks():
-        for i, c in enumerate(coeffs):
-            res[...] = block[:, m + i, None]
-            # c.T is column-major, so f2py hands ?gemm both operands uncopied.
-            out = gemm(-1.0, block[:, :m], c.T, beta=1.0, c=res, trans_b=1, overwrite_c=1)
+    for i, c in enumerate(coeffs):
+        # c is column-major, a cumsum of R^-1, so f2py hands ?trmm both operands uncopied.
+        for block in rows.blocks():
+            out = trmm(1.0, c, block[:, :m], side=1, overwrite_b=1)
+            np.subtract(block[:, m + i, None], out, out=out)
             # np.square(np.abs(x)) rounds as np.abs(x) ** 2; a real |x| fits in out.
             sq = np.abs(out, out=out if out.dtype.kind == "f" else None)
             sum_sq[i] += np.sum(np.square(sq, out=sq), axis=0)

@@ -279,15 +279,15 @@ def write_columns(fh, columns) -> None:
     directly; nan, inf and the rare rows :func:`_scaled_decimal` leaves
     uncertain are formatted by ``format``, one cell at a time.  The float
     columns of a block share one encoder call.  Tests pin the bytes to the
-    per-value formatting.  No columns, or columns of unequal length, raise
-    :class:`ValueError`.
+    per-value formatting.  No columns, a column that is not 1-d, or columns
+    of unequal length raise :class:`ValueError`.
     """
     values = [(_cell_encoder(v.dtype), v) for v in map(np.asarray, columns)]
-    lengths = sorted({len(v) for _, v in values})
-    if len(lengths) != 1:
-        raise ValueError(f"write_columns needs columns of one length, got lengths {lengths}")
+    shapes = sorted({v.shape for _, v in values})
+    if len(shapes) != 1 or len(shapes[0]) != 1:
+        raise ValueError(f"write_columns needs 1-d columns of one length, got shapes {shapes}")
     seps = [ord(",")] * (len(values) - 1) + [ord("\n")]
-    nrows = lengths[0]
+    (nrows,) = shapes[0]
     for start in range(0, nrows, _CSV_BLOCK_ROWS):
         rows = min(_CSV_BLOCK_ROWS, nrows - start)
         block = [v[start:start + rows] for _, v in values]

@@ -72,7 +72,10 @@ def _floor_runs(values: np.ndarray, k: int, lo: int, hi: int) -> np.ndarray:
     Each values[q] is one of a run of copies, min(k, hi - lo) of them, and
     the window starts ``skip`` copies into the first run, so a run is never
     longer than the window however large k is: at most two runs if k > hi - lo.
+    W_1 is the identity, so k = 1 gives the view values[lo:hi], copying nothing.
     """
+    if k == 1:
+        return values[lo:hi]
     q_lo, run = lo // k, min(k, hi - lo)
     skip = run - (min((q_lo + 1) * k, hi) - lo)
     return np.repeat(values[q_lo : (hi - 1) // k + 1], run)[skip : skip + hi - lo]

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -208,6 +209,15 @@ class TestBlockWriter:
     def test_other_dtypes_raise_type_error(self, column):
         with pytest.raises(TypeError, match=str(column.dtype)):
             encoded([[0], column])
+
+    @pytest.mark.parametrize("column", [np.zeros((2, 2)), np.arange(4).reshape(2, 2, 1),
+                                        np.array(0.5), np.array(3)],
+                             ids=["2-d", "3-d", "0-d float", "0-d int"])
+    def test_columns_not_1d_raise_value_error(self, column):
+        fh = io.BytesIO()
+        with pytest.raises(ValueError, match=re.escape(str(column.shape))):
+            write_columns(fh, [np.arange(2), column])
+        assert fh.getvalue() == b""
 
     @pytest.mark.parametrize("columns", [[], [np.arange(3), np.array([0.5, 0.25])],
                                          [np.arange(2), np.array([0.5, 0.25, 0.125])]],

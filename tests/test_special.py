@@ -184,7 +184,7 @@ class TestHkMatrix:
                 assert window[:, :-1].tobytes("F") == whole[lo:hi, :h_cols].tobytes("F"), (lo, hi)
                 assert window[:, -1].tobytes() == whole[lo:hi, -1].tobytes(), (lo, hi)
 
-    @pytest.mark.parametrize("k", [2, 3, 7, 2048, 2049, 6201, 2**70])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 2048, 2049, 6201, 2**70])
     def test_windowed_runs_bit_identical_to_floor_index(self, k):
         h = _harmonic_table(6200)
         # Every j < len(h) has floor(j / k) = floor(j / len(h)) = 0 once k >= len(h).
