@@ -9,7 +9,9 @@ spectrum  eigenvector residual scan over a polar grid in the spectral ball
 
 All output files are deterministic for a fixed (flags, seed) apart from a
 single timestamp header line.  Floats are printed with 17 significant
-digits and a '.' decimal separator so values round-trip exactly.  Exit
+digits and a '.' decimal separator so values round-trip exactly.  The CSV
+format lives in :mod:`hardylab.table`, and bd's JSON report is built where
+bd writes it, in :func:`cmd_baez_duarte`.  Exit
 codes: 0 success, 1 assertion failure, 2 usage error (a bad flag value,
 a missing ``@file``, an output path that cannot be written, one path for
 both of bd's reports, a size too large for memory, or a typed laboratory
@@ -28,16 +30,16 @@ import functools
 import json
 import math
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .errors import HardyLabError
 from .projection import baez_duarte_sequence
-from .series import _check_array_bytes, write_columns
+from .series import _check_array_bytes
 from .special import hk_closed_form, truncation_certificate
 from .spectral import spectral_disk_scan
+from .table import write_table
 from .verify import SUITES, run_suites
 
 __all__ = ["build_parser", "main"]
@@ -45,25 +47,6 @@ __all__ = ["build_parser", "main"]
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-def _write_rows(path: Path, meta: list[str], header: list[str], columns) -> None:
-    """Write the timestamp line, ``# `` meta lines, the header and the data rows.
-
-    ``columns`` holds one array per CSV column, integer indices or float64
-    values; :func:`series.write_columns` encodes them a block of rows at a
-    time.  The file is binary and the text lines above the rows are written
-    as ASCII.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    head = [f"# generated={_timestamp()}"] + [f"# {line}" for line in meta] + [",".join(header)]
-    with open(path, "wb") as fh:
-        fh.write("".join(line + "\n" for line in head).encode("ascii"))
-        write_columns(fh, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +57,7 @@ def _write_rows(path: Path, meta: list[str], header: list[str], columns) -> None
 def cmd_gen_hk(k: int, n_trunc: int, path: Path) -> int:
     series = hk_closed_form(k, n_trunc)
     columns = [np.arange(n_trunc + 1), series.coeffs]
-    _write_rows(path, [f"command=gen-hk k={k} n={n_trunc}"], ["j", "value"], columns)
+    write_table(path, [f"command=gen-hk k={k} n={n_trunc}"], ["j", "value"], columns)
     print(f"wrote {path} ({n_trunc + 1} coefficients, c_0 = {_fmt(series.coeffs[0])})")
     return 0
 
@@ -85,11 +68,15 @@ def cmd_baez_duarte(k_max: int, n_trunc: int, path: Path, json_path: Path) -> in
         "k_max": k_max,
         "truncation_degree": n_trunc,
         "reports": [
-            dict(
-                K=k,
-                **rep.to_json_dict(),
-                truncation_certificate=truncation_certificate(rep.coefficients, n_trunc),
-            )
+            {
+                "K": k,
+                "distance": rep.distance,
+                "coefficients_re": rep.coefficients.real.tolist(),
+                "coefficients_im": rep.coefficients.imag.tolist(),
+                "residual_norm_check": rep.residual_norm_check,
+                "condition_estimate": rep.condition_estimate,
+                "truncation_certificate": truncation_certificate(rep.coefficients, n_trunc),
+            }
             for k, rep in sequence
         ],
     }
@@ -103,7 +90,7 @@ def cmd_baez_duarte(k_max: int, n_trunc: int, path: Path, json_path: Path) -> in
         [rep.condition_estimate for _, rep in sequence],
     ]
     try:
-        _write_rows(
+        write_table(
             path,
             [f"command=bd kmax={k_max} n={n_trunc}"],
             ["K", "d_K", "condition_estimate"],
@@ -143,7 +130,7 @@ def cmd_spectrum(n: int, r_steps: int, theta_steps: int, path: Path,
     radii = np.linspace(0.0, 0.95, r_steps)
     report = spectral_disk_scan(n, radii, theta_steps, min_degree_count)
     columns = [report.lam.real, report.lam.imag, report.residual, report.vector_norm]
-    _write_rows(
+    write_table(
         path,
         [f"command=spectrum n={n} r-steps={r_steps} theta-steps={theta_steps} level={report.level}"],
         ["re_lambda", "im_lambda", "residual", "vector_norm"],
@@ -246,9 +233,6 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         path = Path(args.out or Path(args.output_dir) / f"spectrum_n{args.n}.csv")
         return cmd_spectrum(args.n, args.r_steps, args.theta_steps, path,
                             args.min_degree_count, args.tolerance)
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 @functools.cache

@@ -131,15 +131,6 @@ class DistanceReport:
     residual_norm_check: float
     condition_estimate: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "distance": self.distance,
-            "coefficients_re": self.coefficients.real.tolist(),
-            "coefficients_im": self.coefficients.imag.tolist(),
-            "residual_norm_check": self.residual_norm_check,
-            "condition_estimate": self.condition_estimate,
-        }
-
 
 def distance_to_span(target: CoeffSeries, basis: list[CoeffSeries],
                      n_trunc: int) -> DistanceReport:

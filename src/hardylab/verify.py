@@ -14,14 +14,12 @@ loop of the semigroup suite work on row stacks, one random series or one
 eigenvalue per row.  Rows come in blocks whose widest array holds at most
 ``_STACK_BYTES``; each block takes its inputs in one
 ``rng.standard_normal((rows, 2 * series, length))`` call, the same stream,
-in the same order, as one :func:`random_series` call per series.  The
-isometry suite sizes its draws for its index-2 stack and cuts each draw, per
-index n, into the rows the index-n stack fits.  Each quantity is one call
-per block: the transforms go through the array kernels of
-:mod:`hardylab.semigroup` and
+in the same order, as one :func:`random_series` call per series.  Each
+quantity is one call per block: the transforms go through the array
+kernels of :mod:`hardylab.semigroup` and
 :func:`~hardylab.special.dirichlet_energy_at_one_array`, every row norm
-through :func:`~hardylab.series._row_norms`, bit for bit
-:func:`~hardylab.series.array_norm` per row, and every pairing through
+through :func:`~hardylab.series._row_norms`, the kernel of
+:func:`~hardylab.series.array_norm`, and every pairing through
 ``np.vecdot``, which runs the same BLAS dot per row as ``np.vdot``.  The
 scalar rounding rules carry over to the rows: the modulus of a complex
 value is ``np.hypot``, as Python's ``abs`` rounds it (``np.abs`` differs in
@@ -229,13 +227,10 @@ def suite_adjoint(seed: int = 0) -> list[CheckResult]:
 def suite_isometry(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     errors = []
-    for rows in _row_blocks(100, 2 * 257 * 16):
+    for rows in _row_blocks(100, 10 * 257 * 16):
         f = _random_rows(rng, rows, 1, 256)[:, 0]
         nf = _row_norms(f)
-        for n in range(2, 11):
-            step = _row_blocks(rows, n * 257 * 16)[0]
-            errors += [_isometry_errors(n, f[i : i + step], nf[i : i + step])
-                       for i in range(0, rows, step)]
+        errors += [_isometry_errors(n, f, nf) for n in range(2, 11)]
     iso, wsw = zip(*errors)
     return [
         CheckResult("isometry ||Wf|| = sqrt(n)||f||", _worst(iso), 1e-12),
@@ -371,8 +366,8 @@ def suite_spectral(seed: int = 0) -> list[CheckResult]:
     for n in (2, 3):
         level = level_for_degree(n, 4096)
         # the same stream, in the same order, as one rng.uniform() call at a time
-        draws = rng.uniform(size=(100, 2)).tolist()
-        lams = np.array([0.95 * np.sqrt(n) * np.sqrt(u) * np.exp(2j * np.pi * t) for u, t in draws])
+        u, t = rng.uniform(size=(100, 2)).T
+        lams = 0.95 * np.sqrt(n) * np.sqrt(u) * np.exp(2j * np.pi * t)
         # one band table for every point: its fixed numpy cost is paid once per n
         lams, bands, counts = _eigen_bands(n, lams, level)
         closed = eigenvector_norm_sq(n, lams, level)

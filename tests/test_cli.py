@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import hardylab as hl
 import hardylab.cli
-from hardylab import series
+from hardylab import table
 from hardylab.cli import _fmt, main
-from hardylab.series import _CSV_BLOCK_ROWS, write_columns
+from hardylab.table import _CSV_BLOCK_ROWS, write_columns
 
 
 def run(args):
@@ -230,14 +230,14 @@ class TestBlockWriter:
 
 
 def format_calls(monkeypatch):
-    """The values series.format is called with from now on (a shim over the builtin)."""
+    """The values table.format is called with from now on (a shim over the builtin)."""
     calls = []
 
     def shim(value, spec):
         calls.append(value)
         return format(value, spec)
 
-    monkeypatch.setattr(series, "format", shim, raising=False)
+    monkeypatch.setattr(table, "format", shim, raising=False)
     return calls
 
 
@@ -269,20 +269,20 @@ class TestWideKernel:
     """Finite nonzero doubles of every magnitude, encoded from the 128-bit power table."""
 
     def test_tables_are_built_on_first_use(self):
-        code = ("import hardylab, hardylab.series as s; "
-                "print(s._digits4.cache_info().currsize, s._pow5_table.cache_info().currsize)")
+        code = ("import hardylab.table as t; "
+                "print(t._digits4.cache_info().currsize, t._pow5_table.cache_info().currsize)")
         env = dict(os.environ, PYTHONPATH=str(Path(hl.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.split() == ["0", "0"]
-        words = series._digits4().view(np.uint8).tobytes()
+        words = table._digits4().view(np.uint8).tobytes()
         assert words == "".join("%04d" % i for i in range(10000)).encode()
 
     def test_power_table_holds_the_top_128_bits_of_each_power_of_five(self):
-        table = [column.tolist() for column in series._pow5_table()]
-        assert {len(column) for column in table} == {series._P_MAX - series._P_MIN + 1}
-        for hi, lo, s, inexact_hi, inexact, p in zip(*table,
-                                                     range(series._P_MAX, series._P_MIN - 1, -1)):
+        powers = [column.tolist() for column in table._pow5_table()]
+        assert {len(column) for column in powers} == {table._P_MAX - table._P_MIN + 1}
+        for hi, lo, s, inexact_hi, inexact, p in zip(*powers,
+                                                     range(table._P_MAX, table._P_MIN - 1, -1)):
             t = hi << 64 | lo
             assert 2**127 <= t < 2**128, p
             q = 16 - p
@@ -434,6 +434,21 @@ class TestBaezDuarte:
             coeffs = [complex(re, im) for re, im in zip(r["coefficients_re"], r["coefficients_im"])]
             assert r["truncation_certificate"] == hl.truncation_certificate(coeffs, 256)
             assert r["truncation_certificate"] > 0
+
+    def test_json_report_round_trips(self, tmp_path):
+        out = tmp_path / "bd.csv"
+        assert run(["bd", "--kmax", "3", "--n", "64", "--out", str(out)]) == 0
+        reports = json.loads(out.with_suffix(".json").read_text())["reports"]
+        for r, (k, rep) in zip(reports, hl.baez_duarte_sequence(3, 64), strict=True):
+            assert list(r) == ["K", "distance", "coefficients_re", "coefficients_im",
+                               "residual_norm_check", "condition_estimate", "truncation_certificate"]
+            assert r["K"] == k
+            assert r["distance"] == rep.distance
+            assert r["coefficients_re"] == rep.coefficients.real.tolist()
+            assert r["coefficients_im"] == rep.coefficients.imag.tolist()
+            assert len(r["coefficients_re"]) == k - 1
+            assert r["residual_norm_check"] == rep.residual_norm_check
+            assert r["condition_estimate"] == rep.condition_estimate
 
     def test_json_report_is_one_line(self, tmp_path):
         out = tmp_path / "bd.csv"

@@ -114,13 +114,6 @@ class TestDistanceToSpan:
         # rotating the target by a unimodular scalar preserves the distance
         assert complex_report.distance == pytest.approx(real_report.distance, abs=1e-12)
 
-    def test_json_report_round_trips(self):
-        n_trunc = 64
-        report = hl.distance_to_span(hl.one(n_trunc), [hl.hk_closed_form(2, n_trunc)], n_trunc)
-        d = report.to_json_dict()
-        assert d["distance"] == report.distance
-        assert len(d["coefficients_re"]) == 1
-
 
 class TestBaezDuarteSequence:
     def test_sequence_shape_and_monotonicity(self):

@@ -31,14 +31,14 @@ def test_stacked_suite_matches_series_form(name, seed):
     assert reprs(verify.SUITES[name](seed=seed)) == reprs(SERIES_SUITES[name](seed=seed))
 
 
-# A budget of four isometry rows at index 2 and one at index 10.
+# A budget that cuts every row-stack suite into several blocks.
 SEVERAL_BLOCKS = 4 * 2 * 257 * 16
 
 
 @pytest.mark.parametrize("name", ["adjoint", "dirichlet", "isometry", "semigroup", "spectral"])
 def test_block_size_does_not_change_results(name, monkeypatch):
     default = reprs(verify.SUITES[name](seed=20240826))
-    # one row per block; several rows at index 2 but one at index 10; every row in one block
+    # one row per block; several blocks; every row in one block
     for budget in (1, SEVERAL_BLOCKS, 1 << 40):
         monkeypatch.setattr(verify, "_STACK_BYTES", budget)
         assert reprs(verify.SUITES[name](seed=20240826)) == default
