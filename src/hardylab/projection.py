@@ -21,46 +21,45 @@ members themselves for :func:`nested_distances`, the h_k of one harmonic
 table for :func:`baez_duarte_sequence`, and W_n f read straight from f's
 coefficients for :func:`cyclicity_scan`, which builds no orbit member.
 
-R comes from one of two factor sources.  :func:`_qr_factor` builds the
-whole of A and factors it in place with LAPACK's recursive compact-WY
-Householder QR ``?geqrt`` (Elmroth & Gustavson), level-3 BLAS throughout
-(``?geqrf``, behind ``scipy.linalg.qr``, falls back to the unblocked
-level-2 ``?geqr2`` below 128 columns); it holds one (N+1) x (m+r) matrix
-and frees it once R's top rows are copied out.  :func:`_gram_factor`
-never builds A: one ``?syrk`` (``?herk`` if complex) per 8192-row block
-sums the Gram matrix G = A^H A, ``?potrf`` factors its basis block as
-R11^H R11, and R's target rows are R11^-H G[:m,m:].  The Gram squares
-the condition number, so Cholesky resolves no rank below sqrt(u) and no
-distance below about sqrt(u) ||t||: a target inside the span (h_2 + h_3/2
-over [h_2, h_3, h_4] at N = 512) gets a Gram distance of 4.9e-8 that
-fails its residual re-check, where QR gives 7.9e-17, and a cyclicity
-scan (f = 1 - z/2, n_max = 256) drifts 2.0e-11 relative at d = 1.1e-3,
-growing like 1/d.  So the series callers, :func:`nested_distances` and
+R comes from one of two factor sources, and neither builds A.
+:func:`_qr_factor` folds each 8192-row block of A into R with LAPACK's
+``?tpqrt``, the compact-WY Householder QR of [R; block] in column blocks
+of 8, level-3 BLAS throughout: the sequential TSQR of Demmel, Grigori,
+Hoemmen & Langou (SIAM J. Sci. Comput., 2012).  :func:`_gram_factor` sums
+the Gram matrix G = A^H A with one ``?syrk`` (``?herk`` if complex) per
+block, ``?potrf`` factors its basis block as R11^H R11, and R's target
+rows are R11^-H G[:m,m:].  The Gram squares the condition number, so
+Cholesky resolves no rank below sqrt(u) and no distance below about
+sqrt(u) ||t||: a target inside the span (h_2 + h_3/2 over [h_2, h_3, h_4]
+at N = 512) gets a Gram distance of 4.9e-8 that fails its residual
+re-check, where QR gives 7.4e-16, and a cyclicity scan (f = 1 - z/2,
+n_max = 256) drifts 2.0e-11 relative at d = 1.1e-3, growing like 1/d.
+So the series callers, :func:`nested_distances` and
 :func:`cyclicity_scan`, keep QR, and :func:`baez_duarte_sequence` takes
 the Gram: d_K stays above 0.08, R's condition figure is 171 at K = 50,
 887 at K = 200 and 8977 at K = 1000, and the two sources agree to
 6.7e-14 (K = 50, N = 2^14), 2.1e-13 (K = 200, N = 2^17) and 2.2e-13
 (K = 1000, N = 2^16) relative.  The rank gate applies to the matrix that
 was factored: cond(R) for A, cond(R)^2 for G.  When m = N + 1 the basis
-spans every row, and the Gram's squared distance to the whole span is
-set to exactly 0, as QR's zero-padded R gives it.  For d_K the Gram cuts
-the memory from 8·(N+1)·K bytes to O(K^2) and one block: at K = 200,
-N = 2^17, a run's resident memory grows by 204 MiB in 1.84 s on QR, and
-by 17.4 MiB in 0.39 s on the Gram; N = 2^20 takes 2.6 s and 31.5 MiB,
-where A alone would take 1.6 GiB (2-core x86-64, OpenBLAS).
+spans every row, and the report path sets each target's squared distance
+to the whole span to exactly 0, which no source's R gives.  Each source
+holds O((m + r)^2) numbers and one block of rows, never A: at N = 2^17,
+where A takes 200 MiB, a d_K run (K = 200) grows its resident memory by
+17.7 MiB and a cyclicity scan (n_max = 200) by 16.3 MiB (2-core x86-64).
 
 Each target's residual norms are re-checked in its own pass over
 8192-row blocks, read from the row source again: from the coefficients
 and the original rows, never from Q, R or G.  The prefix coefficients
 form an upper-triangular C, so ``?trmm`` overwrites a block's basis
 columns B with B C in place and needs no second buffer: every pass over
-the rows reads into one block per engine call, since glibc trims the
-heap once such a block is freed and a block allocated afresh faults its
-pages in again.  Every BLAS call of the engine goes to scipy's OpenBLAS
-(``?geqrt``, ``?syrk``, ``?potrf``, ``?trtrs``, ``?trmm``): the numpy and
-scipy wheels each bundle their own OpenBLAS with its own thread pool, and
-a numpy BLAS call right after a scipy one wakes the second pool while the
-first still spins, three busy threads on two cores.  Pivoted QR
+the rows (the QR fold, the Gram sum, each re-check) reads into one block
+per engine call, since glibc trims the heap once such a block is freed
+and a block allocated afresh faults its pages in again.  Every BLAS call
+of the engine goes to scipy's OpenBLAS (``?tpqrt``, ``?syrk``,
+``?potrf``, ``?trtrs``, ``?trmm``): the numpy and scipy wheels each
+bundle their own OpenBLAS with its own thread pool, and a numpy BLAS
+call right after a scipy one wakes the second pool while the first still
+spins, three busy threads on two cores.  Pivoted QR
 (:func:`distance_to_span`) is kept only as the oracle of that engine.
 Every report carries the optimal coefficients, an independently
 recomputed residual norm (enforced to agree with the distance), and a
@@ -98,8 +97,8 @@ RESIDUAL_AGREEMENT = 1e-10
 # ``@``, which runs on numpy's own OpenBLAS pool): at K = 50 the block of
 # rows is 3.1 MiB, the engine's whole workspace.
 _BLOCK_ROWS = 8192
-# Column block size of the engine's ``?geqrt``, capped by the matrix shape.
-_QR_BLOCK_COLUMNS = 32
+# Column block size of the QR source's ``?tpqrt``, capped by the matrix width.
+_QR_BLOCK_COLUMNS = 8
 # column(lo, hi): at most hi - lo entries of one matrix column, from row lo on.
 Column = Callable[[int, int], np.ndarray]
 
@@ -181,8 +180,8 @@ def nested_distances(basis: list[CoeffSeries], targets: list[CoeffSeries],
     residual norms of every prefix are re-checked together as ``target -
     basis @ C`` over 8192-row blocks of the basis; column j - 1 of the
     upper-triangular m x m matrix C holds the coefficients of prefix j.
-    The engine holds one (n_trunc + 1) x (m + r) matrix, factored in place,
-    and copies each block of the re-check out of the members' own
+    The engine never holds the (n_trunc + 1) x (m + r) matrix: the QR fold
+    and the re-check copy each 8192-row block out of the members' own
     coefficients, so no refitted copy of a member is made.
 
     Raises:
@@ -317,17 +316,15 @@ Factor = Callable[[RowSource], tuple[np.ndarray, np.ndarray, np.ndarray, int]]
 
 
 def _qr_factor(rows: RowSource) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """R from ``?geqrt`` of the whole matrix, built from ``rows`` and factored in place."""
-    n_rows, m, cols = rows.n_rows, rows.m, rows.width
-    aug = rows(0, n_rows)
-    # ?geqrt overwrites ``aug`` with R on and above the diagonal: f2py
-    # copies no column-major array of the routine's own dtype.
-    (geqrt,) = scipy.linalg.lapack.get_lapack_funcs(("geqrt",), (aug,))
-    factored, _, _ = geqrt(min(_QR_BLOCK_COLUMNS, n_rows, cols), aug, overwrite_a=1)
-    # With fewer rows than columns, R is padded with zero rows; as m <=
-    # n_rows, they lie below the basis block, in the target columns only.
-    r = np.zeros((cols, cols), dtype=aug.dtype)
-    r[: min(n_rows, cols)] = np.triu(factored[:cols])
+    """R from ``?tpqrt``, each block of ``rows`` folded into R in place (TSQR)."""
+    m = rows.m
+    r = np.zeros((rows.width, rows.width), rows.dtype, order="F")
+    # ?tpqrt overwrites R with the R of [R; block] and the block with its
+    # reflectors: f2py copies no column-major array of the routine's own dtype.
+    (tpqrt,) = scipy.linalg.lapack.get_lapack_funcs(("tpqrt",), (r,))
+    for block in rows.blocks():
+        r, _, _, _ = tpqrt(0, min(_QR_BLOCK_COLUMNS, rows.width), r, block,
+                           overwrite_a=1, overwrite_b=1)
     # s sums the rows below the basis from the bottom up, the order in
     # which the prefix distances go on to sum the rows above.
     return r[:m, :m], r[:m, m:], np.cumsum(np.abs(r[m:, m:][::-1]) ** 2, axis=0)[-1:], 1
@@ -337,8 +334,7 @@ def _gram_factor(rows: RowSource) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
     """R from ``?potrf`` of the Gram matrix G = A^H A, summed over the blocks of ``rows``.
 
     R11 is the Cholesky factor of G[:m,:m], R12 = R11^-H G[:m,m:], and s is
-    G's target diagonal less the squared column norms of R12, clamped at 0;
-    it is exactly 0 when m = n_rows, where the basis spans every row.
+    G's target diagonal less the squared column norms of R12, clamped at 0.
 
     Raises:
         DegenerateBasis: when a pivot of the Cholesky factorization is not
@@ -359,8 +355,6 @@ def _gram_factor(rows: RowSource) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
         )
     r12, _ = trtrs(r11, g[:m, m:], trans=2)
     s = np.maximum(np.diag(g).real[m:] - np.sum(np.abs(r12) ** 2, axis=0), 0.0)
-    if m == rows.n_rows:  # the basis spans every row, as QR's zero-padded R says
-        s[:] = 0.0
     return r11, r12, s[None], 2
 
 
@@ -376,6 +370,8 @@ def _nested_reports(rows: RowSource, factor: Factor) -> list[list[DistanceReport
     """
     block, r12, s, power = factor(rows)
     m = rows.m
+    if m == rows.n_rows:  # the basis spans every row: no source's R gives exact zeros
+        s = np.zeros_like(s)
     # Only the basis block is gated and inverted: a zero, repeated or
     # in-span target leaves zeros in its own rows of R.
     if not np.all(np.diag(block)):

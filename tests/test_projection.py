@@ -269,7 +269,7 @@ class TestNestedDistances:
 
 
 class TestQRBlockEdges:
-    """The engine's ?geqrt blocks min(32, rows, m + 1) columns of [basis | target]."""
+    """The QR source's ?tpqrt folds 8192-row blocks into R, min(8, m + 1) columns at a time."""
 
     @staticmethod
     def random_problem(rows, m, complex_basis):
@@ -282,9 +282,11 @@ class TestQRBlockEdges:
         return random_series(), [random_series() for _ in range(m)]
 
     # rows == m + 1 at 2, 31, 32 and 33 rows; one row takes one member.
-    # With 64 rows, m + 1 = 31, 32, 33 columns straddle the block size.
+    # With 64 rows, m + 1 = 7, 8, 9 columns straddle the column block; 8192
+    # rows fill one row block, and 8193 leave a last block of one row.
     @pytest.mark.parametrize("rows, m", [(1, 1), (2, 1), (31, 30), (32, 31), (33, 32),
-                                         (64, 30), (64, 31), (64, 32)])
+                                         (64, 30), (64, 31), (64, 32), (64, 6), (64, 7),
+                                         (64, 8), (8192, 8), (8193, 8)])
     @pytest.mark.parametrize("complex_basis", [False, True])
     def test_matches_pivoted_oracle(self, rows, m, complex_basis):
         target, basis = self.random_problem(rows, m, complex_basis)
@@ -385,10 +387,12 @@ class TestGramSource:
         assert np.all(np.diff(d, axis=0) >= 0)
 
     def test_basis_spanning_every_row_leaves_exactly_zero(self):
-        # K - 1 = N + 1 members over N + 1 coefficients, as QR's zero-padded R gives.
-        for n_trunc in range(40):
-            seq = hl.baez_duarte_sequence(n_trunc + 2, n_trunc)
-            assert seq[-1][1].distance == 0.0, n_trunc
+        # K - 1 = N + 1 members over N + 1 coefficients: neither source's R
+        # gives exact zeros, so the report path sets them.
+        for factor in (projection._gram_factor, projection._qr_factor):
+            for n_trunc in range(40):
+                seq = bd_factored_by(factor, n_trunc + 2, n_trunc)
+                assert seq[-1][1].distance == 0.0, (factor.__name__, n_trunc)
 
     def test_repeated_member_is_refused(self):
         # Cholesky resolves no rank below sqrt(u): R's own figure is about 2e8.
@@ -417,6 +421,18 @@ class TestGramSource:
                                        n_trunc)
         with pytest.raises(DegenerateBasis, match="reciprocal condition.*Cholesky pivot 2 of"):
             projection._nested_reports(rows, projection._gram_factor)
+
+
+class TestQRSourceInSpan:
+    """Why the series callers keep the QR source: a Gram gives this target 4.9e-8."""
+
+    # 2^15 + 1 coefficients fold into R in four row blocks.
+    @pytest.mark.parametrize("n_trunc", [512, 2**15])
+    def test_target_inside_the_span_resolves_to_rounding(self, n_trunc):
+        h2, h3, h4 = (hl.hk_closed_form(k, n_trunc) for k in (2, 3, 4))
+        reports = hl.nested_distances([h2, h3, h4], [hl.axpy(0.5, h3, h2)], n_trunc)[0]
+        for rep in reports[1:]:
+            assert rep.distance <= 1e-14 and rep.residual_norm_check <= 1e-14
 
 
 def assert_residual_checks_match_direct_norm(reports, target, basis):
@@ -540,13 +556,12 @@ class TestRowSources:
 
 
 class TestEngineMemory:
-    """The QR source factors its one matrix in place; the Gram source holds no matrix.
+    """No factor source holds the matrix: QR folds it into R, the Gram sums it.
 
-    Every pass over the rows (the Gram sum and each target's re-check) reads
-    8192-row blocks into one workspace, one block of rows.  tracemalloc
-    sees every numpy buffer, so a second copy of the matrix or of a block,
-    such as one f2py makes when ?geqrt or ?trmm may not overwrite its
-    input, shows.
+    Every pass over the rows (the QR fold, the Gram sum and each target's
+    re-check) reads 8192-row blocks into one workspace, one block of rows.
+    tracemalloc sees every numpy buffer, so a copy of a block, such as one
+    f2py makes when ?tpqrt or ?trmm may not overwrite its input, shows.
     """
 
     @staticmethod
@@ -578,16 +593,17 @@ class TestEngineMemory:
             with pytest.raises(DegenerateBasis, match="99999 basis members exceed 2 coefficients"):
                 hl.baez_duarte_sequence(10**5, 1)
 
-        # the 2 x 10^5 matrix alone takes 1.6 MB, and a padded R 80 GB
+        # the 2 x 10^5 matrix alone takes 1.6 MB, and R 80 GB
         assert self.traced_peak(run) < 2**20
 
     def test_cyclicity_scan_holds_one_matrix(self):
-        # f reaches the truncation, so every W_n f fills its whole column
+        # f reaches the truncation, so every W_n f fills its whole column;
+        # one 8192-row block is a quarter of the matrix
         n_max, n_trunc = 100, 2**15
         f = hl.from_coeffs(np.random.default_rng(3).standard_normal(n_trunc + 1))
         target = hl.one(n_trunc)
         peak = self.traced_peak(lambda: hl.cyclicity_scan(f, n_max, [target], n_trunc))
-        assert peak <= 1.1 * 8 * (n_trunc + 1) * (n_max + 1)
+        assert peak <= 0.35 * 8 * (n_trunc + 1) * (n_max + 1)
 
     def test_complex_series_hold_one_matrix(self):
         rng = np.random.default_rng(13)
@@ -786,7 +802,7 @@ class TestCyclicityScan:
         targets = [hl.one(n_trunc), monomial(1, valid_degree=n_trunc),
                    monomial(2, valid_degree=n_trunc), hl.hk_closed_form(3, n_trunc)]
         assert len(hl.cyclicity_scan(hl.from_coeffs([-2.0, 1.0]), 8, targets, n_trunc)) == 4
-        assert requested.count("geqrt") == 1
+        assert requested.count("tpqrt") == 1
 
     def test_no_targets_gives_no_reports(self):
         assert hl.cyclicity_scan(hl.from_coeffs([-2.0, 1.0]), 8, [], 64) == []
