@@ -10,8 +10,8 @@ spectrum  eigenvector residual scan over a polar grid in the spectral ball
 All output files are deterministic for a fixed (flags, seed) apart from a
 single timestamp header line.  Floats are printed with 17 significant
 digits and a '.' decimal separator so values round-trip exactly.  The CSV
-format lives in :mod:`hardylab.table`, and bd's JSON report is built where
-bd writes it, in :func:`cmd_baez_duarte`.  Exit
+format lives in :mod:`hardylab.table`, and bd's JSON report, with the
+coefficients of the last K only, is built in :func:`cmd_baez_duarte`.  Exit
 codes: 0 success, 1 assertion failure, 2 usage error (a bad flag value,
 a missing ``@file``, an output path that cannot be written, one path for
 both of bd's reports, a size too large for memory, or a typed laboratory
@@ -63,32 +63,27 @@ def cmd_gen_hk(k: int, n_trunc: int, path: Path) -> int:
 
 
 def cmd_baez_duarte(k_max: int, n_trunc: int, path: Path, json_path: Path) -> int:
-    sequence = baez_duarte_sequence(k_max, n_trunc)
+    seq = baez_duarte_sequence(k_max, n_trunc)
+    distances, c = seq.distance, seq.coefficients
+    # Entry K - 2 is d_K's.  Every K's coefficients would take K^2/2 numbers,
+    # so only the last K's are written; bd's matrix is real.
     report = {
         "k_max": k_max,
         "truncation_degree": n_trunc,
         "reports": [
-            {
-                "K": k,
-                "distance": rep.distance,
-                "coefficients_re": rep.coefficients.real.tolist(),
-                "coefficients_im": rep.coefficients.imag.tolist(),
-                "residual_norm_check": rep.residual_norm_check,
-                "condition_estimate": rep.condition_estimate,
-                "truncation_certificate": truncation_certificate(rep.coefficients, n_trunc),
-            }
-            for k, rep in sequence
+            {"K": k, "distance": d, "residual_norm_check": check, "condition_estimate": cond,
+             "truncation_certificate": truncation_certificate(c[: k - 1, k - 2], n_trunc)}
+            for k, d, check, cond in zip(range(2, k_max + 1), distances.tolist(),
+                                         seq.residual_norm_check.tolist(),
+                                         seq.condition_estimate.tolist())
         ],
+        "coefficients": c[:, -1].tolist(),
     }
     # The JSON goes first and is removed again if the CSV cannot be
     # written, so a failed command leaves neither file.
     json_path.parent.mkdir(parents=True, exist_ok=True)
     json_path.write_text(json.dumps(report))
-    columns = [
-        [k for k, _ in sequence],
-        [rep.distance for _, rep in sequence],
-        [rep.condition_estimate for _, rep in sequence],
-    ]
+    columns = [np.arange(2, k_max + 1), distances, seq.condition_estimate]
     try:
         write_table(
             path,
@@ -99,9 +94,8 @@ def cmd_baez_duarte(k_max: int, n_trunc: int, path: Path, json_path: Path) -> in
     except OSError:
         json_path.unlink(missing_ok=True)
         raise
-    distances = np.array([rep.distance for _, rep in sequence])
     print(f"wrote {path} and {json_path}")
-    print(f"d_{k_max} = {_fmt(distances[-1])} (condition {_fmt(sequence[-1][1].condition_estimate)})")
+    print(f"d_{k_max} = {_fmt(distances[-1])} (condition {_fmt(seq.condition_estimate[-1])})")
 
     # distances[i] is d_{i+2}; each failed property is named at its first K.
     rises = np.flatnonzero(~(np.diff(distances) <= 1e-12)) + 1

@@ -61,10 +61,10 @@ bundle their own OpenBLAS with its own thread pool, and a numpy BLAS
 call right after a scipy one wakes the second pool while the first still
 spins, three busy threads on two cores.  Pivoted QR
 (:func:`distance_to_span`) is kept only as the oracle of that engine.
-Every report carries the optimal coefficients, an independently
-recomputed residual norm (enforced to agree with the distance), and a
-condition figure so a genuine distance plateau can be told apart from
-numerical rank collapse.
+Each target gets one :class:`NestedReport`, views over its prefixes of the
+optimal coefficients, an independently recomputed residual norm (enforced
+to agree with the distance) and a condition figure, so a genuine distance
+plateau can be told apart from numerical rank collapse.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ from .special import _check_hk_args, _floor_runs, _harmonic_table, _hk_coeffs
 
 __all__ = [
     "DistanceReport",
+    "NestedReport",
     "distance_to_span",
     "nested_distances",
     "baez_duarte_sequence",
@@ -104,25 +105,35 @@ Column = Callable[[int, int], np.ndarray]
 
 
 @dataclass(frozen=True)
-class DistanceReport:
-    """Outcome of one least-squares projection.
+class NestedReport:
+    """One target's projections onto every prefix b_1..b_j, j = 1..m, as read-only columns.
 
-    ``distance`` is the residual norm read from a triangular factor R, of
-    the matrix itself (QR) or of its Gram matrix (Cholesky, for the d_K
-    sequence); ``residual_norm_check`` recomputes it from the coefficients
-    by direct arithmetic on the basis and agrees to 1e-10 * max(1,
-    ||target||), or the report is never made (:class:`ResidualMismatch`).
-    ``condition_estimate`` is, in the reports of the nested engine, the
-    exact 1-norm condition number of the basis block of R, from either
-    source, which lies within a factor j (the number of basis members) of
-    the 2-norm condition number of the basis; in the reports of the oracle
-    :func:`distance_to_span` it is the diagonal ratio of the pivoted R
-    factor, a cheap lower bound on the 2-norm condition number.
-    ``coefficients`` is read-only, float64 when the whole factored matrix
-    (the basis and every target) is real and complex128 otherwise.
-    Reports come from the nested engine (:func:`nested_distances`,
-    :func:`cyclicity_scan`, :func:`baez_duarte_sequence`) or from its
-    oracle :func:`distance_to_span`.
+    Entry j - 1 of ``distance``, ``residual_norm_check`` and
+    ``condition_estimate`` (which the targets of one call share), and the
+    first j rows of column j - 1 of the upper-triangular m x m
+    ``coefficients``, belong to prefix j.  ``distance`` is read from R, of
+    the matrix (QR) or of its Gram matrix (Cholesky, for d_K);
+    ``residual_norm_check`` recomputes it from the coefficients and the
+    original rows and agrees to 1e-10 * max(1, ||target||) at every prefix
+    (:class:`ResidualMismatch`).  ``condition_estimate`` is the exact 1-norm
+    condition number of R[:j,:j], within a factor j of the prefix's 2-norm
+    condition number.  ``coefficients`` is complex128 when any member is.
+    """
+
+    distance: np.ndarray
+    coefficients: np.ndarray
+    residual_norm_check: np.ndarray
+    condition_estimate: np.ndarray
+
+
+@dataclass(frozen=True)
+class DistanceReport:
+    """One least-squares projection, from :func:`distance_to_span` or :func:`cyclicity_scan`.
+
+    A scan's report is the last prefix of a :class:`NestedReport`.  From
+    the oracle, ``condition_estimate`` is the diagonal ratio of the pivoted
+    R factor, a cheap lower bound on the 2-norm condition number.
+    ``coefficients`` is read-only in both.
     """
 
     distance: float
@@ -162,16 +173,19 @@ def distance_to_span(target: CoeffSeries, basis: list[CoeffSeries],
     residual = from_coeffs(rhs)
     for c, b in zip(coeffs, a.T):
         residual = axpy(-c, from_coeffs(b), residual)
-    return _checked_report(distance, coeffs, norm(residual), np.linalg.norm(rhs), condition_estimate)
+    check = norm(residual)
+    _check_residuals(distance, check, np.linalg.norm(rhs))
+    coeffs.setflags(write=False)
+    return DistanceReport(distance, coeffs, check, condition_estimate)
 
 
 def nested_distances(basis: list[CoeffSeries], targets: list[CoeffSeries],
-                     n_trunc: int) -> list[list[DistanceReport]]:
-    """For each target, one report per prefix ``basis[:j]``, j = 1..len(basis), from one QR.
+                     n_trunc: int) -> list[NestedReport]:
+    """For each target, one report over the prefixes ``basis[:j]``, j = 1..len(basis), from one QR.
 
     Basis and targets are refitted to degree ``n_trunc``: members shorter
     than that are zero-padded, which is exact only for polynomials, so an
-    h_k-type basis is generated at ``n_trunc`` directly.  Each report agrees
+    h_k-type basis is generated at ``n_trunc`` directly.  Each prefix agrees
     with ``distance_to_span`` on the same prefix and target in its distance
     and its coefficients ``R[:j,:j]^-1 R[:j,m+i]``, from one inverse of R's
     leading m x m block.  The condition estimate of prefix j is the exact
@@ -191,18 +205,19 @@ def nested_distances(basis: list[CoeffSeries], targets: list[CoeffSeries],
             when the reciprocal condition of the whole basis is below
             RANK_TOLERANCE.
         ResidualMismatch: when a residual re-check disagrees with its
-            distance.
+            distance; the message names the first such prefix's distance.
     """
     return _nested_reports(_series_rows(basis, targets, n_trunc), _qr_factor)
 
 
-def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceReport]]:
+def baez_duarte_sequence(k_max: int, n_trunc: int) -> NestedReport:
     """Distances d_K from the constant 1 to span{h_2, ..., h_K} for K = 2..k_max.
 
     The spans are nested, so the sequence is nonincreasing and one
-    triangular factor of [h_2 .. h_kmax | 1] gives all of it; each entry
-    carries its full report so conditioning can be inspected alongside the
-    distance.  That factor is the Cholesky factor of the Gram matrix,
+    triangular factor of [h_2 .. h_kmax | 1] gives all of it, as one
+    report: entry K - 2 of its arrays, and column K - 2 of its
+    coefficients, belong to d_K, so conditioning can be inspected alongside
+    the distance.  That factor is the Cholesky factor of the Gram matrix,
     summed over 8192-row blocks regenerated from one harmonic table (see
     the module docstring), so the engine holds O(k_max^2 + 8192 k_max)
     numbers, never the 8 * (n_trunc + 1) * k_max bytes of the matrix; the
@@ -221,8 +236,7 @@ def baez_duarte_sequence(k_max: int, n_trunc: int) -> list[tuple[int, DistanceRe
         yield partial(_floor_runs, np.ones(1), 1)  # the target, the constant 1
 
     rows = _augmented(n_trunc, k_max - 1, k_max, [], columns(), "the d_K matrix")
-    reports = _nested_reports(rows, _gram_factor)[0]
-    return list(zip(range(2, k_max + 1), reports))
+    return _nested_reports(rows, _gram_factor)[0]
 
 
 @dataclass
@@ -358,8 +372,8 @@ def _gram_factor(rows: RowSource) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
     return r11, r12, s[None], 2
 
 
-def _nested_reports(rows: RowSource, factor: Factor) -> list[list[DistanceReport]]:
-    """For each t_i of [b_1 .. b_m | t_1 .. t_r], one report per prefix b_1..b_j.
+def _nested_reports(rows: RowSource, factor: Factor) -> list[NestedReport]:
+    """For each t_i of [b_1 .. b_m | t_1 .. t_r], one report over the prefixes b_1..b_j.
 
     ``factor`` gives R from the row source (:func:`_qr_factor` or
     :func:`_gram_factor`); the rank gate, R^-1, the condition figures, the
@@ -399,12 +413,12 @@ def _nested_reports(rows: RowSource, factor: Factor) -> list[list[DistanceReport
     # columns of R^-1, weighted by R[:j,m+i] and summed.
     coeffs = [np.cumsum(rinv * r12[:, i], axis=1) for i in range(r12.shape[1])]
     checks = _residual_norms(rows, coeffs)
-    return [
-        [_checked_report(float(distances[j, i]), c[:j, j - 1], float(check[j - 1]),
-                         float(distances[0, i]), float(condition[j - 1]))
-         for j in range(1, m + 1)]
-        for i, (c, check) in enumerate(zip(coeffs, checks))
-    ]
+    for i, check in enumerate(checks):
+        _check_residuals(distances[1:, i], check, distances[0, i])
+    for column in (distances, checks, condition, *coeffs):
+        column.setflags(write=False)
+    return [NestedReport(distances[1:, i], c, check, condition)
+            for i, (c, check) in enumerate(zip(coeffs, checks))]
 
 
 def _residual_norms(rows: RowSource, coeffs: list[np.ndarray]) -> np.ndarray:
@@ -428,27 +442,17 @@ def _residual_norms(rows: RowSource, coeffs: list[np.ndarray]) -> np.ndarray:
     return np.sqrt(sum_sq)
 
 
-def _checked_report(
-    distance: float,
-    coeffs: np.ndarray,
-    check: float,
-    target_norm: float,
-    condition_estimate: float,
-) -> DistanceReport:
-    """The report, once ``check`` agrees with ``distance``; ``coeffs`` is made read-only."""
+def _check_residuals(distance, check, target_norm: float) -> None:
+    """Raise :class:`ResidualMismatch` at the first prefix whose check disagrees, or is nan."""
+    distance, check = np.atleast_1d(distance), np.atleast_1d(check)
     bound = RESIDUAL_AGREEMENT * max(1.0, target_norm)
-    if not abs(distance - check) <= bound:
+    failed = np.flatnonzero(~(np.abs(distance - check) <= bound))
+    if failed.size:
+        j = failed[0]
         raise ResidualMismatch(
-            f"distance {distance:.17g} and residual re-check {check:.17g} "
-            f"differ by {abs(distance - check):.3e} > {bound:.3e}"
+            f"distance {distance[j]:.17g} and residual re-check {check[j]:.17g} "
+            f"differ by {abs(distance[j] - check[j]):.3e} > {bound:.3e}"
         )
-    coeffs.setflags(write=False)
-    return DistanceReport(
-        distance=distance,
-        coefficients=coeffs,
-        residual_norm_check=check,
-        condition_estimate=condition_estimate,
-    )
 
 
 def cyclicity_scan(
@@ -459,16 +463,16 @@ def cyclicity_scan(
 ) -> list[DistanceReport]:
     """Distances from each target to span of the dilation orbit of ``f``.
 
-    Each target gets the last of its nested reports on the orbit W_n f,
-    n = 1..n_max, from one factorization of [W_1 f .. W_m f | t_1 .. t_r]
-    at degree ``n_trunc`` (exact padding for a polynomial f, the intended
-    use), all complex128 when f or any target is complex.  Row j of W_n f
-    is read straight from f as f_(floor(j/n)), so no orbit member is built;
-    the reports are those of :func:`nested_distances` on the explicit
-    orbit, bit for bit.  The orbit passes one rank gate, even with no
-    targets, or :class:`DegenerateBasis` is raised.  An orbit longer than
-    n_trunc + 1, or a matrix past numpy's array size limit
-    (:class:`IndexOutOfRange`), is refused before any column is read.
+    Each target gets the last prefix of its :class:`NestedReport` on the
+    orbit W_n f, n = 1..n_max, from one factorization of [W_1 f .. W_m f |
+    t_1 .. t_r] at degree ``n_trunc`` (exact padding for a polynomial f,
+    the intended use), all complex128 when f or any target is complex.
+    Row j of W_n f is read straight from f as f_(floor(j/n)), so no orbit
+    member is built, and the reports are bit for bit the last columns of
+    :func:`nested_distances` on the explicit orbit.  The orbit passes one
+    rank gate, even with no targets, or :class:`DegenerateBasis` is raised.
+    An orbit longer than n_trunc + 1, or a matrix past numpy's array size
+    limit (:class:`IndexOutOfRange`), is refused before any column is read.
     """
     if n_max < 2:
         raise IndexOutOfRange(f"n_max must be >= 2, got {n_max}")
@@ -479,4 +483,6 @@ def cyclicity_scan(
     orbit = (partial(_floor_runs, f.coeffs, n) for n in range(1, n_max + 1))
     plain = (partial(_floor_runs, t.coeffs, 1) for t in targets)
     rows = _augmented(n_trunc, n_max, n_max + len(targets), [f, *targets], chain(orbit, plain))
-    return [reports[-1] for reports in _nested_reports(rows, _qr_factor)]
+    return [DistanceReport(float(rep.distance[-1]), rep.coefficients[:, -1],
+                           float(rep.residual_norm_check[-1]), float(rep.condition_estimate[-1]))
+            for rep in _nested_reports(rows, _qr_factor)]

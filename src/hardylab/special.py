@@ -97,9 +97,9 @@ def hk_oracle(k: int, n_trunc: int) -> CoeffSeries:
 def truncation_certificate(coefficients, n_trunc: int) -> float:
     """Upper bound on the norm of sum_k c_k h_k beyond degree ``n_trunc``.
 
-    ``coefficients[i]`` multiplies h_{i+2}, as in the reports of the d_K
-    sequence.  The coefficients of h_k decay like |c_j| <= k/(j+1), so the
-    tail of h_k beyond degree N has norm at most
+    ``coefficients[i]`` multiplies h_{i+2}, as in column K - 2 of the d_K
+    report's coefficients.  The coefficients of h_k decay like |c_j| <=
+    k/(j+1), so the tail of h_k beyond degree N has norm at most
     sqrt(sum_{j>N} k^2/(j+1)^2) <= k/sqrt(N+1), and the bound is
     sum_k |c_k| * k/sqrt(N+1), summed left to right in the order of the
     coefficients (the last partial sum of ``np.cumsum``, bit for bit

@@ -90,9 +90,10 @@ class TestBlockWriter:
     def test_bd_matches_per_row_writer(self, tmp_path):
         out, ref = tmp_path / "bd.csv", tmp_path / "ref.csv"
         assert run(["bd", "--kmax", "6", "--n", "300", "--out", str(out)]) == 0
+        seq = hl.baez_duarte_sequence(6, 300)
         rows = (
-            [str(k), _fmt(rep.distance), _fmt(rep.condition_estimate)]
-            for k, rep in hl.baez_duarte_sequence(6, 300)
+            [str(k), _fmt(d), _fmt(cond)]
+            for k, d, cond in zip(range(2, 7), seq.distance, seq.condition_estimate, strict=True)
         )
         reference_write_rows(ref, ["command=bd kmax=6 n=300"],
                              ["K", "d_K", "condition_estimate"], rows)
@@ -426,29 +427,37 @@ class TestBaezDuarte:
         assert exc.value.code == 2
 
     def test_json_reports_carry_truncation_certificate(self, tmp_path):
+        # Each K's certificate comes from its own coefficients, column K - 2
+        # of the sequence's matrix, although the JSON holds only the last K's.
         out = tmp_path / "bd.csv"
         assert run(["bd", "--kmax", "4", "--n", "256", "--out", str(out)]) == 0
         reports = json.loads(out.with_suffix(".json").read_text())["reports"]
+        c = hl.baez_duarte_sequence(4, 256).coefficients
         assert [r["K"] for r in reports] == [2, 3, 4]
         for r in reports:
-            coeffs = [complex(re, im) for re, im in zip(r["coefficients_re"], r["coefficients_im"])]
-            assert r["truncation_certificate"] == hl.truncation_certificate(coeffs, 256)
+            k = r["K"]
+            want = hl.truncation_certificate(c[: k - 1, k - 2], 256)
+            assert r["truncation_certificate"].hex() == want.hex()
             assert r["truncation_certificate"] > 0
 
     def test_json_report_round_trips(self, tmp_path):
         out = tmp_path / "bd.csv"
         assert run(["bd", "--kmax", "3", "--n", "64", "--out", str(out)]) == 0
-        reports = json.loads(out.with_suffix(".json").read_text())["reports"]
-        for r, (k, rep) in zip(reports, hl.baez_duarte_sequence(3, 64), strict=True):
-            assert list(r) == ["K", "distance", "coefficients_re", "coefficients_im",
-                               "residual_norm_check", "condition_estimate", "truncation_certificate"]
-            assert r["K"] == k
-            assert r["distance"] == rep.distance
-            assert r["coefficients_re"] == rep.coefficients.real.tolist()
-            assert r["coefficients_im"] == rep.coefficients.imag.tolist()
-            assert len(r["coefficients_re"]) == k - 1
-            assert r["residual_norm_check"] == rep.residual_norm_check
-            assert r["condition_estimate"] == rep.condition_estimate
+        report = json.loads(out.with_suffix(".json").read_text())
+        seq = hl.baez_duarte_sequence(3, 64)
+        assert list(report) == ["k_max", "truncation_degree", "reports", "coefficients"]
+        assert (report["k_max"], report["truncation_degree"]) == (3, 64)
+        # the coefficients of the last K only, real
+        assert report["coefficients"] == seq.coefficients[:, -1].tolist()
+        assert len(report["coefficients"]) == 2
+        for j, r in enumerate(report["reports"]):
+            assert list(r) == ["K", "distance", "residual_norm_check", "condition_estimate",
+                               "truncation_certificate"]
+            assert r["K"] == j + 2
+            assert r["distance"] == seq.distance[j]
+            assert r["residual_norm_check"] == seq.residual_norm_check[j]
+            assert r["condition_estimate"] == seq.condition_estimate[j]
+        assert len(report["reports"]) == 2
 
     def test_json_report_is_one_line(self, tmp_path):
         out = tmp_path / "bd.csv"
@@ -509,13 +518,13 @@ class TestBaezDuarte:
     def test_rising_distance_names_the_first_rise(self, tmp_path, monkeypatch, capsys):
         def rising(k_max, n_trunc):
             seq = hl.baez_duarte_sequence(k_max, n_trunc)
-            (k, rep), (_, before) = seq[2], seq[1]
-            seq[2] = (k, dataclasses.replace(rep, distance=before.distance + 1e-9))
-            return seq
+            distance = seq.distance.copy()
+            distance[2] = distance[1] + 1e-9  # d_4 above d_3
+            return dataclasses.replace(seq, distance=distance)
 
         monkeypatch.setattr(hardylab.cli, "baez_duarte_sequence", rising)
         assert run(["--output-dir", str(tmp_path), "bd", "--kmax", "6", "--n", "256"]) == 1
-        d3 = hl.baez_duarte_sequence(6, 256)[1][1].distance
+        d3 = hl.baez_duarte_sequence(6, 256).distance[1]
         assert capsys.readouterr().err == (
             f"FAIL: d_4 = {_fmt(d3 + 1e-9)} exceeds d_3 = {_fmt(d3)} by more than 1e-12\n"
         )

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import sys
 import tracemalloc
 
@@ -115,12 +117,22 @@ class TestDistanceToSpan:
         assert complex_report.distance == pytest.approx(real_report.distance, abs=1e-12)
 
 
+def prefixes(nested):
+    """Each prefix of a :class:`NestedReport`, laid out as the oracle reports it."""
+    return [hl.DistanceReport(float(nested.distance[j - 1]), nested.coefficients[:j, j - 1],
+                              float(nested.residual_norm_check[j - 1]),
+                              float(nested.condition_estimate[j - 1]))
+            for j in range(1, len(nested.distance) + 1)]
+
+
 class TestBaezDuarteSequence:
     def test_sequence_shape_and_monotonicity(self):
         seq = hl.baez_duarte_sequence(10, 2048)
-        ks = [k for k, _ in seq]
-        assert ks == list(range(2, 11))
-        d = np.array([rep.distance for _, rep in seq])
+        # entry K - 2 is d_K, for K = 2..10
+        assert seq.distance.shape == seq.residual_norm_check.shape == (9,)
+        assert seq.condition_estimate.shape == (9,) and seq.coefficients.shape == (9, 9)
+        assert np.array_equal(seq.coefficients, np.triu(seq.coefficients))
+        d = seq.distance
         assert np.all(np.diff(d) <= 1e-12)
         assert np.all(d > 1e-8)
 
@@ -128,7 +140,7 @@ class TestBaezDuarteSequence:
         n_trunc = 2048
         seq = hl.baez_duarte_sequence(2, n_trunc)
         h2 = hl.hk_closed_form(2, n_trunc)
-        assert seq[0][1].distance == pytest.approx(
+        assert seq.distance[0] == pytest.approx(
             one_vector_distance(hl.one(n_trunc), h2), abs=1e-10
         )
 
@@ -136,7 +148,7 @@ class TestBaezDuarteSequence:
         n_small = 1024
         seq_small = hl.baez_duarte_sequence(8, n_small)
         seq_big = hl.baez_duarte_sequence(8, 2 * n_small)
-        for (_, rep_small), (_, rep_big) in zip(seq_small, seq_big):
+        for rep_small, rep_big in zip(prefixes(seq_small), prefixes(seq_big), strict=True):
             tail = hl.truncation_certificate(rep_small.coefficients, n_small)
             assert abs(rep_small.distance - rep_big.distance) <= 10 * tail
 
@@ -173,10 +185,11 @@ def assert_matches_oracle(rep, target, basis, n_trunc):
     assert rep.condition_estimate == pytest.approx(np.linalg.cond(r, 1), rel=1e-10)
 
 
-def assert_matches_pivoted_oracle(reports, target, basis, n_trunc):
-    """Each nested report agrees with distance_to_span on the same prefix."""
-    assert len(reports) == len(basis)
-    for j, rep in enumerate(reports, start=1):
+def assert_matches_pivoted_oracle(nested, target, basis, n_trunc):
+    """Each prefix of a nested report agrees with distance_to_span on the same prefix."""
+    assert nested.distance.shape == (len(basis),)
+    assert nested.coefficients.shape == (len(basis), len(basis))
+    for j, rep in enumerate(prefixes(nested), start=1):
         assert_matches_oracle(rep, target, basis[:j], n_trunc)
 
 
@@ -184,9 +197,8 @@ class TestNestedDistances:
     @pytest.mark.parametrize("n_trunc", [256, 2048])
     def test_baez_duarte_matches_pivoted_oracle(self, n_trunc):
         seq = hl.baez_duarte_sequence(12, n_trunc)
-        assert [k for k, _ in seq] == list(range(2, 13))
         basis = [hl.hk_closed_form(k, n_trunc) for k in range(2, 13)]
-        assert_matches_pivoted_oracle([rep for _, rep in seq], hl.one(n_trunc), basis, n_trunc)
+        assert_matches_pivoted_oracle(seq, hl.one(n_trunc), basis, n_trunc)
 
     def test_random_complex_basis_matches_pivoted_oracle(self):
         rng = np.random.default_rng(21)
@@ -199,17 +211,17 @@ class TestNestedDistances:
 
         target = random_series()
         basis = [random_series() for _ in range(7)]
-        reports = hl.nested_distances(basis, [target], n_trunc)[0]
-        assert_matches_pivoted_oracle(reports, target, basis, n_trunc)
-        assert any(c.imag != 0 for c in reports[-1].coefficients)
+        nested = hl.nested_distances(basis, [target], n_trunc)[0]
+        assert_matches_pivoted_oracle(nested, target, basis, n_trunc)
+        assert any(c.imag != 0 for c in nested.coefficients[:, -1])
 
     def test_real_basis_with_complex_target_matches_pivoted_oracle(self):
         n_trunc = 200
         basis = [hl.hk_closed_form(k, n_trunc) for k in range(2, 8)]
         target = hl.from_coeffs(np.exp(0.4j) * hl.one(n_trunc).coeffs + 0.1j * basis[0].coeffs)
-        reports = hl.nested_distances(basis, [target], n_trunc)[0]
-        assert_matches_pivoted_oracle(reports, target, basis, n_trunc)
-        assert all(rep.coefficients.dtype == np.complex128 for rep in reports)
+        nested = hl.nested_distances(basis, [target], n_trunc)[0]
+        assert_matches_pivoted_oracle(nested, target, basis, n_trunc)
+        assert nested.coefficients.dtype == np.complex128
 
     def test_one_report_list_per_target(self):
         n_trunc = 200
@@ -217,15 +229,24 @@ class TestNestedDistances:
         targets = [hl.one(n_trunc), hl.pad(hl.from_coeffs([1.0, -1.0]), n_trunc)]
         per_target = hl.nested_distances(basis, targets, n_trunc)
         assert len(per_target) == len(targets)
-        for reports, target in zip(per_target, targets):
-            assert_matches_pivoted_oracle(reports, target, basis, n_trunc)
+        for nested, target in zip(per_target, targets):
+            assert_matches_pivoted_oracle(nested, target, basis, n_trunc)
         assert hl.nested_distances(basis, [], n_trunc) == []
 
     def test_real_problem_gives_read_only_real_coefficients(self):
-        for _, rep in hl.baez_duarte_sequence(6, 128):
-            assert rep.coefficients.dtype == np.float64
-            with pytest.raises(ValueError):
-                rep.coefficients[0] = 0.0
+        seq = hl.baez_duarte_sequence(6, 128)
+        assert seq.coefficients.dtype == np.float64
+        rng = np.random.default_rng(22)
+        members = [hl.from_coeffs(rng.standard_normal(65) + 1j * rng.standard_normal(65))
+                   for _ in range(5)]
+        per_target = hl.nested_distances(members[:3], members[3:], 64)
+        assert all(nested.coefficients.dtype == np.complex128 for nested in per_target)
+        # the targets of one call share one array of condition figures
+        assert per_target[0].condition_estimate is per_target[1].condition_estimate
+        for nested in [seq, *per_target]:
+            for field in dataclasses.fields(hl.NestedReport):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(nested, field.name)[...] = 0.0
         oracle = hl.distance_to_span(hl.one(64), [hl.hk_closed_form(2, 64)], 64)
         with pytest.raises(ValueError):
             oracle.coefficients[0] = 0.0
@@ -306,7 +327,7 @@ class TestConditionFigure:
     @pytest.fixture(scope="class")
     def figures(self):
         seq = hl.baez_duarte_sequence(self.K_MAX, self.N_TRUNC)
-        return np.array([rep.condition_estimate for _, rep in seq])
+        return seq.condition_estimate
 
     @pytest.fixture(scope="class")
     def basis(self):
@@ -333,11 +354,12 @@ class TestConditionFigure:
     # about one in nine seeded one-member bases.
     @pytest.mark.parametrize("n_trunc", [1, 10, 50])
     def test_one_member_figure_is_never_below_one(self, n_trunc):
-        assert hl.baez_duarte_sequence(2, n_trunc)[0][1].condition_estimate == 1.0
+        assert hl.baez_duarte_sequence(2, n_trunc).condition_estimate[0] == 1.0
         rng = np.random.default_rng(n_trunc)
         for _ in range(100):
             basis, target = (hl.from_coeffs(rng.standard_normal(n_trunc + 1)) for _ in range(2))
-            assert hl.nested_distances([basis], [target], n_trunc)[0][0].condition_estimate >= 1.0
+            nested = hl.nested_distances([basis], [target], n_trunc)[0]
+            assert nested.condition_estimate[0] >= 1.0
 
 
 def bd_factored_by(factor, k_max, n_trunc):
@@ -355,11 +377,11 @@ class TestGramSource:
     def test_every_prefix_agrees_with_the_qr_source(self, k_max, n_trunc):
         gram = hl.baez_duarte_sequence(k_max, n_trunc)
         qr = bd_factored_by(projection._qr_factor, k_max, n_trunc)
-        for (k, by_gram), (k_qr, by_qr) in zip(gram, qr, strict=True):
-            assert k == k_qr
-            assert abs(by_gram.distance - by_qr.distance) <= projection.RESIDUAL_AGREEMENT
-            np.testing.assert_allclose(by_gram.coefficients, by_qr.coefficients, rtol=0, atol=1e-10)
-            assert by_gram.condition_estimate == pytest.approx(by_qr.condition_estimate, rel=1e-10)
+        assert gram.distance.shape == qr.distance.shape == (k_max - 1,)
+        assert np.all(np.abs(gram.distance - qr.distance) <= projection.RESIDUAL_AGREEMENT)
+        # column K - 2 of each upper-triangular matrix is d_K's coefficients
+        np.testing.assert_allclose(gram.coefficients, qr.coefficients, rtol=0, atol=1e-10)
+        assert gram.condition_estimate == pytest.approx(qr.condition_estimate, rel=1e-10)
 
     def test_complex_members_agree_with_the_qr_source(self):
         rng = np.random.default_rng(34)
@@ -374,16 +396,16 @@ class TestGramSource:
         rows = projection._series_rows(basis, targets, n_trunc)
         by_gram = projection._nested_reports(rows, projection._gram_factor)
         by_qr = hl.nested_distances(basis, targets, n_trunc)
-        for per_gram, per_qr, target in zip(by_gram, by_qr, targets, strict=True):
+        for g, q, target in zip(by_gram, by_qr, targets, strict=True):
             bound = projection.RESIDUAL_AGREEMENT * max(1.0, hl.norm(target))
-            for g, q in zip(per_gram, per_qr, strict=True):
-                assert g.coefficients.dtype == np.complex128
-                assert abs(g.distance - q.distance) <= bound
-                np.testing.assert_allclose(g.coefficients, q.coefficients, rtol=0, atol=1e-10)
+            assert g.coefficients.dtype == np.complex128
+            assert g.distance.shape == q.distance.shape == (6,)
+            assert np.all(np.abs(g.distance - q.distance) <= bound)
+            np.testing.assert_allclose(g.coefficients, q.coefficients, rtol=0, atol=1e-10)
 
     def test_distances_nondecreasing_in_the_truncation(self):
         # P_N is a contraction, so every d_K(N) is at most d_K(2N).
-        d = [[rep.distance for _, rep in hl.baez_duarte_sequence(30, 2**e)] for e in range(10, 16)]
+        d = [hl.baez_duarte_sequence(30, 2**e).distance for e in range(10, 16)]
         assert np.all(np.diff(d, axis=0) >= 0)
 
     def test_basis_spanning_every_row_leaves_exactly_zero(self):
@@ -392,7 +414,7 @@ class TestGramSource:
         for factor in (projection._gram_factor, projection._qr_factor):
             for n_trunc in range(40):
                 seq = bd_factored_by(factor, n_trunc + 2, n_trunc)
-                assert seq[-1][1].distance == 0.0, (factor.__name__, n_trunc)
+                assert seq.distance[-1] == 0.0, (factor.__name__, n_trunc)
 
     def test_repeated_member_is_refused(self):
         # Cholesky resolves no rank below sqrt(u): R's own figure is about 2e8.
@@ -408,7 +430,7 @@ class TestGramSource:
         n_trunc = 4
         basis = [hl.from_coeffs([1.0]), hl.from_coeffs([1.0, 1e-7])]
         targets = [hl.from_coeffs([0.0, 0.0, 1.0])]
-        figure = hl.nested_distances(basis, targets, n_trunc)[0][-1].condition_estimate
+        figure = hl.nested_distances(basis, targets, n_trunc)[0].condition_estimate[-1]
         assert figure == pytest.approx(2e7, rel=1e-6)
         with pytest.raises(DegenerateBasis, match=r"reciprocal condition 2\.\d+e-15 below"):
             projection._nested_reports(projection._series_rows(basis, targets, n_trunc),
@@ -430,15 +452,15 @@ class TestQRSourceInSpan:
     @pytest.mark.parametrize("n_trunc", [512, 2**15])
     def test_target_inside_the_span_resolves_to_rounding(self, n_trunc):
         h2, h3, h4 = (hl.hk_closed_form(k, n_trunc) for k in (2, 3, 4))
-        reports = hl.nested_distances([h2, h3, h4], [hl.axpy(0.5, h3, h2)], n_trunc)[0]
-        for rep in reports[1:]:
-            assert rep.distance <= 1e-14 and rep.residual_norm_check <= 1e-14
+        nested = hl.nested_distances([h2, h3, h4], [hl.axpy(0.5, h3, h2)], n_trunc)[0]
+        assert np.all(nested.distance[1:] <= 1e-14)
+        assert np.all(nested.residual_norm_check[1:] <= 1e-14)
 
 
-def assert_residual_checks_match_direct_norm(reports, target, basis):
-    """Every residual_norm_check is ||target - sum_k c_k b_k||, summed by axpy."""
+def assert_residual_checks_match_direct_norm(nested, target, basis):
+    """Every prefix's residual_norm_check is ||target - sum_k c_k b_k||, summed by axpy."""
     bound = 1e-14 * max(1.0, hl.norm(target))
-    for rep in reports:
+    for rep in prefixes(nested):
         by_hand = target
         for c, b in zip(rep.coefficients, basis):
             by_hand = hl.axpy(-c, b, by_hand)
@@ -452,7 +474,7 @@ class TestBlockedResidualCheck:
     def test_baez_duarte_checks_match_direct_norm(self, n_trunc):
         seq = hl.baez_duarte_sequence(12, n_trunc)
         basis = [hl.hk_closed_form(k, n_trunc) for k in range(2, 13)]
-        assert_residual_checks_match_direct_norm([rep for _, rep in seq], hl.one(n_trunc), basis)
+        assert_residual_checks_match_direct_norm(seq, hl.one(n_trunc), basis)
 
     def test_complex_basis_checks_match_direct_norm(self):
         rng = np.random.default_rng(33)
@@ -467,9 +489,9 @@ class TestBlockedResidualCheck:
         # columns of every block.  The third target lies in the span.
         basis = [random_series() for _ in range(6)]
         targets = [random_series(), random_series(), basis[2]]
-        for reports, target in zip(hl.nested_distances(basis, targets, n_trunc), targets,
-                                   strict=True):
-            assert_residual_checks_match_direct_norm(reports, target, basis)
+        for nested, target in zip(hl.nested_distances(basis, targets, n_trunc), targets,
+                                  strict=True):
+            assert_residual_checks_match_direct_norm(nested, target, basis)
 
 
 class TestRowSources:
@@ -621,27 +643,35 @@ class TestEngineMemory:
 
 
 class TestResidualAgreement:
-    # distance_to_span re-checks its residual with series.norm; the nested
-    # engine re-checks every prefix at once in _residual_norms.  Each engine
-    # is called on (target, basis, n_trunc).
+    # Each engine is called on (target, basis, n_trunc) and gives the distance
+    # of every prefix basis[:j].  distance_to_span re-checks each prefix's
+    # residual with series.norm, one call per prefix; the nested engine
+    # re-checks every prefix at once in _residual_norms.
     ENGINES = {
-        "distance_to_span": (hl.distance_to_span, "norm", hl.norm),
-        "nested_distances": (lambda t, b, n: hl.nested_distances(b, [t], n),
+        "distance_to_span": (lambda t, b, n: [hl.distance_to_span(t, b[:j], n).distance
+                                              for j in range(1, len(b) + 1)],
+                             "norm", hl.norm),
+        "nested_distances": (lambda t, b, n: hl.nested_distances(b, [t], n)[0].distance,
                              "_residual_norms", _residual_norms),
     }
 
     @classmethod
-    def skew_residual_norm(cls, monkeypatch, engine, amount):
+    def skew_residual_norm(cls, monkeypatch, engine, skews):
+        """Add skews[j - 1] to the residual re-check of prefix j."""
         _, name, true_check = cls.ENGINES[engine]
-        monkeypatch.setattr(
-            f"hardylab.projection.{name}", lambda *args: true_check(*args) + amount
-        )
+        calls = iter(skews)
+
+        def skewed(*args):
+            # distance_to_span calls norm once per prefix, in order
+            return true_check(*args) + (next(calls) if name == "norm" else np.array(skews))
+
+        monkeypatch.setattr(f"hardylab.projection.{name}", skewed)
 
     @pytest.mark.parametrize("engine", list(ENGINES))
     def test_mismatch_raises(self, monkeypatch, engine):
         n_trunc = 128
         run = self.ENGINES[engine][0]
-        self.skew_residual_norm(monkeypatch, engine, 1e-8)
+        self.skew_residual_norm(monkeypatch, engine, [1e-8])
         with pytest.raises(ResidualMismatch):
             run(hl.one(n_trunc), [hl.hk_closed_form(2, n_trunc)], n_trunc)
 
@@ -652,11 +682,29 @@ class TestResidualAgreement:
         run = self.ENGINES[engine][0]
         target = hl.from_coeffs(1e4 * hl.one(n_trunc).coeffs)
         basis = [hl.hk_closed_form(2, n_trunc)]
-        self.skew_residual_norm(monkeypatch, engine, 1e-8)
+        self.skew_residual_norm(monkeypatch, engine, [1e-8])
         run(target, basis, n_trunc)
-        self.skew_residual_norm(monkeypatch, engine, 1e-5)
+        self.skew_residual_norm(monkeypatch, engine, [1e-5])
         with pytest.raises(ResidualMismatch):
             run(target, basis, n_trunc)
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_skew_on_one_middle_prefix_names_its_distance(self, monkeypatch, engine):
+        n_trunc = 128
+        run = self.ENGINES[engine][0]
+        target, basis = hl.one(n_trunc), [hl.hk_closed_form(k, n_trunc) for k in (2, 3, 4)]
+        middle = run(target, basis, n_trunc)[1]
+        self.skew_residual_norm(monkeypatch, engine, [0.0, 1e-8, 0.0])
+        with pytest.raises(ResidualMismatch, match=re.escape(f"distance {middle:.17g} and ")):
+            run(target, basis, n_trunc)
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_nan_recheck_raises(self, monkeypatch, engine):
+        n_trunc = 128
+        run = self.ENGINES[engine][0]
+        self.skew_residual_norm(monkeypatch, engine, [np.nan])
+        with pytest.raises(ResidualMismatch, match="residual re-check nan"):
+            run(hl.one(n_trunc), [hl.hk_closed_form(2, n_trunc)], n_trunc)
 
 
 class TestDifferenceSpanOrthogonality:
@@ -783,7 +831,7 @@ class TestCyclicityScan:
         targets.append(hl.from_coeffs(rng.standard_normal(n_trunc + 1)
                                       + 1j * rng.standard_normal(n_trunc + 1)))
         for rep, target in zip(hl.cyclicity_scan(f, 8, targets, n_trunc), targets):
-            alone = hl.nested_distances(orbit, [target], n_trunc)[0][-1]
+            alone = prefixes(hl.nested_distances(orbit, [target], n_trunc)[0])[-1]
             assert rep.distance == pytest.approx(alone.distance, rel=1e-14)
             gap = np.linalg.norm(rep.coefficients - alone.coefficients)
             assert gap <= 1e-14 * np.linalg.norm(alone.coefficients)
@@ -855,7 +903,7 @@ class TestCyclicityScan:
         targets = [hl.one(n_trunc), hl.from_coeffs(rng.standard_normal(n_trunc + 1))]
         reports = hl.cyclicity_scan(f, n_max, targets, n_trunc)
         orbit = [hl.weighted_dilation(n, f) for n in range(1, n_max + 1)]
-        full = [per_target[-1] for per_target in hl.nested_distances(orbit, targets, n_trunc)]
+        full = [prefixes(nested)[-1] for nested in hl.nested_distances(orbit, targets, n_trunc)]
         self.assert_same_bits(reports, full)
         # W_n f reads f_0 .. f_(n_trunc // n) only: a longer f moves no bit, and
         # no W_n f of all of it (20 MiB at n = 40) is ever built.

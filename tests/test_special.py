@@ -200,12 +200,14 @@ class TestHkMatrix:
 class TestTruncationCertificate:
     def test_equals_inline_tail_sum(self):
         n_trunc = 1024
-        for k, rep in hl.baez_duarte_sequence(8, n_trunc):
+        seq = hl.baez_duarte_sequence(8, n_trunc)
+        for k in range(2, 9):
+            coefficients = seq.coefficients[: k - 1, k - 2]
             inline = sum(
                 abs(c) * (j / np.sqrt(n_trunc + 1))
-                for j, c in zip(range(2, k + 1), rep.coefficients)
+                for j, c in zip(range(2, k + 1), coefficients)
             )
-            assert hl.truncation_certificate(rep.coefficients, n_trunc) == inline
+            assert hl.truncation_certificate(coefficients, n_trunc) == inline
 
     # magnitudes far below overflow, as the coefficients of a fit are
     @given(st.one_of(st.lists(st.floats(-1e150, 1e150), max_size=60),
